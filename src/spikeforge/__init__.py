@@ -1,9 +1,8 @@
 """Clock-driven spiking neural network simulator for nanodevice hardware exploration."""
 
-from spikeforge.waveform import ScheduledWaveform, Waveform, waveform_from_flat
+from spikeforge.waveform import Waveform, waveform_from_flat
 
 __all__ = [
-    "ScheduledWaveform",
     "Waveform",
     "waveform_from_flat",
 ]

@@ -20,7 +20,6 @@ from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
 from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
 from spikeforge.neuron import (
     NeuronModel, SpikeWaveforms, calibrate_from_frequency, load_calibration_csv,
-    load_pulse_convert_csv,
 )
 from spikeforge.synapse import (
     CircuitModel, IdenticalPulseDevice, PulseFamilyDevice, SpikePresence,
@@ -423,11 +422,6 @@ def _build_neuron(section: _Section):
         post2=_waveform(section, "post2_volt"),
         inhib=_waveform(section, "inhib_volt"),
     )
-    table = None
-    if section.has("pulse_convert_path"):
-        p = section.get_path("pulse_convert_path")
-        if p is not None:
-            table = load_pulse_convert_csv(p)
     if has_calib:
         # measured frequency-vs-width data fills in whatever tau/thres the
         # user left out; explicit keys win
@@ -454,8 +448,7 @@ def _build_neuron(section: _Section):
     try:
         return NeuronModel(
             tau=tau, thres=thres, v_reset=v_reset, t_refrac=t_refrac, r_mem=r_mem,
-            state_eqs=state_eqs, power_expr=power_expr, waveforms=waveforms,
-            pulse_convert_table=table)
+            state_eqs=state_eqs, power_expr=power_expr, waveforms=waveforms)
     except ValueError as err:
         section.complain("tau", None, str(err))
         return None

@@ -1,20 +1,21 @@
 """Network construction and the clock-driven train/infer loops.
 
-Every timestep walks the layers in order: gather the previous layer's
-spike activity, resolve each synapse's mode, add up the current entering
-each neuron, advance the membranes, and (for plastic layers) program the
-devices. Spikes emitted at step k become visible at step k+1, so one
-timestep is the only feedback latency in the network.
+Every timestep walks the layers in order: the synapse kernel
+(`_synapse_pass`) resolves each synapse's mode and current from the spike
+lines, lateral inhibition is subtracted, the membranes advance, and (for
+plastic layers) `_program` programs the devices; the pairing sweep runs on
+the same two functions. Spikes emitted at step k become visible at step
+k+1, so one timestep is the only feedback latency in the network.
 
-Scheduling is integer-step throughout: a waveform triggered at step m is
-active for ceil(duration/dt) steps, which keeps presence windows exact
-and runs reproducible bit for bit.
+Scheduling is integer-step throughout (`_Sched`): a waveform triggered at
+step m is active for ceil(duration/dt) steps, which keeps presence windows
+exact and runs reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +23,8 @@ from spikeforge import expr
 from spikeforge.encoding import SpikeTrain
 from spikeforge.neuron import NeuronModel, NeuronState, fire_check, integrate
 from spikeforge.synapse import (
-    CircuitModel, DeviceModel, SpikePresence, SynapseMode, classify_presence,
-    mode_from_voltage, saturates, step_device, transmit_current,
-    _support_steps,
+    CircuitModel, DeviceModel, SynapseMode, classify_presence, mode_from_voltage,
+    saturates, step_device, transmit_current,
 )
 from spikeforge.waveform import Waveform
 
@@ -149,8 +149,19 @@ def num_steps(T: float, dt: float) -> int:
     return int(n)
 
 
+def _support_steps(duration: float, dt: float) -> int:
+    """Number of grid steps a waveform is active: ceil(duration/dt), treating
+    near-integer ratios as exact so half-open windows stay half-open."""
+    q = duration / dt
+    r = round(q)
+    if abs(q - r) < 1e-9:
+        return int(r)
+    return int(q) + 1
+
+
 class _Sched:
-    """A waveform triggered at an integer step, active for a fixed step count."""
+    """A waveform triggered at an integer step, active for a fixed step count
+    and scaled by sign (the input polarity, or inh_g on inhibition lines)."""
 
     __slots__ = ("waveform", "origin", "steps", "sign")
 
@@ -159,9 +170,6 @@ class _Sched:
         self.origin = origin
         self.steps = steps
         self.sign = sign
-
-    def active(self, k: int) -> bool:
-        return self.origin <= k < self.origin + self.steps
 
     def sample(self, k: int, dt: float) -> float:
         return self.sign * self.waveform.sample((k - self.origin) * dt)
@@ -181,7 +189,7 @@ class _LayerRuntime:
 
 
 class _Matrix:
-    __slots__ = ("circuit", "device", "plastic", "mask", "g", "last_mode",
+    __slots__ = ("circuit", "device", "plastic", "mask", "g",
                  "pairs", "engaged", "needs_post2", "base_env")
 
     def __init__(self, circuit: CircuitModel, device: DeviceModel, plastic: bool,
@@ -191,7 +199,6 @@ class _Matrix:
         self.plastic = plastic
         self.mask = mask
         self.g = np.zeros(mask.shape)
-        self.last_mode = np.zeros(mask.shape, dtype=np.int8)
         self.pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
         self.engaged = frozenset(circuit.plasticity_policy | circuit.transmit_policy)
         used = expr.free_vars(circuit.v_app)
@@ -222,7 +229,7 @@ class Network:
         self.labels: list[int | None] = [None] * spec.layers[spec.label_layer].neurons
         self.saturation_events = 0
         # inhibitory wiring: target lists per (source layer, source neuron)
-        self.inhib_targets: dict[int, list[tuple[int, int]]] = {}
+        self.inhib_targets: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     @property
     def label_layer(self) -> int:
@@ -230,13 +237,6 @@ class Network:
 
     def conductances(self) -> list[np.ndarray]:
         return [m.g.copy() for m in self.matrices]
-
-    def synapse_state(self, layer: int, i: int, j: int):
-        from spikeforge.synapse import SynapseState
-        m = self.matrices[layer - 1]
-        mode = next(mode for mode, code in MODE_CODES.items()
-                    if code == m.last_mode[i, j])
-        return SynapseState(g=float(m.g[i, j]), last_mode=mode)
 
     def reset_transient(self) -> None:
         """Clear membranes, refractory windows and all pending spikes.
@@ -251,11 +251,6 @@ class Network:
             for box in (layer.pre_out, layer.post1_in, layer.inhib_in):
                 for queue in box:
                     queue.clear()
-
-    def clear_spike_log(self) -> None:
-        for layer in self.layers:
-            for state in layer.states:
-                state.spike_times.clear()
 
 
 def build_network(spec: NetworkSpec, dt: float) -> Network:
@@ -325,15 +320,11 @@ def _wire_inhibition(net: Network, spec: NetworkSpec) -> None:
             raise ValueError(
                 f"layer {a} drives inhibition but its neuron model has no inhib waveform")
         for src in range(spec.layers[a].neurons):
-            targets = net.inhib_targets.setdefault(_inhib_key(a, src), [])
+            targets = net.inhib_targets.setdefault((a, src), [])
             for dst in range(spec.layers[b].neurons):
                 if a == b and src == dst:
                     continue
                 targets.append((b, dst))
-
-
-def _inhib_key(layer: int, neuron: int) -> int:
-    return (layer << 20) | neuron
 
 
 def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> None:
@@ -372,6 +363,66 @@ def _line_state(queues: list[list[_Sched]], k: int, dt: float, rest: float):
     return active, volts
 
 
+def _synapse_pass(matrix: _Matrix, q: int, pre_out: list[list[_Sched]],
+                  post1_in: list[list[_Sched]], post2_out: list[list[_Sched]],
+                  step: int, dt: float):
+    """The synapse kernel: one matrix (layer q) for one timestep.
+
+    Returns (currents, modes, events): the (n_pre, n_post) current and
+    MODE_CODES arrays, and the programming pulses as (i, j, direction, |V_TB|).
+    """
+    circuit = matrix.circuit
+    pre_active, v_pre = _line_state(pre_out, step, dt, circuit.rest_v_pre)
+    post_active, v_post1 = _line_state(post1_in, step, dt, circuit.rest_v_post1)
+    if matrix.needs_post2:
+        _, v_post2 = _line_state(post2_out, step, dt, circuit.rest_v_post2)
+    else:
+        v_post2 = None
+
+    currents = np.zeros(matrix.g.shape)
+    modes = np.zeros(matrix.g.shape, dtype=np.int8)
+    events: list[tuple[int, int, SynapseMode, float]] = []
+    env = dict(matrix.base_env)
+    for i, j in matrix.pairs:
+        presence = classify_presence(bool(pre_active[i]), bool(post_active[j]))
+        if presence not in matrix.engaged:
+            continue
+        env["V_pre"] = v_pre[i]
+        env["V_post1"] = v_post1[j]
+        env["V_post2"] = v_post2[j] if v_post2 is not None else circuit.rest_v_post2
+        env["G"] = matrix.g[i, j]
+        env.pop("V_TB", None)
+        try:
+            if presence in circuit.plasticity_policy:
+                v_tb = expr.evaluate(circuit.v_app, env)
+                mode = mode_from_voltage(circuit, presence, v_tb)
+                env["V_TB"] = v_tb
+                if mode in (SynapseMode.POTENTIATE, SynapseMode.DEPRESS):
+                    events.append((i, j, mode, abs(v_tb)))
+            else:
+                # engaged but not plastic: the presence is in transmit_policy
+                mode = SynapseMode.TRANSMIT
+            currents[i, j] = transmit_current(circuit, matrix.g[i, j], env, mode)
+        except expr.ExprError as err:
+            raise SimulationError(
+                f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}"
+            ) from err
+        modes[i, j] = MODE_CODES[mode]
+    return currents, modes, events
+
+
+def _program(matrix: _Matrix, events) -> int:
+    """Apply each programming pulse to its device; return how many pulses
+    found the device already saturated in that direction."""
+    saturated = 0
+    for i, j, mode, amplitude in events:
+        g = float(matrix.g[i, j])
+        if saturates(matrix.device, mode, g, amplitude):
+            saturated += 1
+        matrix.g[i, j] = step_device(matrix.device, mode, amplitude, g)
+    return saturated
+
+
 def run_timestep(net: Network, step: int, learn: bool = True,
                  record: bool = False) -> StepTrace | None:
     """Advance the whole network by one timestep (integer step index)."""
@@ -380,54 +431,12 @@ def run_timestep(net: Network, step: int, learn: bool = True,
     trace = StepTrace([], [], [], []) if record else None
     for q in range(1, len(net.layers)):
         matrix = net.matrices[q - 1]
-        circuit = matrix.circuit
-        pre_layer = net.layers[q - 1]
         post_layer = net.layers[q]
-        pre_active, v_pre = _line_state(pre_layer.pre_out, step, dt, circuit.rest_v_pre)
-        post_active, v_post1 = _line_state(post_layer.post1_in, step, dt,
-                                           circuit.rest_v_post1)
-        if matrix.needs_post2:
-            _, v_post2 = _line_state(post_layer.pre_out, step, dt, circuit.rest_v_post2)
-        else:
-            v_post2 = None
-
-        currents = np.zeros((len(pre_active), len(post_active)))
-        modes = np.zeros(matrix.g.shape, dtype=np.int8)
-        plastic_events: list[tuple[int, int, SynapseMode, float]] = []
-        env = dict(matrix.base_env)
-        for i, j in matrix.pairs:
-            presence = classify_presence(bool(pre_active[i]), bool(post_active[j]))
-            if presence not in matrix.engaged:
-                continue
-            env["V_pre"] = v_pre[i]
-            env["V_post1"] = v_post1[j]
-            env["V_post2"] = v_post2[j] if v_post2 is not None else circuit.rest_v_post2
-            env["G"] = matrix.g[i, j]
-            env.pop("V_TB", None)
-            try:
-                if presence in circuit.plasticity_policy:
-                    v_tb = expr.evaluate(circuit.v_app, env)
-                    mode = mode_from_voltage(circuit, presence, v_tb)
-                    env["V_TB"] = v_tb
-                    if mode in (SynapseMode.POTENTIATE, SynapseMode.DEPRESS):
-                        plastic_events.append((i, j, mode, abs(v_tb)))
-                else:
-                    mode = SynapseMode.TRANSMIT \
-                        if presence in circuit.transmit_policy else SynapseMode.IDLE
-                currents[i, j] = transmit_current(circuit, matrix.g[i, j], env, mode)
-            except expr.ExprError as err:
-                raise SimulationError(
-                    f"synapse (layer {q}, pre {i}, post {j}) at t={t}: {err}") from err
-            modes[i, j] = MODE_CODES[mode]
-        matrix.last_mode = modes
-
-        total = currents.sum(axis=0)
-        for j in range(len(post_layer.states)):
-            inhib = 0.0
-            for s in post_layer.inhib_in[j]:
-                if s.active(step):
-                    inhib += net.spec.inh_g * s.sample(step, dt)
-            total[j] -= inhib
+        currents, modes, events = _synapse_pass(
+            matrix, q, net.layers[q - 1].pre_out, post_layer.post1_in,
+            post_layer.pre_out, step, dt)
+        _, inhib = _line_state(post_layer.inhib_in, step, dt, 0.0)
+        total = currents.sum(axis=0) - inhib
         for j, state in enumerate(post_layer.states):
             try:
                 integrate(post_layer.spec.neuron_model, state, float(total[j]), t, dt)
@@ -436,17 +445,12 @@ def run_timestep(net: Network, step: int, learn: bool = True,
                     f"neuron (layer {q}, index {j}) at t={t}: {err}") from err
         fired = []
         for j, state in enumerate(post_layer.states):
-            if fire_check(post_layer.spec.neuron_model, state, t, dt) is None:
-                continue
-            fired.append(j)
-            _emit(net, q, j, step)
+            if fire_check(post_layer.spec.neuron_model, state, t):
+                fired.append(j)
+                _emit(net, q, j, step)
 
         if learn and matrix.plastic:
-            for i, j, mode, amplitude in plastic_events:
-                g = float(matrix.g[i, j])
-                if saturates(matrix.device, mode, g, amplitude):
-                    net.saturation_events += 1
-                matrix.g[i, j] = step_device(matrix.device, mode, amplitude, g)
+            net.saturation_events += _program(matrix, events)
 
         if record:
             trace.modes.append(modes)
@@ -467,11 +471,62 @@ def _emit(net: Network, q: int, j: int, step: int) -> None:
     if wf.post2 is not None and q < len(net.layers) - 1:
         layer.pre_out[j].append(_Sched(wf.post2, origin, _support_steps(wf.post2.duration, dt)))
     if wf.inhib is not None:
-        targets = net.inhib_targets.get(_inhib_key(q, j), ())
+        targets = net.inhib_targets.get((q, j), ())
         if targets:
             steps = _support_steps(wf.inhib.duration, dt)
+            inh_g = net.spec.inh_g
             for layer_idx, dst in targets:
-                net.layers[layer_idx].inhib_in[dst].append(_Sched(wf.inhib, origin, steps))
+                net.layers[layer_idx].inhib_in[dst].append(
+                    _Sched(wf.inhib, origin, steps, inh_g))
+
+
+@dataclass(frozen=True)
+class PairingPoint:
+    """One pairing-sweep result: spike-time offset and net conductance change."""
+
+    delta_steps: int
+    delta_t: float
+    delta_g: float
+    final_g: float
+    n_potentiate: int = 0
+    n_depress: int = 0
+
+
+def stdp_pairing_sweep(circuit: CircuitModel, device: DeviceModel,
+                       pre_waveform: Waveform, post_waveform: Waveform,
+                       delta_steps, dt: float, g0: float) -> list[PairingPoint]:
+    """Single-synapse pre/post pairing protocol.
+
+    For each offset d (in timesteps, post minus pre), trigger the pre spike
+    and the post spike d steps apart, walk the grid over their joint
+    support, and record the net conductance change from g0. The offsets run
+    as one batch through the synapse kernel: offset m is synapse (m, m) of a
+    diagonal matrix, and its pulses stop at the end of its own joint support
+    (a circuit that programs with no spike present would otherwise go on).
+    """
+    deltas = [int(d) for d in delta_steps]
+    matrix = _Matrix(circuit, device, True, np.eye(len(deltas), dtype=bool), dt)
+    matrix.g[matrix.mask] = g0
+    pre_steps = _support_steps(pre_waveform.duration, dt)
+    post_steps = _support_steps(post_waveform.duration, dt)
+    pre_out, post1_in, ends = [], [], []
+    for d in deltas:
+        pre_o = max(0, -d)
+        post_o = pre_o + d
+        pre_out.append([_Sched(pre_waveform, pre_o, pre_steps)])
+        post1_in.append([_Sched(post_waveform, post_o, post_steps)])
+        ends.append(max(pre_o + pre_steps, post_o + post_steps))
+    no_post2 = [[] for _ in deltas]
+    n_pot, n_dep = [0] * len(deltas), [0] * len(deltas)
+    for k in range(max(ends, default=0)):
+        _, _, events = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt)
+        events = [e for e in events if k < ends[e[0]]]
+        _program(matrix, events)
+        for m, _, mode, _ in events:
+            (n_pot if mode is SynapseMode.POTENTIATE else n_dep)[m] += 1
+    g = matrix.g.diagonal()
+    return [PairingPoint(d, d * dt, float(g[m]) - g0, float(g[m]), n_pot[m], n_dep[m])
+            for m, d in enumerate(deltas)]
 
 
 @dataclass

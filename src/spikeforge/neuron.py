@@ -1,9 +1,10 @@
 """Neuron dynamics and nanodevice-neuron calibration.
 
 Neurons integrate total synaptic current with explicit Euler at the global
-timestep, fire on a threshold crossing, reset, and emit their configured
-spike shapes: post1 back to the incoming synapses, post2 forward as the
-next layer's pre-spike, and an optional inhibitory spike toward peers.
+timestep, fire on a threshold crossing and reset. The engine then schedules
+the neuron's configured spike shapes: post1 back to the incoming synapses,
+post2 forward as the next layer's pre-spike, and an optional inhibitory
+spike toward peers.
 The leak constant and threshold can be recovered from measured
 firing-frequency-vs-pulse-width device data.
 """
@@ -11,14 +12,13 @@ firing-frequency-vs-pulse-width device data.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from spikeforge import expr
-from spikeforge.waveform import ScheduledWaveform, Waveform
+from spikeforge.waveform import Waveform
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class NeuronModel:
     state_eqs: expr.Expression | None = None
     power_expr: expr.Expression | None = None
     waveforms: SpikeWaveforms = SpikeWaveforms()
-    pulse_convert_table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -58,12 +57,6 @@ class NeuronModel:
                 f"thres must exceed v_reset, got {self.thres} <= {self.v_reset}")
         if self.t_refrac < 0:
             raise ValueError(f"t_refrac must be >= 0, got {self.t_refrac}")
-        table = self.pulse_convert_table
-        if table is not None:
-            xs = [x for x, _ in table]
-            if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ValueError("pulse_convert_table input column must be "
-                                 "strictly increasing with at least two rows")
 
 
 @dataclass
@@ -78,16 +71,6 @@ class NeuronState:
     def copy(self) -> "NeuronState":
         return NeuronState(self.v, self.refractory_until,
                            list(self.spike_times), self.energy)
-
-
-@dataclass(frozen=True)
-class SpikeEmission:
-    """Scheduled output spikes produced by one threshold crossing."""
-
-    post1: ScheduledWaveform | None
-    post2: ScheduledWaveform | None
-    inhib: ScheduledWaveform | None
-    t: float
 
 
 def _state_env(model: NeuronModel, state: NeuronState, current: float,
@@ -119,43 +102,18 @@ def integrate(model: NeuronModel, state: NeuronState, current: float,
     state.v = v
 
 
-def fire_check(model: NeuronModel, state: NeuronState, t: float,
-               dt: float) -> SpikeEmission | None:
+def fire_check(model: NeuronModel, state: NeuronState, t: float) -> bool:
     """Threshold test after integration; fires at V >= thres.
 
-    On a spike the membrane resets, the refractory window opens, and the
-    emitted waveforms are scheduled one timestep later (origin t + dt) so
-    downstream observers never see a spike in the step that caused it.
+    On a spike the membrane resets, the spike time is logged and the
+    refractory window opens. The caller schedules the emitted waveforms.
     """
     if state.v < model.thres:
-        return None
+        return False
     state.spike_times.append(t)
     state.v = model.v_reset
     state.refractory_until = t + model.t_refrac
-    origin = t + dt
-    wf = model.waveforms
-
-    def sched(w):
-        return ScheduledWaveform(w, origin) if w is not None else None
-
-    return SpikeEmission(sched(wf.post1), sched(wf.post2), sched(wf.inhib), t)
-
-
-def pulse_convert(model: NeuronModel, value: float) -> float:
-    """Width/amplitude conversion through the device's measured table.
-
-    Piecewise-linear between knots; values outside the table clamp to the
-    end knots with a warning.
-    """
-    table = model.pulse_convert_table
-    if table is None:
-        raise ValueError("no pulse_convert_table configured for this neuron")
-    xs = [x for x, _ in table]
-    ys = [y for _, y in table]
-    if value < xs[0] or value > xs[-1]:
-        warnings.warn(f"pulse_convert input {value} outside table range "
-                      f"[{xs[0]}, {xs[-1]}]; clamping", stacklevel=2)
-    return float(np.interp(value, xs, ys))
+    return True
 
 
 def firing_frequency(width: float, tau: float, thres: float,
@@ -242,15 +200,6 @@ def calibrate_from_frequency(data, pulse_amplitude: float,
 
 def load_calibration_csv(path) -> list[tuple[float, float]]:
     """Read `width_seconds,frequency_hz` lines."""
-    return _load_pairs(path, "width_seconds,frequency_hz")
-
-
-def load_pulse_convert_csv(path) -> tuple[tuple[float, float], ...]:
-    """Read `in,out` conversion-table lines."""
-    return tuple(_load_pairs(path, "in,out"))
-
-
-def _load_pairs(path, what):
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -259,7 +208,8 @@ def _load_pairs(path, what):
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected {what}, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected width_seconds,frequency_hz, "
+                                 f"got {line!r}")
             try:
                 pairs.append((float(parts[0]), float(parts[1])))
             except ValueError:

@@ -1,19 +1,20 @@
 """Nanodevice synapse and synaptic-circuit models.
 
 A synapse is in exactly one of four modes each timestep (idle, transmit,
-potentiate, depress), decided from which spikes are present and from the
-voltage the user's circuit equation develops across the device. Conductance
-updates replay measured device tables: either a single level ladder walked
-by identical pulses, or a family of curves selected by pulse amplitude.
+potentiate, depress), decided by `mode_from_voltage` from which spikes are
+present and from the voltage the user's circuit equation develops across
+the device. Conductance updates replay measured device tables: either a
+single level ladder walked by identical pulses, or a family of curves
+selected by pulse amplitude. The engine's synapse kernel applies these
+per-synapse rules to whole matrices.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from spikeforge import expr
-from spikeforge.waveform import Waveform
 
 
 class SynapseMode(enum.Enum):
@@ -158,22 +159,14 @@ class CircuitModel:
         return env
 
 
-@dataclass
-class SynapseState:
-    """Mutable per-synapse record: conductance plus the last resolved mode."""
-
-    g: float
-    last_mode: SynapseMode = SynapseMode.IDLE
-
-
-def applied_voltage(circuit: CircuitModel, env: dict[str, float]) -> float:
-    """V_TB: the voltage the circuit develops across the device right now."""
-    return expr.evaluate(circuit.v_app, env)
-
-
 def mode_from_voltage(circuit: CircuitModel, presence: SpikePresence,
                       v_tb: float) -> SynapseMode:
-    """Mode decision given an already computed device voltage."""
+    """The synapse's mode this timestep, given the device voltage V_TB.
+
+    Plasticity wins over transmission when the presence state may program
+    the device and V_TB crosses a threshold; v_tb is only compared for such
+    presence states.
+    """
     if presence in circuit.plasticity_policy:
         if v_tb >= circuit.v_th_pos:
             return SynapseMode.POTENTIATE
@@ -184,27 +177,13 @@ def mode_from_voltage(circuit: CircuitModel, presence: SpikePresence,
     return SynapseMode.IDLE
 
 
-def resolve_mode(circuit: CircuitModel, presence: SpikePresence,
-                 env: dict[str, float]) -> SynapseMode:
-    """Pick the synapse mode for this timestep.
-
-    Plasticity wins over transmission when the device voltage crosses a
-    threshold and the presence state is allowed to program the device.
-    """
-    if presence not in circuit.plasticity_policy \
-            and presence not in circuit.transmit_policy:
-        return SynapseMode.IDLE
-    if presence in circuit.plasticity_policy:
-        return mode_from_voltage(circuit, presence, applied_voltage(circuit, env))
-    return SynapseMode.TRANSMIT
-
-
 def transmit_current(circuit: CircuitModel, g: float, env: dict[str, float],
                      mode: SynapseMode = SynapseMode.TRANSMIT) -> float:
     """Current through the device, in amperes.
 
     Idle passes nothing; potentiation/depression pulses conduct unless the
-    circuit disables conduction while programming.
+    circuit disables conduction while programming. When env binds no V_TB,
+    it is evaluated here from the circuit's v_app.
     """
     if mode is SynapseMode.IDLE:
         return 0.0
@@ -214,7 +193,7 @@ def transmit_current(circuit: CircuitModel, g: float, env: dict[str, float],
     local = dict(env)
     local["G"] = g
     if "V_TB" not in local:
-        local["V_TB"] = applied_voltage(circuit, local)
+        local["V_TB"] = expr.evaluate(circuit.v_app, local)
     if circuit.ex_eqs is None:
         return g * local["V_TB"]
     return expr.evaluate(circuit.ex_eqs, local)
@@ -287,89 +266,6 @@ def saturates(device: DeviceModel, direction: SynapseMode, g: float,
         table = device.ltp if direction is SynapseMode.POTENTIATE else device.ltd
         levels = table.response[_nearest(table.amplitudes, abs(pulse_amplitude))]
     return _nearest(levels, g) == len(levels) - 1
-
-
-def effective_pulse_voltage(circuit: CircuitModel, presence: SpikePresence,
-                            env: dict[str, float]) -> tuple[SynapseMode, float] | None:
-    """Programming pulse this timestep, if any: (direction, |V_TB|).
-
-    The full device-voltage magnitude is forwarded as the pulse amplitude;
-    below-threshold voltages program nothing.
-    """
-    if presence not in circuit.plasticity_policy:
-        return None
-    v_tb = applied_voltage(circuit, env)
-    if v_tb >= circuit.v_th_pos:
-        return (SynapseMode.POTENTIATE, abs(v_tb))
-    if v_tb <= -circuit.v_th_neg:
-        return (SynapseMode.DEPRESS, abs(v_tb))
-    return None
-
-
-@dataclass(frozen=True)
-class PairingPoint:
-    """One pairing-sweep result: spike-time offset and net conductance change."""
-
-    delta_steps: int
-    delta_t: float
-    delta_g: float
-    final_g: float
-    n_potentiate: int = 0
-    n_depress: int = 0
-
-
-def stdp_pairing_sweep(circuit: CircuitModel, device: DeviceModel,
-                       pre_waveform: Waveform, post_waveform: Waveform,
-                       delta_steps, dt: float, g0: float) -> list[PairingPoint]:
-    """Single-synapse pre/post pairing protocol.
-
-    For each offset d (in timesteps, post minus pre), trigger the pre spike
-    and the post spike d steps apart, walk the grid over their joint
-    support, and record the net conductance change from g0. All scheduling
-    is integer-step so presence windows are exact.
-    """
-    pre_steps = _support_steps(pre_waveform.duration, dt)
-    post_steps = _support_steps(post_waveform.duration, dt)
-    env0 = circuit.base_env(dt)
-    points = []
-    for d in delta_steps:
-        d = int(d)
-        pre_o = max(0, -d)
-        post_o = pre_o + d
-        end = max(pre_o + pre_steps, post_o + post_steps)
-        g = g0
-        n_pot = n_dep = 0
-        for k in range(end):
-            pre_on = pre_o <= k < pre_o + pre_steps
-            post_on = post_o <= k < post_o + post_steps
-            presence = classify_presence(pre_on, post_on)
-            env = dict(env0)
-            env["V_pre"] = pre_waveform.sample((k - pre_o) * dt) if pre_on \
-                else circuit.rest_v_pre
-            env["V_post1"] = post_waveform.sample((k - post_o) * dt) if post_on \
-                else circuit.rest_v_post1
-            env["V_post2"] = circuit.rest_v_post2
-            env["G"] = g
-            pulse = effective_pulse_voltage(circuit, presence, env)
-            if pulse is not None:
-                direction, amplitude = pulse
-                g = step_device(device, direction, amplitude, g)
-                if direction is SynapseMode.POTENTIATE:
-                    n_pot += 1
-                else:
-                    n_dep += 1
-        points.append(PairingPoint(d, d * dt, g - g0, g, n_pot, n_dep))
-    return points
-
-
-def _support_steps(duration: float, dt: float) -> int:
-    """Number of grid steps a waveform is active: ceil(duration/dt), treating
-    near-integer ratios as exact so half-open windows stay half-open."""
-    q = duration / dt
-    r = round(q)
-    if abs(q - r) < 1e-9:
-        return int(r)
-    return int(q) + 1
 
 
 def load_identical_levels(path) -> tuple[float, ...]:

@@ -72,29 +72,6 @@ class Waveform:
         return Waveform(tuple((t, factor * v) for t, v in self.breakpoints))
 
 
-@dataclass(frozen=True)
-class ScheduledWaveform:
-    """A waveform placed on the global clock at an absolute trigger time."""
-
-    waveform: Waveform
-    origin: float
-
-    def __post_init__(self):
-        if self.origin < 0.0:
-            raise ValueError(f"origin must be >= 0, got {self.origin}")
-
-    def active(self, t: float) -> bool:
-        """True while t lies in [origin, origin + duration)."""
-        return self.origin <= t < self.origin + self.waveform.duration
-
-    def sample(self, t: float) -> float:
-        return self.waveform.sample(t - self.origin)
-
-    def expired(self, t: float) -> bool:
-        """True once the waveform can never be active again."""
-        return t >= self.origin + self.waveform.duration
-
-
 def waveform_from_flat(values) -> Waveform:
     """Build a waveform from a flat [t0, v0, t1, v1, ...] array (config form)."""
     vals = list(values)

@@ -1,0 +1,151 @@
+import pytest
+
+from spikeforge.config import ConfigError, load_config
+from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig
+from spikeforge.expr import parse
+from spikeforge.neuron import NeuronModel, SpikeWaveforms
+from spikeforge.synapse import CircuitModel, IdenticalPulseDevice, SpikePresence
+from spikeforge.waveform import Waveform
+
+MINIMAL = """\
+# two-layer net with an identical-pulse device
+[sim]
+T = 0.2
+dt = 0.001
+T_sample = 0.1
+seed = 3
+
+[device.ladder]
+kind = identical
+g_min = 1e-6
+g_max = 3e-6
+levels_ltp = 1e-6, 2e-6, 3e-6
+levels_ltd = 3e-6, 2e-6, 1e-6
+
+[circuit.gate]
+v_app = V_post1 - V_node1
+v_th_pos = 1.5
+v_th_neg = 1.5
+
+[neuron.input]
+tau = 1.0
+thres = 1.0
+pre_volt = 0, 0.5, 0.002, 0.5
+
+[neuron.out]
+tau = 0.01
+thres = 0.2
+post1_volt = 0, 1.7, 0.01, 1.7
+inhib_volt = 0, 1.0, 0.005, 1.0
+
+[layers.0]
+neurons = 4
+neuron = input
+
+[layers.1]
+neurons = 2
+neuron = out
+plastic = true
+label = true
+device = ladder
+circuit = gate
+
+[network]
+inh_conn = 1:1
+inh_g = 2e-6
+seed = 11
+"""
+
+
+def write(tmp_path, text, name="run.cfg"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def line_of(text, fragment):
+    return next(n for n, line in enumerate(text.splitlines(), start=1) if fragment in line)
+
+
+def test_minimal_config_builds_the_expected_spec(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL))
+    assert cfg.sim == SimConfig(T=0.2, dt=0.001, T_sample=0.1, seed=3)
+    assert cfg.encoding.type == "poisson"
+    assert cfg.train_path is None and cfg.tune is None
+    expected = NetworkSpec(
+        layers=(
+            LayerSpec(neurons=4, neuron_model=NeuronModel(
+                tau=1.0, thres=1.0,
+                waveforms=SpikeWaveforms(pre=Waveform(((0.0, 0.5), (0.002, 0.5)))))),
+            LayerSpec(
+                neurons=2, plastic=True, label=True,
+                neuron_model=NeuronModel(tau=0.01, thres=0.2, waveforms=SpikeWaveforms(
+                    post1=Waveform(((0.0, 1.7), (0.01, 1.7))),
+                    inhib=Waveform(((0.0, 1.0), (0.005, 1.0))))),
+                circuit_model=CircuitModel(
+                    v_app=parse("V_post1 - V_node1"), v_th_pos=1.5, v_th_neg=1.5,
+                    transmit_policy=frozenset({SpikePresence.PRE_ONLY}),
+                    plasticity_policy=frozenset({SpikePresence.BOTH})),
+                device_model=IdenticalPulseDevice(
+                    (1e-6, 2e-6, 3e-6), (3e-6, 2e-6, 1e-6), 1e-6, 3e-6)),
+        ),
+        inh_conn=((1, 1),), inh_g=2e-6, seed=11)
+    assert cfg.network == expected
+
+
+def test_every_problem_is_reported_at_once(tmp_path):
+    text = (MINIMAL.replace("dt = 0.001", "dt = fast")
+            .replace("v_th_pos = 1.5", "v_th_pos = high")
+            .replace("v_th_neg = 1.5", "v_th_neg = 1.5\nbogus = 1")
+            .replace("neuron = out", "neuron = missing"))
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    problems = err.value.problems
+    assert f"[sim] dt (line {line_of(text, 'dt = fast')}): expected a number, " \
+           "got 'fast'" in problems
+    assert f"[circuit.gate] v_th_pos (line {line_of(text, 'high')}): expected a " \
+           "number, got 'high'" in problems
+    assert f"[circuit.gate] bogus (line {line_of(text, 'bogus')}): unknown key" in problems
+    assert any(p.startswith("[layers.1] neuron: unknown neuron type 'missing'")
+               for p in problems)
+    assert len(problems) == 4
+
+
+def test_override_renders_integers_and_reals(tmp_path):
+    path = write(tmp_path, MINIMAL)
+    cfg = load_config(path, overrides={"layers.1.neurons": 3.0, "neuron.out.tau": 1.0,
+                                       "sim.seed": 8.0})
+    out = cfg.network.layers[1]
+    assert out.neurons == 3
+    assert out.neuron_model.tau == 1.0
+    assert cfg.sim.seed == 8
+
+
+@pytest.mark.parametrize("dotted", ["neuron.out.nope", "nowhere.tau", "sim.dt.x"])
+def test_override_of_an_unknown_path_is_rejected(tmp_path, dotted):
+    with pytest.raises(ConfigError, match="no such config key"):
+        load_config(write(tmp_path, MINIMAL), overrides={dotted: 1.0})
+
+
+def test_pulse_convert_path_is_an_unknown_key(tmp_path):
+    (tmp_path / "conv.csv").write_text("0,0\n1,10\n")
+    text = MINIMAL.replace("thres = 0.2\n", "thres = 0.2\npulse_convert_path = conv.csv\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    lineno = line_of(text, "pulse_convert_path")
+    assert err.value.problems == [
+        f"[neuron.out] pulse_convert_path (line {lineno}): unknown key"]
+
+
+def test_family_device_accepts_family_axis(tmp_path):
+    (tmp_path / "ltp.csv").write_text("0.8,1.0\n1e-6,2e-6,3e-6\n1e-6,2.5e-6,3e-6\n")
+    (tmp_path / "ltd.csv").write_text("0.8,1.0\n3e-6,2e-6,1e-6\n3e-6,1.5e-6,1e-6\n")
+    family = ("[device.ladder]\nkind = family\ng_min = 1e-6\ng_max = 3e-6\n"
+              "table_ltp_path = ltp.csv\ntable_ltd_path = ltd.csv\nfamily_axis = width\n")
+    start = MINIMAL.index("[device.ladder]")
+    end = MINIMAL.index("[circuit.gate]")
+    cfg = load_config(write(tmp_path, MINIMAL[:start] + family + "\n" + MINIMAL[end:]))
+    device = cfg.network.layers[1].device_model
+    assert device.family_axis == "width"
+    assert device.ltp.amplitudes == (0.8, 1.0)
+    assert device.ltd.response[1] == (3e-6, 1.5e-6, 1e-6)

@@ -1,18 +1,20 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from spikeforge import engine
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample, SpikeTrain
 from spikeforge.engine import (
-    LayerSpec, Network, NetworkFileError, NetworkSpec, SimConfig, WeightInit,
-    assign_labels, build_network, infer, load_network, num_steps, run_timestep,
-    save_network, schedule_input, train,
+    LayerSpec, Network, NetworkFileError, NetworkSpec, SimConfig, SimulationError,
+    WeightInit, assign_labels, build_network, infer, load_network, num_steps,
+    run_timestep, save_network, schedule_input, train,
 )
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
-    CircuitModel, IdenticalPulseDevice, SpikePresence,
+    CircuitModel, IdenticalPulseDevice, SpikePresence, SynapseMode,
 )
 from spikeforge.waveform import Waveform
 
@@ -402,3 +404,111 @@ class TestLateralInhibition:
                                               inh_g=50 * US, **base))
         assert suppressed[1] < free[1]  # loser is slowed by the winner
         assert suppressed[0] > suppressed[1]  # the stronger drive stays dominant
+
+    def test_pending_inhibition_stays_bounded_without_reset(self):
+        # inhibition schedules leave their queue once expired, so however long
+        # a run without resets lasts, each neuron holds at most one schedule
+        # per peer for each step of the 5-step inhibitory waveform, plus the
+        # ones emitted in the last step
+        n = 3
+        layers = (
+            input_layer(2),
+            LayerSpec(neurons=n, neuron_model=out_model(thres=0.2, inhib=rect(1.0, 5e-3)),
+                      label=True, circuit_model=transmit_circuit(),
+                      device_model=small_device()),
+        )
+        spec = NetworkSpec(layers=layers, inh_conn=((1, 1),), inh_g=1 * US, seed=1,
+                           init_weights=WeightInit("constant", value=5 * US))
+        bound = n * (n - 1) * (5 + 1)
+
+        def pending_after_training(T):
+            net = build_network(spec, 1e-3)
+            seen = []
+            clear = net.reset_transient
+
+            def reset_transient():
+                # the first reset is the frozen pass after the training stream
+                if not seen:
+                    seen.append([list(queue) for queue in net.layers[1].inhib_in])
+                clear()
+
+            net.reset_transient = reset_transient
+            sim = SimConfig(T=T, dt=1e-3, T_sample=0.1, reset_between_samples=False)
+            train(net, [Sample((1.0, 1.0), label=0)], sim, FixedRateEncoder(0.0, 200.0))
+            last = num_steps(T, 1e-3) - 1
+            queues = seen[0]
+            assert all(last < s.origin + s.steps for queue in queues for s in queue)
+            return sum(map(len, queues)), net.layers[1].states
+
+        short, _ = pending_after_training(0.1)
+        long, states = pending_after_training(1.0)
+        # far more inhibitory spikes were sent than can be pending at once
+        assert sum(len(s.spike_times) for s in states) > 10 * bound
+        assert short <= bound and long <= bound
+
+
+class TestSimulationErrors:
+    @pytest.mark.parametrize("plastic", [frozenset(), frozenset({SpikePresence.PRE_ONLY})],
+                             ids=["in_transmit_current", "in_mode_decision"])
+    def test_failing_v_app_names_the_synapse(self, plastic):
+        circuit = CircuitModel(
+            v_app=parse("V_pre / V_post1"), v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset({SpikePresence.PRE_ONLY}), plasticity_policy=plastic)
+        spec = NetworkSpec(layers=(
+            input_layer(2),
+            LayerSpec(neurons=2, neuron_model=out_model(), label=True,
+                      circuit_model=circuit, device_model=small_device())))
+        net = build_network(spec, 1e-3)
+        # only input 1 spikes; V_post1 rests at 0
+        schedule_input(net, [SpikeTrain((), 1e-3), SpikeTrain((0,), 1e-3)])
+        with pytest.raises(SimulationError,
+                           match=r"synapse \(layer 1, pre 1, post 0\) at t=0.0: division by zero"):
+            run_timestep(net, 0)
+
+    def test_failing_state_eqs_names_the_neuron(self):
+        model = NeuronModel(tau=10e-3, thres=0.2, state_eqs=parse("1 / V"),
+                            waveforms=SpikeWaveforms(pre=rect(0.5, 2e-3)))
+        spec = NetworkSpec(layers=(
+            input_layer(2),
+            LayerSpec(neurons=2, neuron_model=model, label=True,
+                      circuit_model=transmit_circuit(), device_model=small_device())))
+        net = build_network(spec, 1e-3)
+        net.layers[1].states[0].v = 0.1  # neuron 1 stays at V = 0
+        with pytest.raises(SimulationError,
+                           match=r"neuron \(layer 1, index 1\) at t=0.0: division by zero"):
+            run_timestep(net, 0)
+
+
+class TestTracedNames:
+    """The benchmark's span tracer (bench/run.py) wraps these engine-module
+    attributes, so they must stay there and the kernel must call them through
+    the module, passing the mode and the old conductance as the 4th
+    positional argument of transmit_current and step_device."""
+
+    ENTRY_POINTS = ("build_network", "load_network", "train", "assign_labels",
+                    "infer", "schedule_input", "run_timestep")
+    KERNEL = ("mode_from_voltage", "transmit_current", "step_device", "saturates",
+              "integrate", "fire_check")
+
+    def test_names_and_positional_parameters(self):
+        for name in self.ENTRY_POINTS + self.KERNEL:
+            assert callable(getattr(engine, name)), name
+        assert list(inspect.signature(engine.transmit_current).parameters)[3] == "mode"
+        assert list(inspect.signature(engine.step_device).parameters)[3] == "g"
+
+    def test_kernel_calls_through_module_globals(self, monkeypatch):
+        seen = {name: [] for name in self.KERNEL}
+        for name, calls in seen.items():
+            def logged(*args, _original=getattr(engine, name), _calls=calls, **kwargs):
+                _calls.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(engine, name, logged)
+        net = build_network(micro_spec(), dt=1e-3)
+        schedule_input(net, [SpikeTrain((0,), 1e-3), SpikeTrain((), 1e-3)])
+        for k in range(3):
+            run_timestep(net, k)
+        assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
+        # the hand-traced steps: transmit, transmit, then a potentiating pulse
+        assert [args[3] for args in seen["transmit_current"]] == [
+            SynapseMode.TRANSMIT, SynapseMode.TRANSMIT, SynapseMode.POTENTIATE]
+        assert [args[3] for args in seen["step_device"]] == [2 * US]

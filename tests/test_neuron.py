@@ -5,11 +5,10 @@ import pytest
 
 from spikeforge.expr import parse
 from spikeforge.neuron import (
-    CalibrationResult, NeuronModel, NeuronState, SpikeWaveforms,
+    CalibrationResult, NeuronModel, NeuronState,
     calibrate_from_frequency, fire_check, firing_frequency, integrate,
-    load_calibration_csv, load_pulse_convert_csv, pulse_convert,
+    load_calibration_csv,
 )
-from spikeforge.waveform import Waveform
 
 
 def lif(tau=10e-3, thres=1.0, **kw):
@@ -22,7 +21,7 @@ def run_constant_drive(model, current, T, dt):
     for k in range(n):
         t = k * dt
         integrate(model, state, current, t, dt)
-        fire_check(model, state, t, dt)
+        fire_check(model, state, t)
     return state
 
 
@@ -79,53 +78,30 @@ class TestIntegrate:
         trace = []
         for k in range(200):
             integrate(model, full, 1.5, k * dt, dt)
-            fire_check(model, full, k * dt, dt)
+            fire_check(model, full, k * dt)
             trace.append(full.v)
             if k == 99:
                 saved = full.copy()
         resumed = saved
         for k in range(100, 200):
             integrate(model, resumed, 1.5, k * dt, dt)
-            fire_check(model, resumed, k * dt, dt)
+            fire_check(model, resumed, k * dt)
             assert resumed.v == trace[k]
 
 
 class TestFireCheck:
-    WFS = SpikeWaveforms(
-        pre=Waveform(((0.0, 0.5), (1e-3, 0.5))),
-        post1=Waveform(((0.0, 1.7), (1e-3, 1.7))),
-        post2=Waveform(((0.0, 0.5), (1e-3, 0.5))),
-        inhib=Waveform(((0.0, 1.0), (2e-3, 1.0))),
-    )
-
     def test_fires_at_exact_threshold(self):
-        model = lif(thres=1.0, waveforms=self.WFS)
+        model = lif(thres=1.0)
         state = NeuronState(v=1.0)
-        emission = fire_check(model, state, t=0.5, dt=1e-3)
-        assert emission is not None
+        assert fire_check(model, state, t=0.5) is True
         assert state.spike_times == [0.5]
         assert state.v == model.v_reset
 
     def test_below_threshold_no_emission(self):
         model = lif(thres=1.0)
         state = NeuronState(v=1.0 - 1e-12)
-        assert fire_check(model, state, 0.0, 1e-3) is None
+        assert fire_check(model, state, 0.0) is False
         assert state.spike_times == []
-
-    def test_emission_scheduled_one_step_later(self):
-        model = lif(thres=1.0, waveforms=self.WFS)
-        state = NeuronState(v=2.0)
-        emission = fire_check(model, state, t=0.010, dt=1e-3)
-        assert emission.post1.origin == pytest.approx(0.011)
-        assert emission.post2.origin == pytest.approx(0.011)
-        assert emission.inhib.origin == pytest.approx(0.011)
-        assert emission.post1.waveform is self.WFS.post1
-
-    def test_missing_waveforms_emit_none(self):
-        model = lif(thres=1.0)
-        state = NeuronState(v=2.0)
-        emission = fire_check(model, state, 0.0, 1e-3)
-        assert emission.post1 is None and emission.inhib is None
 
     def test_refractory_blocks_second_spike(self):
         model = lif(tau=1e-3, thres=0.5, t_refrac=20e-3, r_mem=1.0)
@@ -189,31 +165,6 @@ class TestCalibration:
             calibrate_from_frequency([(1e-3, 5.0)], 1.0)
 
 
-class TestPulseConvert:
-    TABLE = ((0.0, 0.0), (1.0, 10.0), (3.0, 20.0))
-
-    def test_knot_value(self):
-        model = lif(pulse_convert_table=self.TABLE)
-        assert pulse_convert(model, 1.0) == 10.0
-
-    def test_midpoint_interpolates(self):
-        model = lif(pulse_convert_table=self.TABLE)
-        assert pulse_convert(model, 2.0) == 15.0
-
-    def test_clamp_beyond_range_warns(self):
-        model = lif(pulse_convert_table=self.TABLE)
-        with pytest.warns(UserWarning, match="clamping"):
-            assert pulse_convert(model, 5.0) == 20.0
-
-    def test_missing_table(self):
-        with pytest.raises(ValueError, match="pulse_convert_table"):
-            pulse_convert(lif(), 1.0)
-
-    def test_non_monotone_table_rejected(self):
-        with pytest.raises(ValueError):
-            lif(pulse_convert_table=((0.0, 0.0), (0.0, 1.0)))
-
-
 class TestModelValidation:
     def test_bad_tau(self):
         with pytest.raises(ValueError):
@@ -233,11 +184,6 @@ class TestCsvLoaders:
         p = tmp_path / "calib.csv"
         p.write_text("# width,freq\n1e-3,100\n2e-3,200\n")
         assert load_calibration_csv(p) == [(1e-3, 100.0), (2e-3, 200.0)]
-
-    def test_pulse_convert_csv(self, tmp_path):
-        p = tmp_path / "conv.csv"
-        p.write_text("0,0\n1,10\n")
-        assert load_pulse_convert_csv(p) == ((0.0, 0.0), (1.0, 10.0))
 
     def test_bad_line_reports_number(self, tmp_path):
         p = tmp_path / "calib.csv"

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from spikeforge.engine import _support_steps, stdp_pairing_sweep
 from spikeforge.expr import ExprError, parse
 from spikeforge.synapse import (
     CircuitModel, IdenticalPulseDevice, PulseFamilyDevice, PulseFamilyTable,
-    SpikePresence, SynapseMode, applied_voltage, classify_presence,
-    effective_pulse_voltage, load_family_table, load_identical_levels,
-    resolve_mode, saturates, step_device, step_family, step_identical,
-    stdp_pairing_sweep, transmit_current, _support_steps,
+    SpikePresence, SynapseMode, classify_presence, load_family_table,
+    load_identical_levels, mode_from_voltage, saturates, step_device, step_family,
+    step_identical, transmit_current,
 )
 from spikeforge.waveform import Waveform
 
@@ -38,51 +40,53 @@ class TestPresence:
 
 
 class TestResolveMode:
+    """The mode decision, mode_from_voltage, on the gate circuit's policies
+    (transmit on pre_only, program on both)."""
+
     def test_positive_overlap_potentiates(self):
         circuit = gate_circuit()
-        env = circuit.base_env(1e-3)
-        env.update(V_pre=0.9, V_post1=1.7, V_post2=0.0)
-        assert resolve_mode(circuit, SpikePresence.BOTH, env) is SynapseMode.POTENTIATE
+        assert mode_from_voltage(circuit, SpikePresence.BOTH, 1.7) is SynapseMode.POTENTIATE
+        # the thresholds themselves already program
+        assert mode_from_voltage(circuit, SpikePresence.BOTH, 1.5) is SynapseMode.POTENTIATE
 
     def test_negative_overlap_depresses(self):
         circuit = gate_circuit()
-        env = circuit.base_env(1e-3)
-        env.update(V_pre=0.9, V_post1=-1.7, V_post2=0.0)
-        assert resolve_mode(circuit, SpikePresence.BOTH, env) is SynapseMode.DEPRESS
+        assert mode_from_voltage(circuit, SpikePresence.BOTH, -1.7) is SynapseMode.DEPRESS
+        assert mode_from_voltage(circuit, SpikePresence.BOTH, -1.5) is SynapseMode.DEPRESS
 
     def test_pre_only_below_threshold_transmits(self):
         circuit = gate_circuit()
-        env = circuit.base_env(1e-3)
-        env.update(V_pre=0.9, V_post1=0.0, V_post2=0.0)
-        assert resolve_mode(circuit, SpikePresence.PRE_ONLY, env) is SynapseMode.TRANSMIT
+        assert mode_from_voltage(circuit, SpikePresence.PRE_ONLY, 0.9) is SynapseMode.TRANSMIT
+        # pre_only may not program, however high the device voltage
+        assert mode_from_voltage(circuit, SpikePresence.PRE_ONLY, 1.7) is SynapseMode.TRANSMIT
 
     def test_no_spikes_idle(self):
         circuit = gate_circuit()
-        env = circuit.base_env(1e-3)
-        env.update(V_pre=0.0, V_post1=0.0, V_post2=0.0)
-        assert resolve_mode(circuit, SpikePresence.NONE, env) is SynapseMode.IDLE
+        assert mode_from_voltage(circuit, SpikePresence.NONE, 0.0) is SynapseMode.IDLE
+        assert mode_from_voltage(circuit, SpikePresence.POST_ONLY, 1.7) is SynapseMode.IDLE
 
     def test_both_below_thresholds_falls_back(self):
         # BOTH is not in transmit_policy here, so sub-threshold overlap idles
         circuit = gate_circuit()
-        env = circuit.base_env(1e-3)
-        env.update(V_pre=0.9, V_post1=0.4, V_post2=0.0)
-        assert resolve_mode(circuit, SpikePresence.BOTH, env) is SynapseMode.IDLE
+        assert mode_from_voltage(circuit, SpikePresence.BOTH, 1.4999) is SynapseMode.IDLE
+        assert mode_from_voltage(circuit, SpikePresence.BOTH, -1.4999) is SynapseMode.IDLE
+        # with BOTH also allowed to transmit, it transmits instead
+        both = dataclasses.replace(circuit, transmit_policy=frozenset({SpikePresence.BOTH}))
+        assert mode_from_voltage(both, SpikePresence.BOTH, 0.4) is SynapseMode.TRANSMIT
 
     def test_pure_function(self):
         circuit = gate_circuit()
-        env = circuit.base_env(1e-3)
-        env.update(V_pre=0.9, V_post1=1.7, V_post2=0.0)
-        first = resolve_mode(circuit, SpikePresence.BOTH, env)
+        first = mode_from_voltage(circuit, SpikePresence.BOTH, 1.7)
         for _ in range(5):
-            assert resolve_mode(circuit, SpikePresence.BOTH, env) is first
+            assert mode_from_voltage(circuit, SpikePresence.BOTH, 1.7) is first
 
     def test_expression_error_propagates(self):
+        # with V_TB unbound, transmit_current evaluates v_app itself
         circuit = CircuitModel(
             v_app=parse("V_missing"), v_th_pos=1.0, v_th_neg=1.0,
             transmit_policy=frozenset(), plasticity_policy=frozenset({SpikePresence.BOTH}))
         with pytest.raises(ExprError, match="V_missing"):
-            resolve_mode(circuit, SpikePresence.BOTH, {})
+            transmit_current(circuit, 1 * US, {})
 
     def test_thresholds_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -213,31 +217,47 @@ class TestStepFamily:
 
 
 class TestEffectivePulseVoltage:
+    """The programming pulse the synapse kernel derives from V_TB, seen
+    through a one-step pairing: the direction comes from the thresholds and
+    the amplitude that selects the family row is the full |V_TB|."""
+
+    LTP = PulseFamilyTable((1.0, 1.2), ((1 * US, 2 * US, 3 * US),
+                                        (1 * US, 5 * US, 9 * US)), True)
+    LTD = PulseFamilyTable((1.0, 1.2), ((9 * US, 5 * US, 1 * US),
+                                        (9 * US, 3 * US, 1 * US)), False)
+    DEVICE = PulseFamilyDevice(LTP, LTD, 1 * US, 9 * US)
+    GATE = Waveform(((0.0, 0.9), (1e-3, 0.9)))
+
+    def pulse(self, v_post1, g0, delta=0, **circuit_kw):
+        circuit = gate_circuit(v_th_pos=0.9, v_th_neg=0.9, **circuit_kw)
+        post = Waveform(((0.0, v_post1), (1e-3, v_post1)))
+        [point] = stdp_pairing_sweep(circuit, self.DEVICE, self.GATE, post,
+                                     [delta], 1e-3, g0)
+        return point
+
     def test_full_magnitude_forwarded(self):
-        circuit = gate_circuit(v_th_pos=0.9, v_th_neg=0.9)
-        env = circuit.base_env(1e-3)
-        env.update(V_post1=1.2)
-        got = effective_pulse_voltage(circuit, SpikePresence.BOTH, env)
-        assert got == (SynapseMode.POTENTIATE, 1.2)
+        # |V_TB| = 1.2 selects the 1.2 row; the excess over threshold (0.3)
+        # would have selected the 1.0 row and stepped to 2 uS
+        p = self.pulse(1.2, 1 * US)
+        assert (p.n_potentiate, p.n_depress) == (1, 0)
+        assert p.final_g == 5 * US
 
     def test_below_threshold_is_no_event(self):
-        circuit = gate_circuit(v_th_pos=0.9, v_th_neg=0.9)
-        env = circuit.base_env(1e-3)
-        env.update(V_post1=0.5)
-        assert effective_pulse_voltage(circuit, SpikePresence.BOTH, env) is None
+        p = self.pulse(0.5, 5 * US)
+        assert (p.n_potentiate, p.n_depress) == (0, 0)
+        assert p.delta_g == 0.0
 
     def test_negative_symmetry(self):
-        circuit = gate_circuit(v_th_pos=0.9, v_th_neg=0.9)
-        env = circuit.base_env(1e-3)
-        env.update(V_post1=-1.2)
-        got = effective_pulse_voltage(circuit, SpikePresence.BOTH, env)
-        assert got == (SynapseMode.DEPRESS, 1.2)
+        p = self.pulse(-1.2, 9 * US)
+        assert (p.n_potentiate, p.n_depress) == (0, 1)
+        assert p.final_g == 3 * US
 
     def test_wrong_presence_is_no_event(self):
-        circuit = gate_circuit(v_th_pos=0.9, v_th_neg=0.9)
-        env = circuit.base_env(1e-3)
-        env.update(V_post1=1.2)
-        assert effective_pulse_voltage(circuit, SpikePresence.PRE_ONLY, env) is None
+        # post1 rests at 1.2 V, so V_TB crosses the threshold while only the
+        # pre spike is present; pre_only may not program the device
+        p = self.pulse(1.2, 1 * US, delta=5, rest_v_post1=1.2)
+        assert (p.n_potentiate, p.n_depress) == (0, 0)
+        assert p.delta_g == 0.0
 
 
 class TestBoundsAndMonotonicity:
@@ -420,9 +440,3 @@ class TestTableLoaders:
         with pytest.raises(ValueError, match="header"):
             load_family_table(p, ascending=True)
 
-
-def test_applied_voltage_is_plain_eval():
-    circuit = gate_circuit()
-    env = circuit.base_env(1e-3)
-    env.update(V_post1=0.7)
-    assert applied_voltage(circuit, env) == pytest.approx(0.7)

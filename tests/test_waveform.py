@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from spikeforge.waveform import ScheduledWaveform, Waveform, waveform_from_flat
+from spikeforge.waveform import Waveform, waveform_from_flat
 
 RAMP = Waveform(((0.0, 0.0), (1.0, 1.0)))
 BIPHASIC = Waveform(((0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (2.0, 0.0)))
@@ -38,20 +38,6 @@ def test_duration():
     assert BIPHASIC.duration == 2.0
 
 
-def test_active_half_open_interval():
-    s = ScheduledWaveform(Waveform(((0.0, 1.0), (2e-3, 1.0))), origin=0.0)
-    assert s.active(1e-3)
-    assert not s.active(2e-3)
-    late = ScheduledWaveform(s.waveform, origin=5e-3)
-    assert not late.active(1e-3)
-
-
-def test_scheduled_sample_shifts_origin():
-    s = ScheduledWaveform(RAMP, origin=2.0)
-    assert s.sample(2.5) == 0.5
-    assert s.sample(0.5) == 0.0
-
-
 def test_construction_rejects_decreasing_times():
     with pytest.raises(ValueError):
         Waveform(((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)))
@@ -74,11 +60,6 @@ def test_construction_rejects_empty_and_nonfinite():
         Waveform(((0.0, math.nan),))
     with pytest.raises(ValueError):
         Waveform(((0.0, math.inf),))
-
-
-def test_negative_origin_rejected():
-    with pytest.raises(ValueError):
-        ScheduledWaveform(RAMP, origin=-1.0)
 
 
 def test_from_flat():
