@@ -338,7 +338,10 @@ def _build_device(section: _Section):
     kind = section.get_choice("kind", ("identical", "family"), required=True)
     g_min = section.get_float("g_min", required=True)
     g_max = section.get_float("g_max", required=True)
-    if None in (g_min, g_max) or kind is None:
+    if kind is None:  # the kind decides which keys apply; flag none as unknown
+        for key in ("levels_ltp", "levels_ltd", "levels_ltp_path", "levels_ltd_path",
+                    "table_ltp_path", "table_ltd_path", "family_axis"):
+            section.raw(key)
         return None
     try:
         if kind == "identical":
@@ -354,13 +357,14 @@ def _build_device(section: _Section):
                 section.complain("levels_ltp", None,
                                  "identical device needs levels_ltp and levels_ltd "
                                  "(inline or *_path)")
-                return None
-            return IdenticalPulseDevice(ltp, ltd, g_min, g_max)
+            elif None not in (g_min, g_max):
+                return IdenticalPulseDevice(ltp, ltd, g_min, g_max)
+            return None
         ltp_path = section.get_path("table_ltp_path", required=True)
         ltd_path = section.get_path("table_ltd_path", required=True)
         axis = section.get_choice("family_axis", ("amplitude", "width"),
                                   default="amplitude")
-        if ltp_path is None or ltd_path is None:
+        if None in (ltp_path, ltd_path, g_min, g_max):
             return None
         return PulseFamilyDevice(
             load_family_table(ltp_path, ascending=True),

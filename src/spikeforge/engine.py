@@ -1,11 +1,11 @@
 """Network construction and the clock-driven train/infer loops.
 
 Every timestep walks the layers in order: the synapse kernel
-(`_synapse_pass`) resolves each synapse's mode and current from the spike
-lines, lateral inhibition is subtracted, the membranes advance, and (for
-plastic layers) `_program` programs the devices; the pairing sweep runs on
-the same two functions. Spikes emitted at step k become visible at step
-k+1, so one timestep is the only feedback latency in the network.
+(`_synapse_pass`) picks out the engaged synapses in one array pass and
+resolves their mode and current, lateral inhibition is subtracted, the
+membranes advance, and `_program` programs the devices of plastic layers;
+the pairing sweep runs on the same two functions. Spikes emitted at step k
+become visible at step k+1: one timestep is the network's only feedback latency.
 
 Scheduling is integer-step throughout (`_Sched`): a waveform triggered at
 step m is active for ceil(duration/dt) steps, which keeps presence windows
@@ -23,7 +23,7 @@ from spikeforge import expr
 from spikeforge.encoding import SpikeTrain
 from spikeforge.neuron import NeuronModel, NeuronState, fire_check, integrate
 from spikeforge.synapse import (
-    CircuitModel, DeviceModel, SynapseMode, classify_presence, mode_from_voltage,
+    PRESENCE_BY_CODE, CircuitModel, DeviceModel, SynapseMode, mode_from_voltage,
     saturates, step_device, transmit_current,
 )
 from spikeforge.waveform import Waveform
@@ -190,7 +190,7 @@ class _LayerRuntime:
 
 class _Matrix:
     __slots__ = ("circuit", "device", "plastic", "mask", "g",
-                 "pairs", "engaged", "needs_post2", "base_env")
+                 "pairs", "engaged_lut", "plastic_lut", "needs_post2", "base_env")
 
     def __init__(self, circuit: CircuitModel, device: DeviceModel, plastic: bool,
                  mask: np.ndarray, dt: float):
@@ -200,7 +200,8 @@ class _Matrix:
         self.mask = mask
         self.g = np.zeros(mask.shape)
         self.pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
-        self.engaged = frozenset(circuit.plasticity_policy | circuit.transmit_policy)
+        self.plastic_lut = np.array([p in circuit.plasticity_policy for p in PRESENCE_BY_CODE])
+        self.engaged_lut = self.plastic_lut | [p in circuit.transmit_policy for p in PRESENCE_BY_CODE]
         used = expr.free_vars(circuit.v_app)
         if circuit.ex_eqs is not None:
             used |= expr.free_vars(circuit.ex_eqs)
@@ -368,6 +369,9 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: list[list[_Sched]],
                   step: int, dt: float):
     """The synapse kernel: one matrix (layer q) for one timestep.
 
+    Presence is resolved for the whole matrix as the code 2 * pre_active +
+    post_active (PRESENCE_BY_CODE); only engaged synapses, those connected
+    with a presence in a circuit policy, are visited, in row-major order.
     Returns (currents, modes, events): the (n_pre, n_post) current and
     MODE_CODES arrays, and the programming pulses as (i, j, direction, |V_TB|).
     """
@@ -383,19 +387,18 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: list[list[_Sched]],
     modes = np.zeros(matrix.g.shape, dtype=np.int8)
     events: list[tuple[int, int, SynapseMode, float]] = []
     env = dict(matrix.base_env)
-    for i, j in matrix.pairs:
-        presence = classify_presence(bool(pre_active[i]), bool(post_active[j]))
-        if presence not in matrix.engaged:
-            continue
+    code = 2 * pre_active[:, None].astype(np.int8) + post_active
+    rows, cols = np.nonzero(matrix.engaged_lut[code] & matrix.mask)
+    for i, j, c in zip(rows.tolist(), cols.tolist(), code[rows, cols].tolist()):
         env["V_pre"] = v_pre[i]
         env["V_post1"] = v_post1[j]
         env["V_post2"] = v_post2[j] if v_post2 is not None else circuit.rest_v_post2
         env["G"] = matrix.g[i, j]
         env.pop("V_TB", None)
         try:
-            if presence in circuit.plasticity_policy:
+            if matrix.plastic_lut[c]:
                 v_tb = expr.evaluate(circuit.v_app, env)
-                mode = mode_from_voltage(circuit, presence, v_tb)
+                mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v_tb)
                 env["V_TB"] = v_tb
                 if mode in (SynapseMode.POTENTIATE, SynapseMode.DEPRESS):
                     events.append((i, j, mode, abs(v_tb)))

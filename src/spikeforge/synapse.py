@@ -31,10 +31,13 @@ class SpikePresence(enum.Enum):
     BOTH = "both"
 
 
+# indexed by the presence code 2 * pre_active + post_active
+PRESENCE_BY_CODE = (SpikePresence.NONE, SpikePresence.POST_ONLY,
+                    SpikePresence.PRE_ONLY, SpikePresence.BOTH)
+
+
 def classify_presence(pre_active: bool, post_active: bool) -> SpikePresence:
-    if pre_active:
-        return SpikePresence.BOTH if post_active else SpikePresence.PRE_ONLY
-    return SpikePresence.POST_ONLY if post_active else SpikePresence.NONE
+    return PRESENCE_BY_CODE[2 * pre_active + post_active]
 
 
 def _check_bounds(levels, g_min, g_max, label):

@@ -149,3 +149,13 @@ def test_family_device_accepts_family_axis(tmp_path):
     assert device.family_axis == "width"
     assert device.ltp.amplitudes == (0.8, 1.0)
     assert device.ltd.response[1] == (3e-6, 1.5e-6, 1e-6)
+
+
+@pytest.mark.parametrize("key", ["g_max", "g_min", "kind"])
+def test_device_missing_one_key_reports_only_that_key(tmp_path, key):
+    # the other device keys are still read, so none of them reads as unknown
+    text = "".join(line for line in MINIMAL.splitlines(keepends=True)
+                   if not line.startswith(f"{key} = "))
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [f"[device.ladder] {key}: required key is missing"]

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -465,6 +466,28 @@ class TestSimulationErrors:
                            match=r"synapse \(layer 1, pre 1, post 0\) at t=0.0: division by zero"):
             run_timestep(net, 0)
 
+    @pytest.mark.parametrize("plastic", [frozenset(), frozenset(SpikePresence)],
+                             ids=["in_transmit_current", "in_mode_decision"])
+    def test_first_failing_synapse_in_row_major_order_is_named(self, plastic):
+        # every presence transmits, and V_TB divides by zero where V_pre equals
+        # V_post1: at (pre 1, post 2) and (pre 2, post 0). Row-major order
+        # reaches (1, 2) first; column-major order would reach (2, 0).
+        circuit = CircuitModel(
+            v_app=parse("1 / (V_pre - V_post1)"), v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset(SpikePresence), plasticity_policy=plastic)
+        spec = NetworkSpec(layers=(
+            input_layer(3),
+            LayerSpec(neurons=3, neuron_model=out_model(), label=True,
+                      circuit_model=circuit, device_model=small_device())))
+        net = build_network(spec, 1e-3)
+        for queues, volts in ((net.layers[0].pre_out, (0.5, 1.0, 2.0)),
+                              (net.layers[1].post1_in, (2.0, 0.3, 1.0))):
+            for queue, v in zip(queues, volts):
+                queue.append(engine._Sched(rect(v, 2e-3), 0, 2))
+        with pytest.raises(SimulationError,
+                           match=r"synapse \(layer 1, pre 1, post 2\) at t=0.0: division by zero"):
+            run_timestep(net, 0)
+
     def test_failing_state_eqs_names_the_neuron(self):
         model = NeuronModel(tau=10e-3, thres=0.2, state_eqs=parse("1 / V"),
                             waveforms=SpikeWaveforms(pre=rect(0.5, 2e-3)))
@@ -477,6 +500,41 @@ class TestSimulationErrors:
         with pytest.raises(SimulationError,
                            match=r"neuron \(layer 1, index 1\) at t=0.0: division by zero"):
             run_timestep(net, 0)
+
+
+class TestDeterminismGuard:
+    """A seeded train -> assign_labels -> infer run hashes to a value recorded
+    on the full-scan synapse kernel (every connected pair visited each step),
+    so any change to the engine's arithmetic or its visiting order shows."""
+
+    EXPECTED = "10970791926a8dc5656e5a71475c9e1470084a0c27bdedfc4c91df1e4d9644fe"
+
+    def test_seeded_run_hash(self):
+        circuit = CircuitModel(
+            v_app=parse("V_pre - V_post1"), v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset({SpikePresence.PRE_ONLY, SpikePresence.BOTH}),
+            plasticity_policy=frozenset({SpikePresence.BOTH, SpikePresence.POST_ONLY}))
+        spec = NetworkSpec(
+            layers=(input_layer(6),
+                    LayerSpec(neurons=3, neuron_model=out_model(inhib=rect(1.0, 5e-3)),
+                              plastic=True, label=True, circuit_model=circuit,
+                              device_model=small_device())),
+            inh_conn=((1, 1),), inh_g=2 * US, seed=1)
+        sim = SimConfig(T=0.3, dt=1e-3, T_sample=0.05, reset_between_samples=False,
+                        seed=7)
+        dataset = [Sample(tuple(1.0 if i // 2 == c else 0.1 for i in range(6)), label=c)
+                   for c in range(3)]
+        enc = PoissonEncoder(0.0, 100.0)
+        net = build_network(spec, sim.dt)
+        train(net, dataset, sim, enc)
+        labels = assign_labels(net, dataset, sim, enc)
+        predictions = infer(net, dataset, sim, enc).predictions
+        spikes = [len(s.spike_times) for s in net.layers[1].states]
+        digest = hashlib.sha256()
+        for g in net.conductances():
+            digest.update(g.tobytes())
+        digest.update(repr((labels, predictions, spikes)).encode())
+        assert digest.hexdigest() == self.EXPECTED, (labels, predictions, spikes)
 
 
 class TestTracedNames:

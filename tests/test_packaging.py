@@ -1,0 +1,19 @@
+import importlib
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def test_every_console_script_imports_and_is_callable():
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"].get(
+        "scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"script {name!r}: {target} is not callable"
