@@ -22,7 +22,7 @@ from spikeforge.neuron import (
     NeuronModel, SpikeWaveforms, calibrate_from_frequency, load_calibration_csv,
 )
 from spikeforge.synapse import (
-    CircuitModel, IdenticalPulseDevice, PulseFamilyDevice, SpikePresence,
+    CircuitModel, PulseFamilyDevice, SpikePresence,
     load_family_table, load_identical_levels,
 )
 from spikeforge.tuner import GAConfig, ParamRange
@@ -266,16 +266,13 @@ class EncodingConfig:
     type: str
     r_min: float = 0.0
     r_max: float = 60.0
-    aer_path: Path | None = None
-    aer_polarity_mode: str = "separate"
 
     def make_encoder(self):
         if self.type == "poisson":
             return PoissonEncoder(self.r_min, self.r_max)
         if self.type == "fixed":
             return FixedRateEncoder(self.r_min, self.r_max)
-        raise ValueError("AER encoding does not use a feature encoder; "
-                         "use the encode command or the AER loading API")
+        raise ValueError(f"unknown encoding type {self.type!r}")
 
 
 @dataclass(frozen=True)
@@ -334,6 +331,25 @@ def _parse_init_weights(section: _Section) -> WeightInit | None:
         return None
 
 
+def _ladder(section: _Section, key: str):
+    """An identical-pulse ladder, given inline as `key` or in the file that
+    `key_path` names; None when it is missing or unreadable (and reported)."""
+    path_key = f"{key}_path"
+    if section.has(key) and section.has(path_key):
+        _, lineno = section.raw(key)
+        _, path_lineno = section.raw(path_key)
+        section.complain(path_key, path_lineno,
+                         f"conflicts with {key} (line {lineno}); give the ladder "
+                         "inline or as a file, not both")
+        return None
+    if section.has(path_key):
+        path = section.get_path(path_key)
+        return load_identical_levels(path) if path else None
+    if not section.has(key):
+        section.complain(key, None, f"identical device needs {key} or {path_key}")
+    return section.get_floats(key)
+
+
 def _build_device(section: _Section):
     kind = section.get_choice("kind", ("identical", "family"), required=True)
     g_min = section.get_float("g_min", required=True)
@@ -345,21 +361,11 @@ def _build_device(section: _Section):
         return None
     try:
         if kind == "identical":
-            ltp = section.get_floats("levels_ltp")
-            ltd = section.get_floats("levels_ltd")
-            if ltp is None and section.has("levels_ltp_path"):
-                p = section.get_path("levels_ltp_path")
-                ltp = load_identical_levels(p) if p else None
-            if ltd is None and section.has("levels_ltd_path"):
-                p = section.get_path("levels_ltd_path")
-                ltd = load_identical_levels(p) if p else None
-            if ltp is None or ltd is None:
-                section.complain("levels_ltp", None,
-                                 "identical device needs levels_ltp and levels_ltd "
-                                 "(inline or *_path)")
-            elif None not in (g_min, g_max):
-                return IdenticalPulseDevice(ltp, ltd, g_min, g_max)
-            return None
+            ltp = _ladder(section, "levels_ltp")
+            ltd = _ladder(section, "levels_ltd")
+            if None in (ltp, ltd, g_min, g_max):
+                return None
+            return PulseFamilyDevice.identical(ltp, ltd, g_min, g_max)
         ltp_path = section.get_path("table_ltp_path", required=True)
         ltd_path = section.get_path("table_ltd_path", required=True)
         axis = section.get_choice("family_axis", ("amplitude", "width"),
@@ -544,21 +550,14 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
     enc_s = section("encoding")
     encoding = EncodingConfig(type="poisson")
     if enc_s is not None:
-        etype = enc_s.get_choice("type", ("poisson", "fixed", "aer"),
-                                 default="poisson")
+        etype = enc_s.get_choice("type", ("poisson", "fixed"), default="poisson")
         r_min = enc_s.get_float("r_min", default=0.0)
         r_max = enc_s.get_float("r_max", default=60.0)
-        aer_path = enc_s.get_path("aer_path") if enc_s.has("aer_path") else None
-        polarity = enc_s.get_choice("aer_polarity_mode", ("separate", "signed"),
-                                    default="separate")
         enc_s.reject_unknown()
-        if etype == "aer" and aer_path is None:
-            enc_s.complain("aer_path", None, "aer encoding needs aer_path")
         if r_min is not None and r_max is not None and not 0 <= r_min <= r_max:
             enc_s.complain("r_min", None,
                            f"need 0 <= r_min <= r_max, got {r_min}, {r_max}")
-        encoding = EncodingConfig(etype or "poisson", r_min, r_max, aer_path,
-                                  polarity or "separate")
+        encoding = EncodingConfig(etype or "poisson", r_min, r_max)
 
     devices = {}
     circuits = {}

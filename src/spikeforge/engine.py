@@ -23,7 +23,7 @@ from spikeforge import expr
 from spikeforge.encoding import SpikeTrain
 from spikeforge.neuron import NeuronModel, NeuronState, fire_check, integrate
 from spikeforge.synapse import (
-    PRESENCE_BY_CODE, CircuitModel, DeviceModel, SynapseMode, mode_from_voltage,
+    PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, SynapseMode, mode_from_voltage,
     saturates, step_device, transmit_current,
 )
 from spikeforge.waveform import Waveform
@@ -59,7 +59,7 @@ class LayerSpec:
     conn_type: str = "all_to_all"
     sparse_p: float = 1.0
     circuit_model: CircuitModel | None = None
-    device_model: DeviceModel | None = None
+    device_model: PulseFamilyDevice | None = None
 
     def __post_init__(self):
         if self.neurons < 1:
@@ -192,7 +192,7 @@ class _Matrix:
     __slots__ = ("circuit", "device", "plastic", "mask", "g",
                  "pairs", "engaged_lut", "plastic_lut", "needs_post2", "base_env")
 
-    def __init__(self, circuit: CircuitModel, device: DeviceModel, plastic: bool,
+    def __init__(self, circuit: CircuitModel, device: PulseFamilyDevice, plastic: bool,
                  mask: np.ndarray, dt: float):
         self.circuit = circuit
         self.device = device
@@ -495,7 +495,7 @@ class PairingPoint:
     n_depress: int = 0
 
 
-def stdp_pairing_sweep(circuit: CircuitModel, device: DeviceModel,
+def stdp_pairing_sweep(circuit: CircuitModel, device: PulseFamilyDevice,
                        pre_waveform: Waveform, post_waveform: Waveform,
                        delta_steps, dt: float, g0: float) -> list[PairingPoint]:
     """Single-synapse pre/post pairing protocol.
@@ -535,7 +535,6 @@ def stdp_pairing_sweep(circuit: CircuitModel, device: DeviceModel,
 @dataclass
 class TrainResult:
     training_accuracy: float
-    metrics: list[tuple[int, float]]  # (step, accuracy) checkpoint rows
 
 
 def _label_counts(net: Network) -> list[int]:
@@ -560,8 +559,7 @@ def _frozen_pass_counts(net: Network, sample, sim: SimConfig, encoder,
     return [b - a for b, a in zip(after, before)]
 
 
-def train(net: Network, dataset, sim: SimConfig, encoder,
-          checkpoints: int = 0) -> TrainResult:
+def train(net: Network, dataset, sim: SimConfig, encoder) -> TrainResult:
     """STDP training loop: shuffled presentations until N total steps elapse,
     then label assignment and a frozen accuracy pass over the training set."""
     if not dataset:
@@ -574,9 +572,6 @@ def train(net: Network, dataset, sim: SimConfig, encoder,
     n_total = num_steps(sim.T, sim.dt)
     per_sample = num_steps(sim.T_sample, sim.dt)
     rng = np.random.default_rng([sim.seed, 0])
-    checkpoint_steps = {round(n_total * (c + 1) / (checkpoints + 1))
-                        for c in range(checkpoints)}
-    metrics: list[tuple[int, float]] = []
     k = 0
     order: list[int] = []
     while k < n_total:
@@ -591,16 +586,8 @@ def train(net: Network, dataset, sim: SimConfig, encoder,
         steps = min(per_sample, n_total - k)
         _present(net, trains, steps, k, learn=True)
         k += steps
-        if checkpoint_steps and k in checkpoint_steps:
-            metrics.append((k, _frozen_accuracy(net, dataset, sim, encoder)))
-    accuracy = _frozen_accuracy(net, dataset, sim, encoder)
-    metrics.append((n_total, accuracy))
-    return TrainResult(accuracy, metrics)
-
-
-def _frozen_accuracy(net: Network, dataset, sim, encoder) -> float:
     assign_labels(net, dataset, sim, encoder)
-    return infer(net, dataset, sim, encoder).accuracy
+    return TrainResult(infer(net, dataset, sim, encoder).accuracy)
 
 
 def assign_labels(net: Network, dataset, sim: SimConfig, encoder) -> list[int | None]:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from spikeforge import expr
 from spikeforge.waveform import Waveform
@@ -189,6 +188,10 @@ def calibrate_from_frequency(data, pulse_amplitude: float,
         return np.array([
             firing_frequency(w, tau, thres, pulse_amplitude, pulse_rate) - f
             for (w, f) in pts])
+
+    # imported here: SciPy is most of the package's import time, and only
+    # calibration needs it
+    from scipy.optimize import least_squares
 
     x0 = np.log([max(tau_init, 1e-12), max(thres_init, 1e-12)])
     fit = least_squares(residuals, x0)

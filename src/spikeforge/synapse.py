@@ -3,10 +3,12 @@
 A synapse is in exactly one of four modes each timestep (idle, transmit,
 potentiate, depress), decided by `mode_from_voltage` from which spikes are
 present and from the voltage the user's circuit equation develops across
-the device. Conductance updates replay measured device tables: either a
-single level ladder walked by identical pulses, or a family of curves
-selected by pulse amplitude. The engine's synapse kernel applies these
-per-synapse rules to whole matrices.
+the device. Conductance updates replay measured device tables: per
+direction, a family of conductance-vs-pulse-number curves with one row per
+pulse amplitude. A device programmed by identical pulses is the one-row
+case, whose single ladder every amplitude selects, so `step_device` is the
+one stepping rule. The engine's synapse kernel applies these per-synapse
+rules to whole matrices.
 """
 
 from __future__ import annotations
@@ -40,32 +42,25 @@ def classify_presence(pre_active: bool, post_active: bool) -> SpikePresence:
     return PRESENCE_BY_CODE[2 * pre_active + post_active]
 
 
+def _check_range(g_min, g_max):
+    if g_min >= g_max:
+        raise ValueError(f"need g_min < g_max, got {g_min}, {g_max}")
+
+
+def _check_order(levels, ascending, label):
+    if ascending:
+        bad = any(b <= a for a, b in zip(levels, levels[1:]))
+    else:
+        bad = any(b >= a for a, b in zip(levels, levels[1:]))
+    if bad:
+        order = "ascending" if ascending else "descending"
+        raise ValueError(f"{label} must be strictly {order}")
+
+
 def _check_bounds(levels, g_min, g_max, label):
     for g in levels:
         if not g_min <= g <= g_max:
             raise ValueError(f"{label} value {g} outside [{g_min}, {g_max}]")
-
-
-@dataclass(frozen=True)
-class IdenticalPulseDevice:
-    """Device programmed by identical pulses: one conductance ladder per direction."""
-
-    levels_ltp: tuple[float, ...]
-    levels_ltd: tuple[float, ...]
-    g_min: float
-    g_max: float
-
-    def __post_init__(self):
-        if self.g_min >= self.g_max:
-            raise ValueError(f"need g_min < g_max, got {self.g_min}, {self.g_max}")
-        if len(self.levels_ltp) < 1 or len(self.levels_ltd) < 1:
-            raise ValueError("level arrays must be non-empty")
-        if any(b <= a for a, b in zip(self.levels_ltp, self.levels_ltp[1:])):
-            raise ValueError("levels_ltp must be strictly ascending")
-        if any(b >= a for a, b in zip(self.levels_ltd, self.levels_ltd[1:])):
-            raise ValueError("levels_ltd must be strictly descending")
-        _check_bounds(self.levels_ltp, self.g_min, self.g_max, "levels_ltp")
-        _check_bounds(self.levels_ltd, self.g_min, self.g_max, "levels_ltd")
 
 
 @dataclass(frozen=True)
@@ -82,23 +77,19 @@ class PulseFamilyTable:
                 f"{len(self.amplitudes)} amplitudes but {len(self.response)} rows")
         if not self.amplitudes:
             raise ValueError("family table must have at least one row")
-        if any(b <= a for a, b in zip(self.amplitudes, self.amplitudes[1:])):
-            raise ValueError("row amplitudes must be strictly ascending")
+        _check_order(self.amplitudes, True, "row amplitudes")
         for k, row in enumerate(self.response):
             if not row:
                 raise ValueError(f"row {k} is empty")
-            if self.ascending:
-                bad = any(b <= a for a, b in zip(row, row[1:]))
-            else:
-                bad = any(b >= a for a, b in zip(row, row[1:]))
-            if bad:
-                order = "ascending" if self.ascending else "descending"
-                raise ValueError(f"row {k} must be strictly {order}")
+            _check_order(row, self.ascending, f"row {k}")
 
 
 @dataclass(frozen=True)
 class PulseFamilyDevice:
-    """Device whose programming depends on pulse amplitude: LTP and LTD families."""
+    """Device whose programming depends on pulse amplitude: LTP and LTD families.
+
+    A device programmed by identical pulses is the one-row case (`identical`).
+    """
 
     ltp: PulseFamilyTable
     ltd: PulseFamilyTable
@@ -107,8 +98,7 @@ class PulseFamilyDevice:
     family_axis: str = "amplitude"  # or "width"; informational row-selection axis
 
     def __post_init__(self):
-        if self.g_min >= self.g_max:
-            raise ValueError(f"need g_min < g_max, got {self.g_min}, {self.g_max}")
+        _check_range(self.g_min, self.g_max)
         if not self.ltp.ascending:
             raise ValueError("ltp table rows must be ascending")
         if self.ltd.ascending:
@@ -119,8 +109,21 @@ class PulseFamilyDevice:
             for row in table.response:
                 _check_bounds(row, self.g_min, self.g_max, "family row")
 
-
-DeviceModel = IdenticalPulseDevice | PulseFamilyDevice
+    @classmethod
+    def identical(cls, levels_ltp, levels_ltd, g_min: float,
+                  g_max: float) -> PulseFamilyDevice:
+        """Device programmed by identical pulses: one conductance ladder per
+        direction, held as a one-row table that every pulse amplitude selects."""
+        ltp, ltd = tuple(levels_ltp), tuple(levels_ltd)
+        _check_range(g_min, g_max)
+        if not ltp or not ltd:
+            raise ValueError("level arrays must be non-empty")
+        _check_order(ltp, True, "levels_ltp")
+        _check_order(ltd, False, "levels_ltd")
+        _check_bounds(ltp, g_min, g_max, "levels_ltp")
+        _check_bounds(ltd, g_min, g_max, "levels_ltd")
+        return cls(PulseFamilyTable((0.0,), (ltp,), True),
+                   PulseFamilyTable((0.0,), (ltd,), False), g_min, g_max)
 
 
 @dataclass(frozen=True)
@@ -213,62 +216,33 @@ def _nearest(values, x) -> int:
     return best
 
 
-def step_identical(device: IdenticalPulseDevice, direction: SynapseMode,
-                   g: float) -> float:
-    """One identical programming pulse: snap to the nearest level of the
-    direction's ladder, advance one step, clamp at the end."""
-    levels = _direction_levels(device, direction)
-    i = _nearest(levels, g)
-    return _directed(levels[min(i + 1, len(levels) - 1)], g, direction)
-
-
-def _directed(new: float, g: float, direction: SynapseMode) -> float:
-    # a ladder that cannot reach g must not drag it backwards
-    if direction is SynapseMode.POTENTIATE:
-        return max(new, g)
-    return min(new, g)
-
-
-def _direction_levels(device, direction):
-    if direction is SynapseMode.POTENTIATE:
-        return device.levels_ltp
-    if direction is SynapseMode.DEPRESS:
-        return device.levels_ltd
-    raise ValueError(f"direction must be POTENTIATE or DEPRESS, got {direction}")
-
-
-def step_family(device: PulseFamilyDevice, direction: SynapseMode,
-                pulse_amplitude: float, g: float) -> float:
-    """One amplitude-dependent pulse: pick the row nearest |amplitude|,
-    advance one column from the conductance nearest g, clamp at the row end."""
+def _row(device: PulseFamilyDevice, direction: SynapseMode,
+         pulse_amplitude: float) -> tuple[float, ...]:
+    """The curve a pulse walks: the direction's table, the row nearest |amplitude|."""
     if direction is SynapseMode.POTENTIATE:
         table = device.ltp
     elif direction is SynapseMode.DEPRESS:
         table = device.ltd
     else:
         raise ValueError(f"direction must be POTENTIATE or DEPRESS, got {direction}")
-    row = table.response[_nearest(table.amplitudes, abs(pulse_amplitude))]
-    j = _nearest(row, g)
-    return _directed(row[min(j + 1, len(row) - 1)], g, direction)
+    return table.response[_nearest(table.amplitudes, abs(pulse_amplitude))]
 
 
-def step_device(device: DeviceModel, direction: SynapseMode,
+def step_device(device: PulseFamilyDevice, direction: SynapseMode,
                 pulse_amplitude: float, g: float) -> float:
-    """Dispatch on the device variant; identical-pulse ignores amplitude."""
-    if isinstance(device, IdenticalPulseDevice):
-        return step_identical(device, direction, g)
-    return step_family(device, direction, pulse_amplitude, g)
+    """One programming pulse: on the row the pulse selects, snap to the
+    conductance nearest g, advance one column, clamp at the row end."""
+    row = _row(device, direction, pulse_amplitude)
+    new = row[min(_nearest(row, g) + 1, len(row) - 1)]
+    # a row that cannot reach g must not drag it backwards
+    return max(new, g) if direction is SynapseMode.POTENTIATE else min(new, g)
 
 
-def saturates(device: DeviceModel, direction: SynapseMode, g: float,
+def saturates(device: PulseFamilyDevice, direction: SynapseMode, g: float,
               pulse_amplitude: float = 0.0) -> bool:
     """True when a pulse in this direction can no longer move the conductance."""
-    if isinstance(device, IdenticalPulseDevice):
-        levels = _direction_levels(device, direction)
-    else:
-        table = device.ltp if direction is SynapseMode.POTENTIATE else device.ltd
-        levels = table.response[_nearest(table.amplitudes, abs(pulse_amplitude))]
-    return _nearest(levels, g) == len(levels) - 1
+    row = _row(device, direction, pulse_amplitude)
+    return _nearest(row, g) == len(row) - 1
 
 
 def load_identical_levels(path) -> tuple[float, ...]:

@@ -1,10 +1,11 @@
 import pytest
 
 from spikeforge.config import ConfigError, load_config
+from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
 from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
-from spikeforge.synapse import CircuitModel, IdenticalPulseDevice, SpikePresence
+from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
 from spikeforge.waveform import Waveform
 
 MINIMAL = """\
@@ -86,7 +87,7 @@ def test_minimal_config_builds_the_expected_spec(tmp_path):
                     v_app=parse("V_post1 - V_node1"), v_th_pos=1.5, v_th_neg=1.5,
                     transmit_policy=frozenset({SpikePresence.PRE_ONLY}),
                     plasticity_policy=frozenset({SpikePresence.BOTH})),
-                device_model=IdenticalPulseDevice(
+                device_model=PulseFamilyDevice.identical(
                     (1e-6, 2e-6, 3e-6), (3e-6, 2e-6, 1e-6), 1e-6, 3e-6)),
         ),
         inh_conn=((1, 1),), inh_g=2e-6, seed=11)
@@ -159,3 +160,89 @@ def test_device_missing_one_key_reports_only_that_key(tmp_path, key):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert err.value.problems == [f"[device.ladder] {key}: required key is missing"]
+
+
+def with_device_lines(old, new):
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp = 1e-6, 3e-6, 2e-6",
+     "levels_ltp must be strictly ascending"),
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd = 3e-6, 1e-6, 2e-6",
+     "levels_ltd must be strictly descending"),
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd = 4e-6, 2e-6, 1e-6",
+     "levels_ltd value 4e-06 outside [1e-06, 3e-06]"),
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp = 0.5e-6, 2e-6, 3e-6",
+     "levels_ltp value 5e-07 outside [1e-06, 3e-06]"),
+    ("g_max = 3e-6", "g_max = 1e-6", "need g_min < g_max, got 1e-06, 1e-06"),
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd_path = empty.csv",
+     "level arrays must be non-empty"),
+], ids=["ltp-order", "ltd-order", "ltd-range", "ltp-range", "g-range", "empty"])
+def test_bad_identical_ladder_keeps_its_message(tmp_path, old, new, message):
+    (tmp_path / "empty.csv").write_text("# no levels\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, with_device_lines(old, new)))
+    assert err.value.problems == [f"[device.ladder] kind: {message}"]
+
+
+@pytest.mark.parametrize("key", ["levels_ltp", "levels_ltd"])
+def test_ladder_given_inline_and_as_a_file_is_one_conflict(tmp_path, key):
+    (tmp_path / "ladder.csv").write_text("1e-6\n2e-6\n3e-6\n")
+    inline = next(line for line in MINIMAL.splitlines() if line.startswith(key))
+    text = with_device_lines(inline, f"{inline}\n{key}_path = ladder.csv")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] {key}_path (line {line_of(text, key + '_path')}): conflicts "
+        f"with {key} (line {line_of(text, inline)}); give the ladder inline or as a "
+        "file, not both"]
+
+
+def test_ladder_from_a_file_builds_the_same_device(tmp_path):
+    (tmp_path / "ltd.csv").write_text("# LTD ladder\n3e-6\n2e-6\n1e-6\n")
+    inline = load_config(write(tmp_path, MINIMAL)).network.layers[1].device_model
+    text = with_device_lines("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd_path = ltd.csv")
+    from_file = load_config(write(tmp_path, text)).network.layers[1].device_model
+    assert from_file == inline
+
+
+@pytest.mark.parametrize("new, problem", [
+    ("", "[device.ladder] levels_ltd: identical device needs levels_ltd or "
+         "levels_ltd_path"),
+    ("levels_ltd = 3e-6, x\n", "[device.ladder] levels_ltd (line {line}): expected "
+                              "comma-separated numbers, got '3e-6, x'"),
+], ids=["missing", "malformed"])
+def test_missing_or_malformed_ladder_is_one_problem(tmp_path, new, problem):
+    text = with_device_lines("levels_ltd = 3e-6, 2e-6, 1e-6\n", new)
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    lineno = line_of(text, new.strip()) if new else None
+    assert err.value.problems == [problem.format(line=lineno)]
+
+
+@pytest.mark.parametrize("etype, encoder", [("poisson", PoissonEncoder),
+                                             ("fixed", FixedRateEncoder)])
+def test_encoding_type_picks_the_encoder(tmp_path, etype, encoder):
+    text = MINIMAL.replace("[network]", f"[encoding]\ntype = {etype}\n\n[network]")
+    assert type(load_config(write(tmp_path, text)).make_encoder()) is encoder
+
+
+def test_aer_is_not_an_encoding_type(tmp_path):
+    text = MINIMAL.replace("[network]", "[encoding]\ntype = aer\n\n[network]")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[encoding] type (line {line_of(text, 'type = aer')}): expected one of "
+        "poisson/fixed, got 'aer'"]
+
+
+@pytest.mark.parametrize("key", ["aer_path", "aer_polarity_mode"])
+def test_aer_keys_are_unknown(tmp_path, key):
+    (tmp_path / "events.aer").write_text("")
+    text = MINIMAL.replace("[network]", f"[encoding]\n{key} = events.aer\n\n[network]")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[encoding] {key} (line {line_of(text, key)}): unknown key"]

@@ -15,7 +15,7 @@ from spikeforge.engine import (
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
-    CircuitModel, IdenticalPulseDevice, SpikePresence, SynapseMode,
+    CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode,
 )
 from spikeforge.waveform import Waveform
 
@@ -41,8 +41,8 @@ def micro_spec():
         v_app=parse("V_pre + V_post1"), v_th_pos=1.5, v_th_neg=1.5,
         transmit_policy=frozenset({SpikePresence.PRE_ONLY}),
         plasticity_policy=frozenset({SpikePresence.BOTH}))
-    device = IdenticalPulseDevice((1 * US, 2 * US, 3 * US), (3 * US, 2 * US, 1 * US),
-                                  1 * US, 3 * US)
+    device = PulseFamilyDevice.identical(
+        (1 * US, 2 * US, 3 * US), (3 * US, 2 * US, 1 * US), 1 * US, 3 * US)
     return NetworkSpec(
         layers=(
             LayerSpec(neurons=2, neuron_model=input_model),
@@ -210,7 +210,7 @@ def transmit_circuit():
 
 def small_device():
     levels = tuple(np.linspace(1 * US, 9 * US, 17))
-    return IdenticalPulseDevice(levels, tuple(reversed(levels)), 1 * US, 9 * US)
+    return PulseFamilyDevice.identical(levels, tuple(reversed(levels)), 1 * US, 9 * US)
 
 
 def out_model(thres=0.2, inhib=None):

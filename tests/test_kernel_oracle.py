@@ -20,7 +20,7 @@ from spikeforge.engine import (
 )
 from spikeforge.expr import parse
 from spikeforge.synapse import (
-    CircuitModel, IdenticalPulseDevice, SpikePresence, SynapseMode, classify_presence,
+    CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode, classify_presence,
     mode_from_voltage, transmit_current,
 )
 from spikeforge.waveform import Waveform
@@ -31,7 +31,7 @@ US = 1e-6
 POLICIES = [frozenset(c) for r in range(5) for c in itertools.combinations(SpikePresence, r)]
 V_APPS = ("V_pre - V_post1", "V_pre - V_post1 + 0.5 * V_post2", "V_pre / V_post1")
 EX_EQS = (None, "G * V_TB + 1e-7 * V_post1")
-DEVICE = IdenticalPulseDevice((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
+DEVICE = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
 
 
 def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,3 +20,15 @@ def test_every_console_script_imports_and_is_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r}: {target} is not callable"
+
+
+def test_loading_a_config_does_not_import_scipy():
+    # SciPy is only for neuron calibration; importing it costs most of a run's set-up
+    src = str(PYPROJECT.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spikeforge.config; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

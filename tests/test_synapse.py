@@ -6,10 +6,9 @@ import pytest
 from spikeforge.engine import _support_steps, stdp_pairing_sweep
 from spikeforge.expr import ExprError, parse
 from spikeforge.synapse import (
-    CircuitModel, IdenticalPulseDevice, PulseFamilyDevice, PulseFamilyTable,
-    SpikePresence, SynapseMode, classify_presence, load_family_table,
-    load_identical_levels, mode_from_voltage, saturates, step_device, step_family,
-    step_identical, transmit_current,
+    CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence, SynapseMode,
+    classify_presence, load_family_table, load_identical_levels, mode_from_voltage,
+    saturates, step_device, transmit_current,
 )
 from spikeforge.waveform import Waveform
 
@@ -28,7 +27,7 @@ def gate_circuit(v_th_pos=1.5, v_th_neg=1.5, **kw):
 
 def ladder_device(n=9, g_min=1 * US, g_max=9 * US):
     levels = tuple(np.linspace(g_min, g_max, n))
-    return IdenticalPulseDevice(levels, tuple(reversed(levels)), g_min, g_max)
+    return PulseFamilyDevice.identical(levels, tuple(reversed(levels)), g_min, g_max)
 
 
 class TestPresence:
@@ -131,32 +130,32 @@ class TestTransmitCurrent:
 
 
 class TestStepIdentical:
-    DEVICE = IdenticalPulseDevice((1 * US, 2 * US, 3 * US), (3 * US, 2 * US, 1 * US),
-                                  1 * US, 3 * US)
+    DEVICE = PulseFamilyDevice.identical(
+        (1 * US, 2 * US, 3 * US), (3 * US, 2 * US, 1 * US), 1 * US, 3 * US)
 
     def test_one_step_advance(self):
-        assert step_identical(self.DEVICE, SynapseMode.POTENTIATE, 2 * US) == 3 * US
+        assert step_device(self.DEVICE, SynapseMode.POTENTIATE, 0.0, 2 * US) == 3 * US
 
     def test_clamp_at_maximum(self):
-        assert step_identical(self.DEVICE, SynapseMode.POTENTIATE, 3 * US) == 3 * US
+        assert step_device(self.DEVICE, SynapseMode.POTENTIATE, 0.0, 3 * US) == 3 * US
         assert saturates(self.DEVICE, SynapseMode.POTENTIATE, 3 * US)
 
     def test_snap_to_nearest_then_step(self):
-        assert step_identical(self.DEVICE, SynapseMode.POTENTIATE, 2.4 * US) == 3 * US
+        assert step_device(self.DEVICE, SynapseMode.POTENTIATE, 0.0, 2.4 * US) == 3 * US
 
     def test_depress_walks_down(self):
-        assert step_identical(self.DEVICE, SynapseMode.DEPRESS, 2 * US) == 1 * US
-        assert step_identical(self.DEVICE, SynapseMode.DEPRESS, 1 * US) == 1 * US
+        assert step_device(self.DEVICE, SynapseMode.DEPRESS, 0.0, 2 * US) == 1 * US
+        assert step_device(self.DEVICE, SynapseMode.DEPRESS, 0.0, 1 * US) == 1 * US
 
     def test_tie_goes_to_lower_index(self):
         # exactly representable levels so 1.5 is a true tie: snap to 1.0, step to 2.0
-        device = IdenticalPulseDevice((1.0, 2.0, 3.0), (3.0, 2.0, 1.0), 1.0, 3.0)
-        assert step_identical(device, SynapseMode.POTENTIATE, 1.5) == 2.0
+        device = PulseFamilyDevice.identical((1.0, 2.0, 3.0), (3.0, 2.0, 1.0), 1.0, 3.0)
+        assert step_device(device, SynapseMode.POTENTIATE, 0.0, 1.5) == 2.0
 
     def test_random_walk_matches_index_oracle(self):
         # ltd = reversed ltp, so a pure index walk is an independent oracle
         device = ladder_device(n=17)
-        levels = device.levels_ltp
+        levels = device.ltp.response[0]
         rng = np.random.default_rng(42)
         idx = 8
         g = levels[idx]
@@ -167,7 +166,7 @@ class TestStepIdentical:
             else:
                 direction = SynapseMode.DEPRESS
                 idx = max(idx - 1, 0)
-            g = step_identical(device, direction, g)
+            g = step_device(device, direction, 0.0, g)
             assert g == levels[idx]
 
     def test_amplitude_never_matters(self):
@@ -186,22 +185,22 @@ class TestStepFamily:
 
     def test_row_then_column_selection(self):
         # amplitude 1.0 row is [1,4,9]; nearest to 2 is 1; advance to 4
-        got = step_family(self.DEVICE, SynapseMode.POTENTIATE, 1.0, 2 * US)
+        got = step_device(self.DEVICE, SynapseMode.POTENTIATE, 1.0, 2 * US)
         assert got == 4 * US
 
     def test_clamp_at_row_end(self):
-        got = step_family(self.DEVICE, SynapseMode.POTENTIATE, 1.0, 9 * US)
+        got = step_device(self.DEVICE, SynapseMode.POTENTIATE, 1.0, 9 * US)
         assert got == 9 * US
         assert saturates(self.DEVICE, SynapseMode.POTENTIATE, 9 * US, 1.0)
 
     def test_nearest_row_selection(self):
         # 0.89 V is nearer 0.8 than 1.0
-        got = step_family(self.DEVICE, SynapseMode.POTENTIATE, 0.89, 1 * US)
+        got = step_device(self.DEVICE, SynapseMode.POTENTIATE, 0.89, 1 * US)
         assert got == 2 * US
 
     def test_negative_amplitude_uses_magnitude(self):
-        a = step_family(self.DEVICE, SynapseMode.DEPRESS, -1.0, 9 * US)
-        b = step_family(self.DEVICE, SynapseMode.DEPRESS, 1.0, 9 * US)
+        a = step_device(self.DEVICE, SynapseMode.DEPRESS, -1.0, 9 * US)
+        b = step_device(self.DEVICE, SynapseMode.DEPRESS, 1.0, 9 * US)
         assert a == b == 3 * US
 
     def test_matches_argmin_oracle(self):
@@ -213,7 +212,7 @@ class TestStepFamily:
             row = np.array(self.DEVICE.ltp.response[int(np.argmin(np.abs(amps - amp)))])
             stepped = row[min(int(np.argmin(np.abs(row - g))) + 1, len(row) - 1)]
             expected = max(stepped, g)  # potentiation never moves down
-            assert step_family(self.DEVICE, SynapseMode.POTENTIATE, amp, g) == expected
+            assert step_device(self.DEVICE, SynapseMode.POTENTIATE, amp, g) == expected
 
 
 class TestEffectivePulseVoltage:
@@ -319,13 +318,13 @@ class TestPairingSweep:
         device = ladder_device(n=33)
         circuit = gate_circuit(v_th_pos=1.5, v_th_neg=1.5)
         dt = 1e-3
-        g0 = device.levels_ltp[16]
+        g0 = device.ltp.response[0][16]
         deltas = range(-60, 11)
         points = stdp_pairing_sweep(circuit, device, PRE_GATE, POST_BIPOLAR,
                                     deltas, dt, g0)
         for p in points:
             expected_dg, n_pot, n_dep = oracle_pairing(
-                p.delta_steps, dt, g0, device.levels_ltp, 1.5)
+                p.delta_steps, dt, g0, device.ltp.response[0], 1.5)
             assert (p.n_potentiate, p.n_depress) == (n_pot, n_dep), p
             assert np.sign(p.delta_g) == np.sign(expected_dg), p
             assert p.delta_g == pytest.approx(expected_dg)
@@ -391,13 +390,13 @@ class TestSupportSteps:
 class TestDeviceValidation:
     def test_identical_rejects_disorder(self):
         with pytest.raises(ValueError):
-            IdenticalPulseDevice((2 * US, 1 * US), (2 * US, 1 * US), 1 * US, 3 * US)
+            PulseFamilyDevice.identical((2 * US, 1 * US), (2 * US, 1 * US), 1 * US, 3 * US)
         with pytest.raises(ValueError):
-            IdenticalPulseDevice((1 * US, 2 * US), (1 * US, 2 * US), 1 * US, 3 * US)
+            PulseFamilyDevice.identical((1 * US, 2 * US), (1 * US, 2 * US), 1 * US, 3 * US)
 
     def test_identical_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):
-            IdenticalPulseDevice((1 * US, 5 * US), (5 * US, 1 * US), 1 * US, 3 * US)
+            PulseFamilyDevice.identical((1 * US, 5 * US), (5 * US, 1 * US), 1 * US, 3 * US)
 
     def test_family_row_count_mismatch(self):
         with pytest.raises(ValueError):
