@@ -7,9 +7,12 @@ membranes advance, and `_program` programs the devices of plastic layers;
 the pairing sweep runs on the same two functions. Spikes emitted at step k
 become visible at step k+1: one timestep is the network's only feedback latency.
 
-Scheduling is integer-step throughout (`_Sched`): a waveform triggered at
-step m is active for ceil(duration/dt) steps, which keeps presence windows
-exact and runs reproducible bit for bit.
+Spike delivery is integer-step throughout: each layer samples its waveforms
+once on the dt grid (`_samples`), and a waveform triggered at step m is
+active for ceil(duration/dt) steps and worth its i-th sample at step m + i.
+Each spike line (`_Line`) holds only the steps still to run, summed per
+neuron, which keeps presence windows exact, state bounded by the longest
+waveform, and runs reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -159,33 +162,64 @@ def _support_steps(duration: float, dt: float) -> int:
     return int(q) + 1
 
 
-class _Sched:
-    """A waveform triggered at an integer step, active for a fixed step count
-    and scaled by sign (the input polarity, or inh_g on inhibition lines)."""
+def _samples(wf: Waveform, dt: float) -> tuple[float, ...]:
+    """A waveform's values on the grid, one per step of its support."""
+    return tuple(wf.sample(i * dt) for i in range(_support_steps(wf.duration, dt)))
 
-    __slots__ = ("waveform", "origin", "steps", "sign")
 
-    def __init__(self, waveform: Waveform, origin: int, steps: int, sign: float = 1.0):
-        self.waveform = waveform
-        self.origin = origin
-        self.steps = steps
-        self.sign = sign
+class _Line:
+    """One spike line of a layer: for each pending step, which neurons carry
+    a waveform (`active`) and the sum of what they carry (`volts`).
 
-    def sample(self, k: int, dt: float) -> float:
-        return self.sign * self.waveform.sample((k - self.origin) * dt)
+    A trigger adds its sign-scaled samples (sign is the input polarity, or
+    inh_g on inhibition lines) into each step its waveform covers, so a
+    step's sum runs in trigger order; a step leaves the line once it has run.
+    """
+
+    __slots__ = ("n", "pending")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def trigger(self, idx, origin: int, samples: tuple[float, ...],
+                sign: float = 1.0) -> None:
+        """Start a waveform at step `origin` on neuron idx (an index or an
+        index array)."""
+        for step, value in enumerate(samples, origin):
+            cell = self.pending.get(step)
+            if cell is None:
+                cell = self.pending[step] = (np.zeros(self.n, dtype=bool), np.zeros(self.n))
+            cell[0][idx] = True
+            cell[1][idx] += sign * value
+
+    def state(self, step: int, rest: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-neuron (active, voltage) at a step; idle neurons sit at rest."""
+        cell = self.pending.get(step)
+        if cell is None:
+            return np.zeros(self.n, dtype=bool), np.full(self.n, rest)
+        active, volts = cell
+        return active, np.where(active, volts, rest)
 
 
 class _LayerRuntime:
-    __slots__ = ("spec", "states", "pre_out", "post1_in", "inhib_in")
+    __slots__ = ("spec", "states", "pre_out", "post1_in", "inhib_in",
+                 "pre", "post1", "post2", "inhib")
 
-    def __init__(self, spec: LayerSpec, is_input: bool):
+    def __init__(self, spec: LayerSpec, is_input: bool, dt: float):
         self.spec = spec
         n = spec.neurons
         self.states = [] if is_input else [
             NeuronState(v=spec.neuron_model.v_reset) for _ in range(n)]
-        self.pre_out: list[list[_Sched]] = [[] for _ in range(n)]
-        self.post1_in: list[list[_Sched]] = [[] for _ in range(n)]
-        self.inhib_in: list[list[_Sched]] = [[] for _ in range(n)]
+        self.pre_out, self.post1_in, self.inhib_in = _Line(n), _Line(n), _Line(n)
+        wf = spec.neuron_model.waveforms
+        self.pre, self.post1, self.post2, self.inhib = (
+            None if w is None else _samples(w, dt)
+            for w in (wf.pre, wf.post1, wf.post2, wf.inhib))
+
+    @property
+    def lines(self) -> tuple[_Line, _Line, _Line]:
+        return self.pre_out, self.post1_in, self.inhib_in
 
 
 class _Matrix:
@@ -220,17 +254,15 @@ class StepTrace:
 
 
 class Network:
-    """Built network: synapse matrices, neuron states, pending spike queues."""
+    """Built network: synapse matrices, neuron states, pending spike lines."""
 
     def __init__(self, spec: NetworkSpec, dt: float):
         self.spec = spec
         self.dt = dt
-        self.layers = [_LayerRuntime(ls, k == 0) for k, ls in enumerate(spec.layers)]
+        self.layers = [_LayerRuntime(ls, k == 0, dt) for k, ls in enumerate(spec.layers)]
         self.matrices: list[_Matrix] = []
         self.labels: list[int | None] = [None] * spec.layers[spec.label_layer].neurons
         self.saturation_events = 0
-        # inhibitory wiring: target lists per (source layer, source neuron)
-        self.inhib_targets: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     @property
     def label_layer(self) -> int:
@@ -249,9 +281,8 @@ class Network:
             for state in layer.states:
                 state.v = layer.spec.neuron_model.v_reset
                 state.refractory_until = 0.0
-            for box in (layer.pre_out, layer.post1_in, layer.inhib_in):
-                for queue in box:
-                    queue.clear()
+            for line in layer.lines:
+                line.pending.clear()
 
 
 def build_network(spec: NetworkSpec, dt: float) -> Network:
@@ -276,7 +307,7 @@ def build_network(spec: NetworkSpec, dt: float) -> Network:
                 out=matrix.g)
         matrix.g[~mask] = 0.0
         net.matrices.append(matrix)
-    _wire_inhibition(net, spec)
+    _check_inhibition(spec)
     if spec.init_weights is not None and spec.init_weights.kind == "from_file":
         _load_conductances(net, spec.init_weights.path)
     return net
@@ -311,62 +342,28 @@ def _initial_conductances(init: WeightInit, count: int, rng) -> np.ndarray:
     return np.zeros(count)
 
 
-def _wire_inhibition(net: Network, spec: NetworkSpec) -> None:
-    if not spec.inh_conn:
-        return
-    if spec.inh_g <= 0:
+def _check_inhibition(spec: NetworkSpec) -> None:
+    if spec.inh_conn and spec.inh_g <= 0:
         raise ValueError("inh_conn configured but inh_g is not positive")
-    for a, b in spec.inh_conn:
+    for a, _ in spec.inh_conn:
         if spec.layers[a].neuron_model.waveforms.inhib is None:
             raise ValueError(
                 f"layer {a} drives inhibition but its neuron model has no inhib waveform")
-        for src in range(spec.layers[a].neurons):
-            targets = net.inhib_targets.setdefault((a, src), [])
-            for dst in range(spec.layers[b].neurons):
-                if a == b and src == dst:
-                    continue
-                targets.append((b, dst))
 
 
 def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> None:
-    """Queue encoded input spikes onto layer 0's outgoing lines."""
+    """Trigger encoded input spikes on layer 0's outgoing line."""
     layer0 = net.layers[0]
     if len(trains) != layer0.spec.neurons:
         raise ValueError(
             f"{len(trains)} input trains for {layer0.spec.neurons} input neurons")
-    wf = layer0.spec.neuron_model.waveforms.pre
-    steps = _support_steps(wf.duration, net.dt)
     for chan, train in enumerate(trains):
-        queue = layer0.pre_out[chan]
         for k, sign in zip(train.steps, train.signs):
-            queue.append(_Sched(wf, at_step + k, steps, float(sign)))
+            layer0.pre_out.trigger(chan, at_step + k, layer0.pre, float(sign))
 
 
-def _line_state(queues: list[list[_Sched]], k: int, dt: float, rest: float):
-    """Per-neuron (active, voltage) for one spike line; prunes dead schedules."""
-    active = np.zeros(len(queues), dtype=bool)
-    volts = np.full(len(queues), rest)
-    for idx, queue in enumerate(queues):
-        if not queue:
-            continue
-        live = [s for s in queue if k < s.origin + s.steps]
-        if len(live) != len(queue):
-            queue[:] = live
-        total = 0.0
-        hit = False
-        for s in live:
-            if s.origin <= k:
-                total += s.sample(k, dt)
-                hit = True
-        if hit:
-            active[idx] = True
-            volts[idx] = total
-    return active, volts
-
-
-def _synapse_pass(matrix: _Matrix, q: int, pre_out: list[list[_Sched]],
-                  post1_in: list[list[_Sched]], post2_out: list[list[_Sched]],
-                  step: int, dt: float):
+def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
+                  post2_out: _Line, step: int, dt: float):
     """The synapse kernel: one matrix (layer q) for one timestep.
 
     Presence is resolved for the whole matrix as the code 2 * pre_active +
@@ -376,10 +373,10 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: list[list[_Sched]],
     MODE_CODES arrays, and the programming pulses as (i, j, direction, |V_TB|).
     """
     circuit = matrix.circuit
-    pre_active, v_pre = _line_state(pre_out, step, dt, circuit.rest_v_pre)
-    post_active, v_post1 = _line_state(post1_in, step, dt, circuit.rest_v_post1)
+    pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
+    post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
     if matrix.needs_post2:
-        _, v_post2 = _line_state(post2_out, step, dt, circuit.rest_v_post2)
+        _, v_post2 = post2_out.state(step, circuit.rest_v_post2)
     else:
         v_post2 = None
 
@@ -438,7 +435,7 @@ def run_timestep(net: Network, step: int, learn: bool = True,
         currents, modes, events = _synapse_pass(
             matrix, q, net.layers[q - 1].pre_out, post_layer.post1_in,
             post_layer.pre_out, step, dt)
-        _, inhib = _line_state(post_layer.inhib_in, step, dt, 0.0)
+        _, inhib = post_layer.inhib_in.state(step, 0.0)
         total = currents.sum(axis=0) - inhib
         for j, state in enumerate(post_layer.states):
             try:
@@ -460,27 +457,26 @@ def run_timestep(net: Network, step: int, learn: bool = True,
             trace.currents.append(total.copy())
             trace.v.append(np.array([s.v for s in post_layer.states]))
             trace.fired.append(fired)
+    for layer in net.layers:
+        for line in layer.lines:
+            line.pending.pop(step, None)
     return trace
 
 
 def _emit(net: Network, q: int, j: int, step: int) -> None:
-    """Schedule a firing neuron's outputs, visible from the next step."""
+    """Trigger a firing neuron's outputs, visible from the next step."""
     layer = net.layers[q]
-    wf = layer.spec.neuron_model.waveforms
-    dt = net.dt
     origin = step + 1
-    if wf.post1 is not None:
-        layer.post1_in[j].append(_Sched(wf.post1, origin, _support_steps(wf.post1.duration, dt)))
-    if wf.post2 is not None and q < len(net.layers) - 1:
-        layer.pre_out[j].append(_Sched(wf.post2, origin, _support_steps(wf.post2.duration, dt)))
-    if wf.inhib is not None:
-        targets = net.inhib_targets.get((q, j), ())
-        if targets:
-            steps = _support_steps(wf.inhib.duration, dt)
-            inh_g = net.spec.inh_g
-            for layer_idx, dst in targets:
-                net.layers[layer_idx].inhib_in[dst].append(
-                    _Sched(wf.inhib, origin, steps, inh_g))
+    if layer.post1 is not None:
+        layer.post1_in.trigger(j, origin, layer.post1)
+    if layer.post2 is not None and q < len(net.layers) - 1:
+        layer.pre_out.trigger(j, origin, layer.post2)
+    # build_network checked that every inhibiting layer has an inhib waveform
+    for a, b in net.spec.inh_conn:
+        if a == q:
+            peers = np.arange(net.layers[b].spec.neurons)
+            net.layers[b].inhib_in.trigger(peers[peers != j] if a == b else peers,
+                                           origin, layer.inhib, net.spec.inh_g)
 
 
 @dataclass(frozen=True)
@@ -510,16 +506,15 @@ def stdp_pairing_sweep(circuit: CircuitModel, device: PulseFamilyDevice,
     deltas = [int(d) for d in delta_steps]
     matrix = _Matrix(circuit, device, True, np.eye(len(deltas), dtype=bool), dt)
     matrix.g[matrix.mask] = g0
-    pre_steps = _support_steps(pre_waveform.duration, dt)
-    post_steps = _support_steps(post_waveform.duration, dt)
-    pre_out, post1_in, ends = [], [], []
-    for d in deltas:
+    pre, post = _samples(pre_waveform, dt), _samples(post_waveform, dt)
+    pre_out, post1_in, no_post2 = _Line(len(deltas)), _Line(len(deltas)), _Line(len(deltas))
+    ends = []
+    for m, d in enumerate(deltas):
         pre_o = max(0, -d)
         post_o = pre_o + d
-        pre_out.append([_Sched(pre_waveform, pre_o, pre_steps)])
-        post1_in.append([_Sched(post_waveform, post_o, post_steps)])
-        ends.append(max(pre_o + pre_steps, post_o + post_steps))
-    no_post2 = [[] for _ in deltas]
+        pre_out.trigger(m, pre_o, pre)
+        post1_in.trigger(m, post_o, post)
+        ends.append(max(pre_o + len(pre), post_o + len(post)))
     n_pot, n_dep = [0] * len(deltas), [0] * len(deltas)
     for k in range(max(ends, default=0)):
         _, _, events = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt)

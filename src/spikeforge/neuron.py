@@ -72,12 +72,6 @@ class NeuronState:
                            list(self.spike_times), self.energy)
 
 
-def _state_env(model: NeuronModel, state: NeuronState, current: float,
-               dt: float) -> dict[str, float]:
-    return {"V": state.v, "I": current, "dt": dt,
-            "tau": model.tau, "thres": model.thres, "r_mem": model.r_mem}
-
-
 def integrate(model: NeuronModel, state: NeuronState, current: float,
               t: float, dt: float) -> None:
     """One Euler step of the membrane equation.
@@ -85,16 +79,19 @@ def integrate(model: NeuronModel, state: NeuronState, current: float,
     Inside the refractory window the membrane is pinned at v_reset. Energy
     accumulates as dt * power_expr evaluated on the start-of-step state.
     """
+    if model.power_expr is not None or model.state_eqs is not None:
+        # one env serves both expressions: each reads the start-of-step state
+        env = {"V": state.v, "I": current, "dt": dt,
+               "tau": model.tau, "thres": model.thres, "r_mem": model.r_mem}
     if model.power_expr is not None:
-        state.energy += dt * expr.evaluate(
-            model.power_expr, _state_env(model, state, current, dt))
+        state.energy += dt * expr.evaluate(model.power_expr, env)
     if t < state.refractory_until:
         state.v = model.v_reset
         return
     if model.state_eqs is None:
         dv = (model.r_mem * current - state.v) / model.tau
     else:
-        dv = expr.evaluate(model.state_eqs, _state_env(model, state, current, dt))
+        dv = expr.evaluate(model.state_eqs, env)
     v = state.v + dt * dv
     if not math.isfinite(v):
         raise ValueError(f"membrane potential diverged to {v} at t={t}")

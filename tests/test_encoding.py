@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,10 +70,14 @@ class TestSpikeTrainInvariants:
     def test_all_times_on_grid_within_horizon(self, intensity, r_min, r_max, seed):
         T, dt = 0.5, 1e-3
         n = round(T / dt)
-        for train in (
-            poisson_encode(intensity, r_min, r_max, T, dt, np.random.default_rng(seed)),
-            fixed_rate_encode(intensity, r_min, r_max, T, dt),
-        ):
+        coarse = (r_min + intensity * (r_max - r_min)) * dt > 0.1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            poisson = poisson_encode(intensity, r_min, r_max, T, dt,
+                                     np.random.default_rng(seed))
+        # the "too coarse" warning comes exactly when p = rate * dt > 0.1
+        assert ["too coarse" in str(w.message) for w in caught] == [True] * coarse
+        for train in (poisson, fixed_rate_encode(intensity, r_min, r_max, T, dt)):
             assert all(0 <= k < n for k in train.steps)
             assert all(t == k * dt for t, k in zip(train.times, train.steps))
 

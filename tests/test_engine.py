@@ -407,10 +407,9 @@ class TestLateralInhibition:
         assert suppressed[0] > suppressed[1]  # the stronger drive stays dominant
 
     def test_pending_inhibition_stays_bounded_without_reset(self):
-        # inhibition schedules leave their queue once expired, so however long
-        # a run without resets lasts, each neuron holds at most one schedule
-        # per peer for each step of the 5-step inhibitory waveform, plus the
-        # ones emitted in the last step
+        # an inhibition line keeps only the steps still to run, so however long
+        # a run without resets lasts, it holds at most the 5 steps of the
+        # inhibitory waveforms emitted in the last step
         n = 3
         layers = (
             input_layer(2),
@@ -420,7 +419,7 @@ class TestLateralInhibition:
         )
         spec = NetworkSpec(layers=layers, inh_conn=((1, 1),), inh_g=1 * US, seed=1,
                            init_weights=WeightInit("constant", value=5 * US))
-        bound = n * (n - 1) * (5 + 1)
+        bound = 5
 
         def pending_after_training(T):
             net = build_network(spec, 1e-3)
@@ -430,22 +429,70 @@ class TestLateralInhibition:
             def reset_transient():
                 # the first reset is the frozen pass after the training stream
                 if not seen:
-                    seen.append([list(queue) for queue in net.layers[1].inhib_in])
+                    seen.append(sorted(net.layers[1].inhib_in.pending))
                 clear()
 
             net.reset_transient = reset_transient
             sim = SimConfig(T=T, dt=1e-3, T_sample=0.1, reset_between_samples=False)
             train(net, [Sample((1.0, 1.0), label=0)], sim, FixedRateEncoder(0.0, 200.0))
             last = num_steps(T, 1e-3) - 1
-            queues = seen[0]
-            assert all(last < s.origin + s.steps for queue in queues for s in queue)
-            return sum(map(len, queues)), net.layers[1].states
+            steps = seen[0]
+            assert all(last < k for k in steps)
+            return len(steps), net.layers[1].states
 
         short, _ = pending_after_training(0.1)
         long, states = pending_after_training(1.0)
         # far more inhibitory spikes were sent than can be pending at once
         assert sum(len(s.spike_times) for s in states) > 10 * bound
         assert short <= bound and long <= bound
+
+
+class TestBoundedState:
+    def test_emission_fed_lines_hold_at_most_the_longest_support(self, monkeypatch):
+        # a three-layer net trained without resets, with lateral inhibition
+        # inside both layers and from the output back onto the hidden layer:
+        # after every step, every line that spikes feed (post1 back, post2
+        # forward, inhibition) holds only steps still to run, and no more of
+        # them than the longest waveform the layer emits
+        model = out_model(thres=0.2, inhib=rect(1.0, 5e-3))
+        layers = (
+            input_layer(3),
+            LayerSpec(neurons=4, neuron_model=model,
+                      circuit_model=transmit_circuit(), device_model=small_device()),
+            LayerSpec(neurons=3, neuron_model=model, label=True,
+                      circuit_model=transmit_circuit(), device_model=small_device()),
+        )
+        spec = NetworkSpec(layers=layers, inh_conn=((1, 1), (2, 2), (2, 1)),
+                           inh_g=1 * US, seed=1,
+                           init_weights=WeightInit("constant", value=5 * US))
+        wf = model.waveforms
+        bound = max(engine._support_steps(w.duration, 1e-3)
+                    for w in (wf.pre, wf.post1, wf.post2, wf.inhib))
+        assert bound == 20
+
+        def longest_pending(T):
+            net = build_network(spec, 1e-3)
+            longest = [0]
+            step_once = engine.run_timestep
+
+            def run_timestep(net, step, **kw):
+                trace = step_once(net, step, **kw)
+                for line in (line for layer in net.layers[1:] for line in layer.lines):
+                    assert all(k > step for k in line.pending)
+                    longest[0] = max(longest[0], len(line.pending))
+                return trace
+
+            monkeypatch.setattr(engine, "run_timestep", run_timestep)
+            sim = SimConfig(T=T, dt=1e-3, T_sample=0.1, reset_between_samples=False)
+            train(net, [Sample((1.0, 1.0, 1.0), label=0)], sim,
+                  FixedRateEncoder(0.0, 200.0))
+            spikes = sum(len(s.spike_times) for layer in net.layers for s in layer.states)
+            return longest[0], spikes
+
+        short, _ = longest_pending(0.1)
+        long, spikes = longest_pending(1.0)
+        assert spikes > 10 * bound
+        assert 0 < short <= bound and 0 < long <= bound
 
 
 class TestSimulationErrors:
@@ -480,10 +527,10 @@ class TestSimulationErrors:
             LayerSpec(neurons=3, neuron_model=out_model(), label=True,
                       circuit_model=circuit, device_model=small_device())))
         net = build_network(spec, 1e-3)
-        for queues, volts in ((net.layers[0].pre_out, (0.5, 1.0, 2.0)),
-                              (net.layers[1].post1_in, (2.0, 0.3, 1.0))):
-            for queue, v in zip(queues, volts):
-                queue.append(engine._Sched(rect(v, 2e-3), 0, 2))
+        for line, volts in ((net.layers[0].pre_out, (0.5, 1.0, 2.0)),
+                            (net.layers[1].post1_in, (2.0, 0.3, 1.0))):
+            for idx, v in enumerate(volts):
+                line.trigger(idx, 0, engine._samples(rect(v, 2e-3), 1e-3))
         with pytest.raises(SimulationError,
                            match=r"synapse \(layer 1, pre 1, post 2\) at t=0.0: division by zero"):
             run_timestep(net, 0)

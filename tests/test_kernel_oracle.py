@@ -16,7 +16,7 @@ import pytest
 
 from spikeforge import expr
 from spikeforge.engine import (
-    MODE_CODES, SimulationError, _line_state, _Matrix, _Sched, _synapse_pass,
+    MODE_CODES, SimulationError, _Line, _Matrix, _samples, _synapse_pass,
 )
 from spikeforge.expr import parse
 from spikeforge.synapse import (
@@ -37,10 +37,10 @@ DEVICE = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US,
 def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
     circuit = matrix.circuit
     engaged = circuit.plasticity_policy | circuit.transmit_policy
-    pre_active, v_pre = _line_state(pre_out, step, dt, circuit.rest_v_pre)
-    post_active, v_post1 = _line_state(post1_in, step, dt, circuit.rest_v_post1)
+    pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
+    post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
     if matrix.needs_post2:
-        _, v_post2 = _line_state(post2_out, step, dt, circuit.rest_v_post2)
+        _, v_post2 = post2_out.state(step, circuit.rest_v_post2)
     else:
         v_post2 = None
 
@@ -75,19 +75,18 @@ def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
     return currents, modes, events
 
 
-def random_lines(rng, n):
-    """Per-neuron schedule queues: some live at STEP, some expired or not yet due."""
-    queues = []
-    for _ in range(n):
-        queue = []
+def random_line(rng, n):
+    """A spike line with random triggers per neuron, from origins before, at
+    and after STEP: some live at STEP, some expired or not yet due."""
+    line = _Line(n)
+    for idx in range(n):
         for _ in range(rng.integers(0, 3)):
             steps = int(rng.integers(1, 4))
             wf = Waveform(((0.0, rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0])),
                            (steps * DT, rng.uniform(-2.0, 2.0))))
             origin = STEP - int(rng.integers(-1, steps + 2))
-            queue.append(_Sched(wf, origin, steps, float(rng.choice([1.0, -1.0]))))
-        queues.append(queue)
-    return queues
+            line.trigger(idx, origin, _samples(wf, DT), float(rng.choice([1.0, -1.0])))
+    return line
 
 
 def random_case(rng, transmit, plasticity):
@@ -109,7 +108,7 @@ def random_case(rng, transmit, plasticity):
         rest_v_post1=float(rng.choice([0.0, 0.25])), rest_v_post2=0.1)
     matrix = _Matrix(circuit, DEVICE, True, mask, DT)
     matrix.g[mask] = rng.uniform(1 * US, 9 * US, size=int(mask.sum()))
-    lines = (random_lines(rng, n_pre), random_lines(rng, n_post), random_lines(rng, n_post))
+    lines = (random_line(rng, n_pre), random_line(rng, n_post), random_line(rng, n_post))
     return matrix, lines
 
 
@@ -129,9 +128,8 @@ def outcome(kernel, matrix, lines):
         for name in ("mode_from_voltage", "transmit_current"):
             patch.setitem(kernel.__globals__, name, logged(name, kernel.__globals__[name]))
         patch.setattr(expr, "evaluate", logged("evaluate", expr.evaluate))
-        # each kernel gets its own queue lists: _line_state prunes expired schedules
         try:
-            result = kernel(matrix, 1, *([list(q) for q in box] for box in lines), STEP, DT)
+            result = kernel(matrix, 1, *lines, STEP, DT)
         except SimulationError as err:
             result = str(err)
     return result, calls
