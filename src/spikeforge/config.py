@@ -350,6 +350,19 @@ def _ladder(section: _Section, key: str):
     return section.get_floats(key)
 
 
+def _ladder_fault(section: _Section, message: str, ltp) -> str:
+    """The key a bad identical ladder is filed under: g_max for an empty
+    conductance range, else the ladder the message names (or the empty one),
+    as given inline or by file."""
+    if message.startswith("need g_min"):
+        return "g_max"
+    if message.startswith(("levels_ltp", "levels_ltd")):
+        key = message[:len("levels_ltp")]
+    else:
+        key = "levels_ltd" if ltp else "levels_ltp"
+    return key if section.has(key) else f"{key}_path"
+
+
 def _build_device(section: _Section):
     kind = section.get_choice("kind", ("identical", "family"), required=True)
     g_min = section.get_float("g_min", required=True)
@@ -365,7 +378,12 @@ def _build_device(section: _Section):
             ltd = _ladder(section, "levels_ltd")
             if None in (ltp, ltd, g_min, g_max):
                 return None
-            return PulseFamilyDevice.identical(ltp, ltd, g_min, g_max)
+            try:
+                return PulseFamilyDevice.identical(ltp, ltd, g_min, g_max)
+            except ValueError as err:
+                key = _ladder_fault(section, str(err), ltp)
+                section.complain(key, section.entries[key][0][1], str(err))
+                return None
         ltp_path = section.get_path("table_ltp_path", required=True)
         ltd_path = section.get_path("table_ltd_path", required=True)
         axis = section.get_choice("family_axis", ("amplitude", "width"),

@@ -86,19 +86,23 @@ def _rate(intensity, r_min, r_max):
     return r_min + intensity * (r_max - r_min)
 
 
-def poisson_encode(intensity: float, r_min: float, r_max: float, T: float,
-                   dt: float, rng: np.random.Generator) -> SpikeTrain:
-    """Bernoulli-per-timestep spike train at rate r_min + intensity*(r_max - r_min)."""
+def _spike_probability(intensity, r_min, r_max, T, dt) -> float:
+    """Per-step spike probability, warning when dt is too coarse for it."""
     _check_rate_args(r_min, r_max, T, dt)
-    rate = _rate(intensity, r_min, r_max)
-    p = rate * dt
+    p = _rate(intensity, r_min, r_max) * dt
     if p > 0.1:
         warnings.warn(
             f"spike probability per step is {p:.3f} > 0.1; "
-            "dt is too coarse for this rate", stacklevel=2)
-    n = int(round(T / dt))
-    hits = np.nonzero(rng.random(n) < p)[0]
-    return SpikeTrain(tuple(int(k) for k in hits), dt)
+            "dt is too coarse for this rate", stacklevel=3)
+    return p
+
+
+def poisson_encode(intensity: float, r_min: float, r_max: float, T: float,
+                   dt: float, rng: np.random.Generator) -> SpikeTrain:
+    """Bernoulli-per-timestep spike train at rate r_min + intensity*(r_max - r_min)."""
+    p = _spike_probability(intensity, r_min, r_max, T, dt)
+    hits = np.flatnonzero(rng.random(int(round(T / dt))) < p)
+    return SpikeTrain(tuple(hits.tolist()), dt)
 
 
 def fixed_rate_encode(intensity: float, r_min: float, r_max: float, T: float,
@@ -198,8 +202,12 @@ class PoissonEncoder:
 
     def encode(self, features, T: float, dt: float,
                rng: np.random.Generator) -> list[SpikeTrain]:
-        return [poisson_encode(x, self.r_min, self.r_max, T, dt, rng)
-                for x in features]
+        """One poisson_encode per feature, from one (features, steps) draw:
+        the generator fills it row by row, so the trains and the generator's
+        state afterwards are those of one draw per feature in turn."""
+        p = [_spike_probability(x, self.r_min, self.r_max, T, dt) for x in features]
+        hits = rng.random((len(p), int(round(T / dt)))) < np.array(p)[:, None]
+        return [SpikeTrain(tuple(np.flatnonzero(row).tolist()), dt) for row in hits]
 
 
 @dataclass(frozen=True)

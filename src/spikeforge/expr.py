@@ -1,6 +1,6 @@
 """Arithmetic expression mini-language for circuit and neuron equations.
 
-Configents keep device/circuit behaviour as plain strings, e.g.
+Configs keep device/circuit behaviour as plain strings, e.g.
 ``V_post1 - V_pre`` or ``G * V_TB``, so no host code is needed to swap a
 synaptic circuit. The grammar is conventional infix arithmetic over named
 variables with a fixed function set:
@@ -12,6 +12,14 @@ variables with a fixed function set:
 
 '^' is right-associative and binds tighter than unary minus, so ``-2^2``
 is ``-(2^2) = -4``.
+
+`evaluate` compiles a tree to Python source once, on first use, and keeps
+the closure on the tree's root node, so it is freed with the tree. The
+closure runs the nodes in left-to-right, depth-first order with plain
+operators, the `math` functions and `float()` wrapping, so results are
+bit-identical to a tree walk. Each check (division by zero, log <= 0,
+sqrt < 0, failed pow or call, unbound variable, non-finite result) runs
+where its node does, so the first failure in that order is raised.
 """
 
 from __future__ import annotations
@@ -178,68 +186,94 @@ def parse(source: str) -> Expression:
 
 
 def evaluate(e: Expression, env: dict[str, float]) -> float:
-    """Evaluate against variable bindings; rejects non-finite results."""
-    result = _eval(e, env)
-    if not math.isfinite(result):
-        raise ExprError(f"expression produced non-finite value {result}")
-    return result
+    """Evaluate against variable bindings; rejects non-finite results.
+
+    The first call compiles the tree and keeps the closure on its root node.
+    """
+    try:
+        run = e._run
+    except AttributeError:
+        run = _compile(e)
+    return run(env)
 
 
-def _eval(e: Expression, env: dict[str, float]) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -_eval(e.operand, env)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise ExprError("division by zero")
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (OverflowError, ValueError) as err:
-            raise ExprError(f"invalid power {a} ^ {b}: {err}") from None
-    if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        if e.func == "log" and args[0] <= 0.0:
-            raise ExprError(f"log of non-positive value {args[0]}")
-        if e.func == "sqrt" and args[0] < 0.0:
-            raise ExprError(f"sqrt of negative value {args[0]}")
-        try:
-            return float(FUNCTIONS[e.func][1](*args))
-        except (OverflowError, ValueError) as err:
-            raise ExprError(f"{e.func}({', '.join(map(str, args))}) failed: {err}") from None
-    raise TypeError(f"not an expression node: {e!r}")
+_RUNTIME = {"ExprError": ExprError, "isfinite": math.isfinite,
+            **{f"f_{name}": fn for name, (_, fn) in FUNCTIONS.items()}}
+_DOMAIN = {"log": ("<=", "log of non-positive value"), "sqrt": ("<", "sqrt of negative value")}
+
+
+def _compile(e: Expression):
+    """Turn the tree into one straight-line function, a statement per node in
+    post-order: literals are closure names, a variable is read at its first
+    use, and each check runs where its node does. Only known operators and
+    function names reach the source; anything else is not a node."""
+    lines: list[str] = []
+    consts: list[float] = []
+    loaded: dict[str, str] = {}
+
+    def assign(value: str, failure: str | None = None) -> str:
+        t = f"t{len(lines)}"
+        if failure is None:
+            lines.append(f"{t} = {value}")
+        else:  # failure: the f-string an OverflowError/ValueError `err` becomes
+            lines.extend((f"try: {t} = {value}", "except (OverflowError, ValueError) as err: "
+                          f"raise ExprError(f{failure!r}) from None"))
+        return t
+
+    def emit(node) -> str:
+        if isinstance(node, Num):
+            consts.append(node.value)
+            return f"c{len(consts) - 1}"
+        if isinstance(node, Var):
+            if node.name not in loaded:
+                v = loaded[node.name] = f"v{len(loaded)}"
+                message = f"unbound variable {node.name!r}"
+                lines.extend((f"try: {v} = env[{node.name!r}]",
+                              f"except KeyError: raise ExprError({message!r}) from None"))
+            return loaded[node.name]
+        if isinstance(node, Neg):
+            return assign(f"-{emit(node.operand)}")
+        if isinstance(node, BinOp) and node.op in ("+", "-", "*", "/", "^"):
+            a, b = emit(node.left), emit(node.right)
+            if node.op == "^":
+                return assign(f"f_pow({a}, {b})", f"invalid power {{{a}}} ^ {{{b}}}: {{err}}")
+            if node.op == "/":
+                lines.append(f"if {b} == 0.0: raise ExprError('division by zero')")
+            return assign(f"{a} {node.op} {b}")
+        if isinstance(node, Call) and node.func in FUNCTIONS:
+            args = [emit(a) for a in node.args]
+            if node.func in _DOMAIN:
+                test, message = _DOMAIN[node.func]
+                lines.append(f"if {args[0]} {test} 0.0: "
+                             f"raise ExprError(f'{message} {{{args[0]}}}')")
+            shown = ", ".join(f"{{{a}!s}}" for a in args)
+            return assign(f"float(f_{node.func}({', '.join(args)}))",
+                          f"{node.func}({shown}) failed: {{err}}")
+        raise TypeError(f"not an expression node: {node!r}")
+
+    r = emit(e)
+    lines += [f"if not isfinite({r}): "
+              f"raise ExprError(f'expression produced non-finite value {{{r}}}')", f"return {r}"]
+    params = ", ".join(f"c{k}" for k in range(len(consts)))
+    source = "".join([f"def make({params}):\n    def run(env):\n"]
+                     + [f"        {line}\n" for line in lines] + ["    return run\n"])
+    namespace = dict(_RUNTIME)
+    exec(compile(source, "<expr>", "exec"), namespace)
+    run = namespace.pop("make")(*consts)
+    object.__setattr__(e, "_run", run)
+    return run
 
 
 def free_vars(e: Expression) -> set[str]:
     """Names of all variables appearing in the expression."""
-    if isinstance(e, Num):
-        return set()
     if isinstance(e, Var):
         return {e.name}
+    if isinstance(e, Num):
+        return set()
     if isinstance(e, Neg):
         return free_vars(e.operand)
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
+    if isinstance(e, (BinOp, Call)):
+        return set().union(*map(free_vars, e.args if isinstance(e, Call) else (e.left, e.right)))
     raise TypeError(f"not an expression node: {e!r}")
 
 

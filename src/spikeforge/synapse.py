@@ -25,6 +25,16 @@ class SynapseMode(enum.Enum):
     POTENTIATE = "potentiate"
     DEPRESS = "depress"
 
+    def __init__(self, value: str):
+        # the int8 code the engine stores per synapse-step: 0..3 in this order
+        self.code = len(type(self).__members__)
+
+
+# the per-synapse code reads modes through module names: an Enum class
+# attribute lookup costs ~0.1 us
+TRANSMIT = SynapseMode.TRANSMIT
+PROGRAMMING = (SynapseMode.POTENTIATE, SynapseMode.DEPRESS)
+
 
 class SpikePresence(enum.Enum):
     NONE = "none"
@@ -189,20 +199,19 @@ def transmit_current(circuit: CircuitModel, g: float, env: dict[str, float],
 
     Idle passes nothing; potentiation/depression pulses conduct unless the
     circuit disables conduction while programming. When env binds no V_TB,
-    it is evaluated here from the circuit's v_app.
+    it is evaluated here from the circuit's v_app. env itself is never
+    changed; it is copied only when G or V_TB must be bound.
     """
-    if mode is SynapseMode.IDLE:
+    if mode is not TRANSMIT and (mode is SynapseMode.IDLE
+                                 or not circuit.conduct_during_plasticity):
         return 0.0
-    if mode in (SynapseMode.POTENTIATE, SynapseMode.DEPRESS) \
-            and not circuit.conduct_during_plasticity:
-        return 0.0
-    local = dict(env)
-    local["G"] = g
-    if "V_TB" not in local:
-        local["V_TB"] = expr.evaluate(circuit.v_app, local)
+    if env.get("G") is not g:
+        env = {**env, "G": g}
+    bound = "V_TB" in env
+    v_tb = env["V_TB"] if bound else expr.evaluate(circuit.v_app, env)
     if circuit.ex_eqs is None:
-        return g * local["V_TB"]
-    return expr.evaluate(circuit.ex_eqs, local)
+        return g * v_tb
+    return expr.evaluate(circuit.ex_eqs, env if bound else {**env, "V_TB": v_tb})
 
 
 def _nearest(values, x) -> int:

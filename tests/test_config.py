@@ -167,24 +167,30 @@ def with_device_lines(old, new):
     return MINIMAL.replace(old, new)
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp = 1e-6, 3e-6, 2e-6",
+@pytest.mark.parametrize("old, new, key, message", [
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp = 1e-6, 3e-6, 2e-6", "levels_ltp",
      "levels_ltp must be strictly ascending"),
-    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd = 3e-6, 1e-6, 2e-6",
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd = 3e-6, 1e-6, 2e-6", "levels_ltd",
      "levels_ltd must be strictly descending"),
-    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd = 4e-6, 2e-6, 1e-6",
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd = 4e-6, 2e-6, 1e-6", "levels_ltd",
      "levels_ltd value 4e-06 outside [1e-06, 3e-06]"),
-    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp = 0.5e-6, 2e-6, 3e-6",
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp = 0.5e-6, 2e-6, 3e-6", "levels_ltp",
      "levels_ltp value 5e-07 outside [1e-06, 3e-06]"),
-    ("g_max = 3e-6", "g_max = 1e-6", "need g_min < g_max, got 1e-06, 1e-06"),
-    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd_path = empty.csv",
+    ("g_max = 3e-6", "g_max = 1e-6", "g_max", "need g_min < g_max, got 1e-06, 1e-06"),
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd_path = empty.csv", "levels_ltd_path",
      "level arrays must be non-empty"),
-], ids=["ltp-order", "ltd-order", "ltd-range", "ltp-range", "g-range", "empty"])
-def test_bad_identical_ladder_keeps_its_message(tmp_path, old, new, message):
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp_path = empty.csv", "levels_ltp_path",
+     "level arrays must be non-empty"),
+], ids=["ltp-order", "ltd-order", "ltd-range", "ltp-range", "g-range", "empty",
+        "empty-ltp"])
+def test_bad_identical_ladder_keeps_its_message(tmp_path, old, new, key, message):
+    """Each message is filed under the key at fault, with that key's line."""
     (tmp_path / "empty.csv").write_text("# no levels\n")
+    text = with_device_lines(old, new)
     with pytest.raises(ConfigError) as err:
-        load_config(write(tmp_path, with_device_lines(old, new)))
-    assert err.value.problems == [f"[device.ladder] kind: {message}"]
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] {key} (line {line_of(text, new)}): {message}"]
 
 
 @pytest.mark.parametrize("key", ["levels_ltp", "levels_ltd"])

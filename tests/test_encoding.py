@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikeforge.encoding import (
-    AEREvent, SpikeTrain, aer_to_trains, fixed_rate_encode, load_aer,
+    AEREvent, PoissonEncoder, SpikeTrain, aer_to_trains, fixed_rate_encode, load_aer,
     load_dataset, poisson_encode,
 )
 
@@ -44,6 +44,30 @@ class TestPoisson:
             poisson_encode(0.5, 0.0, 5.0, 1.0, 0.0, rng)
         with pytest.raises(ValueError):
             poisson_encode(1.5, 0.0, 5.0, 1.0, 1e-3, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("width, r_max, T, dt", [
+    (1, 60.0, 0.1, 1e-3), (13, 10.0, 0.05, 1e-3), (784, 60.0, 0.05, 1e-3),
+    (5, 20.0, 0.2, 5e-3), (9, 400.0, 0.01, 1e-3)])
+def test_encoder_draws_like_one_poisson_encode_per_feature(seed, width, r_max, T, dt):
+    features = np.random.default_rng([seed, width]).random(width).tolist()
+    features[0] = 1.0
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def warned(encode):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            result = encode()
+        return result, [str(w.message) for w in got]
+
+    trains, said = warned(lambda: PoissonEncoder(2.0, r_max).encode(features, T, dt, mine))
+    expected, expected_said = warned(
+        lambda: [poisson_encode(x, 2.0, r_max, T, dt, theirs) for x in features])
+    assert trains == expected
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    assert said == expected_said
+    assert bool(said) == (r_max * dt > 0.1)
 
 
 class TestFixedRate:

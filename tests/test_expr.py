@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +198,31 @@ def test_eval_is_pure():
         other = {"x": rng.uniform(-5, 5)}
         evaluate(ast, other)
     assert evaluate(ast, env) == first
+
+
+def _live_compiled() -> int:
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if isinstance(o, types.FunctionType) and o.__code__.co_filename == "<expr>")
+
+
+def test_compiled_code_lives_and_dies_with_its_tree():
+    """Each fitness call of the tuner re-parses its config, so compiled
+    closures must not pile up in a process-wide cache."""
+    env = {"G": 0.5, "V_TB": 0.25}
+    before = _live_compiled()
+    for k in range(2000):
+        assert evaluate(parse(f"G * V_TB * (1 + {k} * tanh(V_TB))"), env) > 0
+    assert _live_compiled() == before
+    kept = parse("x + 1")
+    evaluate(kept, {"x": 1.0})
+    run = kept._run
+    assert evaluate(kept, {"x": 2.0}) == 3.0 and kept._run is run
+    assert _live_compiled() == before + 1
+
+
+def test_malformed_nodes_never_reach_the_compiled_source():
+    for bad in (BinOp("%", Num(1.0), Num(2.0)), BinOp("+ 0 if print() else", Num(1.0), Num(2.0)),
+                Call("exec", (Num(1.0),)), "x"):
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(bad, {})
