@@ -14,10 +14,12 @@ Each spike line (`_Line`) holds only the steps still to run, summed per
 neuron, which keeps presence windows exact, state bounded by the longest
 waveform, and runs reproducible bit for bit.
 
-The engaged-synapse loop stays per element, on Python floats: the benchmark's
-trace hooks count work at mode_from_voltage, transmit_current, step_device and
-the neuron calls, looked up as module globals (`TestTracedNames`), until the
-engine keeps its own run statistics.
+V_TB is evaluated once per matrix and step, over the engaged synapses as one
+array (`expr.evaluate_array`). The loop over them that remains, on Python
+floats, makes the per-element calls the benchmark's trace hooks count:
+mode_from_voltage, transmit_current, step_device and the neuron calls, looked
+up as module globals (`TestTracedNames`), until the engine keeps its own run
+statistics.
 """
 
 from __future__ import annotations
@@ -228,8 +230,8 @@ class _LayerRuntime:
 
 
 class _Matrix:
-    __slots__ = ("circuit", "device", "plastic", "mask", "g",
-                 "pairs", "engaged_lut", "plastic_lut", "needs_post2", "base_env")
+    __slots__ = ("circuit", "device", "plastic", "mask", "g", "pairs", "engaged_lut",
+                 "plastic_lut", "needs_post2", "ex_lines", "base_env")
 
     def __init__(self, circuit: CircuitModel, device: PulseFamilyDevice, plastic: bool,
                  mask: np.ndarray, dt: float):
@@ -241,11 +243,12 @@ class _Matrix:
         self.pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
         self.plastic_lut = np.array([p in circuit.plasticity_policy for p in PRESENCE_BY_CODE])
         self.engaged_lut = self.plastic_lut | [p in circuit.transmit_policy for p in PRESENCE_BY_CODE]
-        used = expr.free_vars(circuit.v_app)
-        if circuit.ex_eqs is not None:
-            used |= expr.free_vars(circuit.ex_eqs)
-        self.needs_post2 = "V_post2" in used
-        self.base_env = circuit.base_env(dt)
+        ex_reads = set() if circuit.ex_eqs is None else expr.free_vars(circuit.ex_eqs)
+        self.needs_post2 = "V_post2" in expr.free_vars(circuit.v_app) | ex_reads
+        # the line voltages the engaged loop binds for ex_eqs
+        self.ex_lines = tuple(sorted(ex_reads & {"V_pre", "V_post1", "V_post2"}))
+        # V_TB is the kernel's to bind: no expression reads a constant of that name
+        self.base_env = {k: v for k, v in circuit.base_env(dt).items() if k != "V_TB"}
 
 
 @dataclass
@@ -374,7 +377,7 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     Presence is resolved for the whole matrix as the code 2 * pre_active +
     post_active (PRESENCE_BY_CODE); only engaged synapses, those connected
     with a presence in a circuit policy, are visited, in row-major order,
-    on Python floats read once per step.
+    on Python floats, with V_TB evaluated over all of them as one array.
     Returns (currents, modes, events): the (n_pre, n_post) current and
     MODE_CODES arrays, and the programming pulses as (i, j, direction, |V_TB|).
     """
@@ -388,35 +391,42 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     rows, cols = np.nonzero(matrix.engaged_lut[code] & matrix.mask)
     if not len(rows):
         return currents, modes, events
-    v_post2 = (post2_out.state(step, circuit.rest_v_post2)[1][cols].tolist()
-               if matrix.needs_post2 else itertools.repeat(circuit.rest_v_post2))
-    plastic = matrix.plastic_lut.tolist()
+    g = matrix.g[rows, cols]
+    columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
+    if matrix.needs_post2:
+        columns["V_post2"] = post2_out.state(step, circuit.rest_v_post2)[1][cols]
     env = dict(matrix.base_env)
+    v_tb, failed = expr.evaluate_array(circuit.v_app, {**env, **columns})
+    n = int(failed.argmax()) if failed.any() else len(rows)
+    ex_volts = (zip(*(columns[name].tolist() for name in matrix.ex_lines)) if matrix.ex_lines
+                else itertools.repeat(()))
+    plastic = matrix.plastic_lut.tolist()
     out, mode_codes = [], []
-    for i, j, c, vp, v1, v2, g in zip(
-            rows.tolist(), cols.tolist(), code[rows, cols].tolist(), v_pre[rows].tolist(),
-            v_post1[cols].tolist(), v_post2, matrix.g[rows, cols].tolist()):
-        env["V_pre"] = vp
-        env["V_post1"] = v1
-        env["V_post2"] = v2
-        env["G"] = g
-        env.pop("V_TB", None)
-        try:
+    try:
+        # zip stops at the first synapse whose V_TB failed
+        for i, j, c, v, gk, volts in zip(rows.tolist(), cols.tolist(), code[rows, cols].tolist(),
+                                         v_tb[:n].tolist(), g.tolist(), ex_volts):
+            env["V_TB"] = v
+            # for ex_eqs, as the very float transmit_current gets, so it need not copy env
+            env["G"] = gk
+            if volts:
+                env.update(zip(matrix.ex_lines, volts))
             if plastic[c]:
-                v_tb = expr.evaluate(circuit.v_app, env)
-                mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v_tb)
-                env["V_TB"] = v_tb
+                mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
                 if mode in PROGRAMMING:
-                    events.append((i, j, mode, abs(v_tb)))
+                    events.append((i, j, mode, abs(v)))
             else:
                 # engaged but not plastic: the presence is in transmit_policy
                 mode = TRANSMIT
-            out.append(transmit_current(circuit, g, env, mode))
-        except expr.ExprError as err:
-            raise SimulationError(
-                f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}"
-            ) from err
-        mode_codes.append(mode.code)
+            out.append(transmit_current(circuit, gk, env, mode))
+            mode_codes.append(mode.code)
+        if n < len(rows):  # the scalar evaluation raises that synapse's own text
+            i, j = int(rows[n]), int(cols[n])
+            expr.evaluate(circuit.v_app, {**matrix.base_env, **{
+                name: column[n].item() for name, column in columns.items()}})
+    except expr.ExprError as err:
+        raise SimulationError(
+            f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}") from err
     currents[rows, cols] = out
     modes[rows, cols] = mode_codes
     return currents, modes, events

@@ -20,6 +20,7 @@ operators, the `math` functions and `float()` wrapping, so results are
 bit-identical to a tree walk. Each check (division by zero, log <= 0,
 sqrt < 0, failed pow or call, unbound variable, non-finite result) runs
 where its node does, so the first failure in that order is raised.
+`evaluate_array` does the same over arrays, masking the elements that fail.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 FUNCTIONS = {
     "exp": (1, math.exp),
@@ -38,6 +41,8 @@ FUNCTIONS = {
     "max": (2, max),
     "pow": (2, math.pow),
 }
+# evaluate_array's arithmetic: these round as Python's float operators do
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -262,6 +267,56 @@ def _compile(e: Expression):
     run = namespace.pop("make")(*consts)
     object.__setattr__(e, "_run", run)
     return run
+
+
+def evaluate_array(e: Expression, env) -> tuple:
+    """`evaluate` over env values that are float64 arrays or floats.
+
+    Returns (values, failed) in the shape of the arrays the tree reads (of all
+    of env's, for a tree that reads none): failed marks each element on which
+    `evaluate` raises, and the other values equal its results bit for bit.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            values, failed = _walk(e, env)
+        except KeyError:  # an unbound name fails every element
+            values, failed = math.nan, True
+        failed = failed | ~np.isfinite(values)
+    if np.ndim(values):
+        return values, failed
+    shape = np.broadcast_shapes(*map(np.shape, env.values()))
+    return np.broadcast_to(values, shape), np.broadcast_to(failed, shape)
+
+
+def _walk(e: Expression, env):
+    if isinstance(e, Num):
+        return e.value, False
+    if isinstance(e, Var):
+        return env[e.name], False
+    if isinstance(e, Neg):
+        value, failed = _walk(e.operand, env)
+        return -value, failed
+    if isinstance(e, BinOp) and e.op in _UFUNCS:
+        (a, failed_a), (b, failed_b) = _walk(e.left, env), _walk(e.right, env)
+        return _UFUNCS[e.op](a, b), failed_a | failed_b | (e.op == "/" and b == 0.0)
+    if isinstance(e, BinOp) and e.op == "^":
+        e = Call("pow", (e.left, e.right))
+    if not (isinstance(e, Call) and e.func in FUNCTIONS):
+        raise TypeError(f"not an expression node: {e!r}")
+    # per element: numpy's transcendentals can differ from math's by an ulp
+    walked = [_walk(a, env) for a in e.args]
+    args = np.broadcast_arrays(*(value for value, _ in walked))
+    values, failed = [], []
+    for row in zip(*(a.ravel().tolist() for a in args)):
+        try:
+            values.append(float(FUNCTIONS[e.func][1](*row)))
+            failed.append(False)
+        except (OverflowError, ValueError):  # log <= 0, sqrt < 0, a failed pow or call
+            values.append(math.nan)
+            failed.append(True)
+    # a function takes one or two arguments
+    failed = np.reshape(failed, args[0].shape) | walked[0][1] | walked[-1][1]
+    return np.reshape(values, args[0].shape), failed
 
 
 def free_vars(e: Expression) -> set[str]:

@@ -14,6 +14,7 @@ rules to whole matrices.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from spikeforge import expr
@@ -32,8 +33,8 @@ class SynapseMode(enum.Enum):
 
 # the per-synapse code reads modes through module names: an Enum class
 # attribute lookup costs ~0.1 us
-TRANSMIT = SynapseMode.TRANSMIT
-PROGRAMMING = (SynapseMode.POTENTIATE, SynapseMode.DEPRESS)
+IDLE, TRANSMIT, POTENTIATE, DEPRESS = SynapseMode
+PROGRAMMING = (POTENTIATE, DEPRESS)
 
 
 class SpikePresence(enum.Enum):
@@ -41,15 +42,14 @@ class SpikePresence(enum.Enum):
     PRE_ONLY = "pre_only"
     POST_ONLY = "post_only"
     BOTH = "both"
+    # policies are tested per synapse-step; members are singletons, so the
+    # identity hash (in C, not Enum's by-name one in Python) is enough
+    __hash__ = object.__hash__
 
 
 # indexed by the presence code 2 * pre_active + post_active
 PRESENCE_BY_CODE = (SpikePresence.NONE, SpikePresence.POST_ONLY,
                     SpikePresence.PRE_ONLY, SpikePresence.BOTH)
-
-
-def classify_presence(pre_active: bool, post_active: bool) -> SpikePresence:
-    return PRESENCE_BY_CODE[2 * pre_active + post_active]
 
 
 def _check_range(g_min, g_max):
@@ -185,52 +185,59 @@ def mode_from_voltage(circuit: CircuitModel, presence: SpikePresence,
     """
     if presence in circuit.plasticity_policy:
         if v_tb >= circuit.v_th_pos:
-            return SynapseMode.POTENTIATE
+            return POTENTIATE
         if v_tb <= -circuit.v_th_neg:
-            return SynapseMode.DEPRESS
+            return DEPRESS
     if presence in circuit.transmit_policy:
-        return SynapseMode.TRANSMIT
-    return SynapseMode.IDLE
+        return TRANSMIT
+    return IDLE
 
 
 def transmit_current(circuit: CircuitModel, g: float, env: dict[str, float],
-                     mode: SynapseMode = SynapseMode.TRANSMIT) -> float:
+                     mode: SynapseMode = TRANSMIT) -> float:
     """Current through the device, in amperes.
 
     Idle passes nothing; potentiation/depression pulses conduct unless the
-    circuit disables conduction while programming. When env binds no V_TB,
-    it is evaluated here from the circuit's v_app. env itself is never
-    changed; it is copied only when G or V_TB must be bound.
+    circuit disables conduction while programming. A conducting device
+    carries g * V_TB, or the circuit's ex_eqs. The engine binds V_TB in env;
+    when env binds none, it is evaluated here from v_app. env is not changed.
     """
-    if mode is not TRANSMIT and (mode is SynapseMode.IDLE
-                                 or not circuit.conduct_during_plasticity):
+    if mode is not TRANSMIT and (mode is IDLE or not circuit.conduct_during_plasticity):
         return 0.0
+    if "V_TB" not in env:
+        env = {**env, "G": g}
+        env["V_TB"] = expr.evaluate(circuit.v_app, env)
+    if circuit.ex_eqs is None:
+        return g * env["V_TB"]
     if env.get("G") is not g:
         env = {**env, "G": g}
-    bound = "V_TB" in env
-    v_tb = env["V_TB"] if bound else expr.evaluate(circuit.v_app, env)
-    if circuit.ex_eqs is None:
-        return g * v_tb
-    return expr.evaluate(circuit.ex_eqs, env if bound else {**env, "V_TB": v_tb})
+    return expr.evaluate(circuit.ex_eqs, env)
 
 
 def _nearest(values, x) -> int:
-    """Index of the value closest to x; ties go to the lower index."""
-    best = 0
-    best_d = abs(values[0] - x)
-    for i in range(1, len(values)):
-        d = abs(values[i] - x)
-        if d < best_d:
-            best, best_d = i, d
-    return best
+    """Index of the value closest to x; ties go to the lower index.
+
+    values is strictly monotone, so the rounded |v - x| never rises before
+    the first value at or past x, index p, nor falls after it: the nearest is
+    p or the first of the run tied with p - 1, found by bisection too."""
+    if values[0] <= values[-1]:
+        p = bisect_left(values, x)
+    else:
+        p = bisect_left(values, -x, key=lambda v: -v)
+    if p == 0:
+        return 0
+    d = abs(values[p - 1] - x)
+    if p < len(values) and abs(values[p] - x) < d:
+        return p
+    return bisect_left(values, -d, 0, p, key=lambda v: -abs(v - x))
 
 
 def _row(device: PulseFamilyDevice, direction: SynapseMode,
          pulse_amplitude: float) -> tuple[float, ...]:
     """The curve a pulse walks: the direction's table, the row nearest |amplitude|."""
-    if direction is SynapseMode.POTENTIATE:
+    if direction is POTENTIATE:
         table = device.ltp
-    elif direction is SynapseMode.DEPRESS:
+    elif direction is DEPRESS:
         table = device.ltd
     else:
         raise ValueError(f"direction must be POTENTIATE or DEPRESS, got {direction}")
@@ -244,7 +251,7 @@ def step_device(device: PulseFamilyDevice, direction: SynapseMode,
     row = _row(device, direction, pulse_amplitude)
     new = row[min(_nearest(row, g) + 1, len(row) - 1)]
     # a row that cannot reach g must not drag it backwards
-    return max(new, g) if direction is SynapseMode.POTENTIATE else min(new, g)
+    return max(new, g) if direction is POTENTIATE else min(new, g)
 
 
 def saturates(device: PulseFamilyDevice, direction: SynapseMode, g: float,

@@ -496,6 +496,24 @@ class TestBoundedState:
 
 
 class TestSimulationErrors:
+    @staticmethod
+    def driven_net(v_app, ex_eqs, plastic, pre_volts, post_volts):
+        """Every presence engaged; each line holds the given volts at step 0."""
+        circuit = CircuitModel(
+            v_app=parse(v_app), v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset(SpikePresence), plasticity_policy=plastic,
+            ex_eqs=None if ex_eqs is None else parse(ex_eqs))
+        spec = NetworkSpec(layers=(
+            input_layer(len(pre_volts)),
+            LayerSpec(neurons=len(post_volts), neuron_model=out_model(), label=True,
+                      circuit_model=circuit, device_model=small_device())))
+        net = build_network(spec, 1e-3)
+        for line, volts in ((net.layers[0].pre_out, pre_volts),
+                            (net.layers[1].post1_in, post_volts)):
+            for idx, v in enumerate(volts):
+                line.trigger(idx, 0, engine._samples(rect(v, 2e-3), 1e-3))
+        return net
+
     @pytest.mark.parametrize("plastic", [frozenset(), frozenset({SpikePresence.PRE_ONLY})],
                              ids=["in_transmit_current", "in_mode_decision"])
     def test_failing_v_app_names_the_synapse(self, plastic):
@@ -519,21 +537,36 @@ class TestSimulationErrors:
         # every presence transmits, and V_TB divides by zero where V_pre equals
         # V_post1: at (pre 1, post 2) and (pre 2, post 0). Row-major order
         # reaches (1, 2) first; column-major order would reach (2, 0).
-        circuit = CircuitModel(
-            v_app=parse("1 / (V_pre - V_post1)"), v_th_pos=1.5, v_th_neg=1.5,
-            transmit_policy=frozenset(SpikePresence), plasticity_policy=plastic)
-        spec = NetworkSpec(layers=(
-            input_layer(3),
-            LayerSpec(neurons=3, neuron_model=out_model(), label=True,
-                      circuit_model=circuit, device_model=small_device())))
-        net = build_network(spec, 1e-3)
-        for line, volts in ((net.layers[0].pre_out, (0.5, 1.0, 2.0)),
-                            (net.layers[1].post1_in, (2.0, 0.3, 1.0))):
-            for idx, v in enumerate(volts):
-                line.trigger(idx, 0, engine._samples(rect(v, 2e-3), 1e-3))
+        net = self.driven_net("1 / (V_pre - V_post1)", None, plastic,
+                              (0.5, 1.0, 2.0), (2.0, 0.3, 1.0))
         with pytest.raises(SimulationError,
                            match=r"synapse \(layer 1, pre 1, post 2\) at t=0.0: division by zero"):
             run_timestep(net, 0)
+
+    @pytest.mark.parametrize("plastic", [frozenset(), frozenset(SpikePresence)],
+                             ids=["in_transmit_current", "in_mode_decision"])
+    def test_earlier_ex_eqs_failure_wins_over_a_later_v_app_failure(self, plastic):
+        # V_TB divides by zero at (pre 1, post 0), where V_pre equals V_post1;
+        # ex_eqs divides by zero at (pre 0, post 2), where V_pre = 2 * V_post1,
+        # and again at (1, 1). Row-major order reaches (0, 2) first, although
+        # V_TB is evaluated for every engaged synapse before any current.
+        net = self.driven_net("1 / (V_pre - V_post1)", "G * V_TB / (V_pre - 2 * V_post1)",
+                              plastic, (0.5, 2.0), (2.0, 1.0, 0.25))
+        with pytest.raises(SimulationError) as err:
+            run_timestep(net, 0)
+        assert str(err.value) == "synapse (layer 1, pre 0, post 2) at t=0.0: division by zero"
+
+    @pytest.mark.parametrize("plastic", [frozenset(), frozenset(SpikePresence)],
+                             ids=["in_transmit_current", "in_mode_decision"])
+    def test_v_app_failure_keeps_the_scalar_message(self, plastic):
+        # log fails where V_pre <= V_post1: first at (pre 1, post 0); ex_eqs
+        # never fails, and the message carries the scalar evaluator's value
+        net = self.driven_net("log(V_pre - V_post1)", "G * V_TB", plastic,
+                              (4.0, 0.5), (2.0, 0.25, 1.0))
+        with pytest.raises(SimulationError) as err:
+            run_timestep(net, 0)
+        assert str(err.value) == (
+            "synapse (layer 1, pre 1, post 0) at t=0.0: log of non-positive value -1.5")
 
     def test_failing_state_eqs_names_the_neuron(self):
         model = NeuronModel(tau=10e-3, thres=0.2, state_eqs=parse("1 / V"),

@@ -1,11 +1,13 @@
-"""Differential oracle for the compiled expression evaluator.
+"""Differential oracles for the compiled and the array expression evaluators.
 
 `reference_evaluate` and `_eval` are the tree-walking evaluator that
 `expr.evaluate` replaced, kept word for word. On seeded random trees over
 every node kind and function, with competing failures, unbound variables,
 infinite literals and env values that are floats, ints or np.float64, the
 compiled evaluator must return the same type and the same bits, or raise
-the same exception type with the same text.
+the same exception type with the same text. On the same trees, over envs
+binding arrays, or arrays and floats, `evaluate_array` must give, element
+by element, the bits of `evaluate`, and fail exactly where it raises.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from spikeforge.expr import (
-    FUNCTIONS, BinOp, Call, ExprError, Neg, Num, Var, evaluate, parse,
+    FUNCTIONS, BinOp, Call, ExprError, Neg, Num, Var, evaluate, evaluate_array, parse,
 )
 
 
@@ -141,12 +143,17 @@ def walk(node):
             yield from walk(arg)
 
 
+def oracle_trees(rng: random.Random) -> list:
+    """The competing-failure trees, then 1500 seeded random ones."""
+    trees = [parse(source) for source in COMPETING]
+    return trees + [random_tree(rng, rng.randint(1, 5)) for _ in range(1500)]
+
+
 @pytest.mark.parametrize("flavour", ["float", "int", "np.float64"])
 def test_compiled_evaluator_matches_the_tree_walk(flavour):
     rng = random.Random(f"expr-oracle-{flavour}")
     failures, values = set(), 0
-    trees = [parse(source) for source in COMPETING]
-    trees += [random_tree(rng, rng.randint(1, 5)) for _ in range(1500)]
+    trees = oracle_trees(rng)
     for tree in trees:
         for _ in range(2):
             env = random_env(rng, flavour)
@@ -162,3 +169,38 @@ def test_compiled_evaluator_matches_the_tree_walk(flavour):
     assert failures == set(FAILURES)
     assert values > 500
 
+
+ELEMENTS = 8
+
+
+@pytest.mark.parametrize("layout", ["arrays", "mixed"])
+def test_array_evaluator_matches_the_scalar_one_element_by_element(layout):
+    # the float flavour's trees, plus constant trees and one that, in the
+    # mixed layout, reads only a float: each must fill the arrays' shape
+    trees = oracle_trees(random.Random("expr-oracle-float"))
+    trees += [parse("2 ^ 3 - 1 / 4"), parse("1 / 0"), parse("x * 2")]
+    rng = random.Random(f"expr-array-oracle-{layout}")
+    failures, values = set(), 0
+    for tree in trees:
+        columns, env = {}, {"unread": np.zeros(ELEMENTS)}
+        for name in BOUND:
+            if layout == "mixed" and (name == "x" or rng.random() < 0.4):
+                value = rng.choice(VALUES)
+                columns[name], env[name] = [value] * ELEMENTS, value
+            else:
+                columns[name] = [rng.choice(VALUES) for _ in range(ELEMENTS)]
+                env[name] = np.array(columns[name])
+        got, failed = evaluate_array(tree, env)
+        assert got.shape == failed.shape == (ELEMENTS,), tree
+        assert got.dtype == np.float64 and failed.dtype == bool
+        for k in range(ELEMENTS):
+            expected = outcome(evaluate, tree, {name: column[k] for name, column in columns.items()})
+            if expected[0] == "raised":
+                assert failed[k], (tree, k, expected)
+                failures.update(f for f in FAILURES if f in expected[2])
+            else:
+                assert not failed[k], (tree, k)
+                assert float(got[k]).hex() == expected[2], (tree, k)
+                values += 1
+    assert failures == set(FAILURES)
+    assert values > 2000

@@ -1,12 +1,13 @@
 """Differential oracle for the engine's synapse kernel.
 
 `full_scan_synapse_pass` is the kernel as it was before presence was
-resolved for the whole matrix at once: it visits every connected pair,
-classifies its presence one by one and skips the pairs no circuit policy
-engages. On seeded random small networks the engine's kernel must give
-bit-equal currents, equal modes, the same programming events in the same
-order, the same SimulationError when the circuit fails, and the same calls
-to the per-synapse functions, so counts traced at those calls hold too.
+resolved for the whole matrix at once and V_TB evaluated over it as one
+array: it visits every connected pair, classifies its presence one by one,
+skips the pairs no circuit policy engages and evaluates V_TB per synapse.
+On seeded random small networks the engine's kernel must give bit-equal
+currents, equal modes, the same programming events in the same order, the
+same SimulationError when the circuit fails, and the same calls to the
+per-synapse functions, so counts traced at those calls hold too.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from spikeforge.engine import (
 )
 from spikeforge.expr import parse
 from spikeforge.synapse import (
-    CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode, classify_presence,
+    PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode,
     mode_from_voltage, transmit_current,
 )
 from spikeforge.waveform import Waveform
@@ -29,9 +30,14 @@ DT = 1e-3
 STEP = 10
 US = 1e-6
 POLICIES = [frozenset(c) for r in range(5) for c in itertools.combinations(SpikePresence, r)]
-V_APPS = ("V_pre - V_post1", "V_pre - V_post1 + 0.5 * V_post2", "V_pre / V_post1")
+V_APPS = ("V_pre - V_post1", "V_pre - V_post1 + 0.5 * V_post2", "V_pre / V_post1",
+          "2 * tanh(V_pre) - sqrt(V_post1 + 1)")
 EX_EQS = (None, "G * V_TB + 1e-7 * V_post1")
 DEVICE = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
+
+
+def classify_presence(pre_active: bool, post_active: bool) -> SpikePresence:
+    return PRESENCE_BY_CODE[2 * pre_active + post_active]
 
 
 def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
@@ -58,10 +64,10 @@ def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
         env["G"] = matrix.g[i, j]
         env.pop("V_TB", None)
         try:
+            v_tb = expr.evaluate(circuit.v_app, env)
+            env["V_TB"] = v_tb
             if presence in circuit.plasticity_policy:
-                v_tb = expr.evaluate(circuit.v_app, env)
                 mode = mode_from_voltage(circuit, presence, v_tb)
-                env["V_TB"] = v_tb
                 if mode in (SynapseMode.POTENTIATE, SynapseMode.DEPRESS):
                     events.append((i, j, mode, abs(v_tb)))
             else:
@@ -115,12 +121,17 @@ def random_case(rng, transmit, plasticity):
 def outcome(kernel, matrix, lines):
     """The kernel's result (or its error text) and the calls it made, in order,
     to the per-synapse functions it looks up as module globals and to
-    expr.evaluate."""
+    expr.evaluate for ex_eqs. Each env is shown as the bindings those calls
+    read: V_TB, and the names ex_eqs reads."""
     calls = []
+    circuit = matrix.circuit
+    reads = {"V_TB"} | (set() if circuit.ex_eqs is None else expr.free_vars(circuit.ex_eqs))
 
     def logged(name, original):
         def call(*args):
-            calls.append((name, [dict(a) if isinstance(a, dict) else a for a in args]))
+            if args[0] is not circuit.v_app:
+                calls.append((name, [{k: v for k, v in a.items() if k in reads}
+                                     if isinstance(a, dict) else a for a in args]))
             return original(*args)
         return call
 

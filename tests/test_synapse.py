@@ -6,8 +6,8 @@ import pytest
 from spikeforge.engine import _support_steps, stdp_pairing_sweep
 from spikeforge.expr import ExprError, parse
 from spikeforge.synapse import (
-    CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence, SynapseMode,
-    classify_presence, load_family_table, load_identical_levels, mode_from_voltage,
+    PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence,
+    SynapseMode, load_family_table, load_identical_levels, mode_from_voltage,
     saturates, step_device, transmit_current,
 )
 from spikeforge.waveform import Waveform
@@ -32,10 +32,11 @@ def ladder_device(n=9, g_min=1 * US, g_max=9 * US):
 
 class TestPresence:
     def test_truth_table(self):
-        assert classify_presence(False, False) is SpikePresence.NONE
-        assert classify_presence(True, False) is SpikePresence.PRE_ONLY
-        assert classify_presence(False, True) is SpikePresence.POST_ONLY
-        assert classify_presence(True, True) is SpikePresence.BOTH
+        # the engine's presence code is 2 * pre_active + post_active
+        assert PRESENCE_BY_CODE[2 * False + False] is SpikePresence.NONE
+        assert PRESENCE_BY_CODE[2 * True + False] is SpikePresence.PRE_ONLY
+        assert PRESENCE_BY_CODE[2 * False + True] is SpikePresence.POST_ONLY
+        assert PRESENCE_BY_CODE[2 * True + True] is SpikePresence.BOTH
 
 
 class TestResolveMode:
