@@ -31,6 +31,8 @@ from spikeforge.waveform import Waveform, waveform_from_flat
 CIRCUIT_VOCABULARY = frozenset(
     {"V_pre", "V_post1", "V_post2", "V_node1", "V_node2", "G", "dt"})
 TRANSMIT_VOCABULARY = CIRCUIT_VOCABULARY | {"V_TB"}
+# the names the synapse kernel binds at every step; no circuit constant may take one
+KERNEL_BOUND = TRANSMIT_VOCABULARY - {"V_node1", "V_node2"}
 NEURON_VOCABULARY = frozenset({"V", "I", "dt", "tau", "thres", "r_mem"})
 
 _PRESENCE = {"none": SpikePresence.NONE, "pre_only": SpikePresence.PRE_ONLY,
@@ -240,6 +242,10 @@ class _Section:
         for name in list(self.entries):
             if name.startswith("const_"):
                 value, lineno = self.raw(name)
+                if name[len("const_"):] in KERNEL_BOUND:
+                    self.complain(name, lineno, "the synapse kernel binds this name at "
+                                  "every step, so it cannot be a constant")
+                    continue
                 try:
                     out.append((name[len("const_"):], float(value)))
                 except ValueError:
@@ -331,6 +337,19 @@ def _parse_init_weights(section: _Section) -> WeightInit | None:
         return None
 
 
+def _load(section: _Section, key: str, loader):
+    """What loader reads from the file that `key` names; None when the key is
+    missing or the file unreadable (reported under key, with its line)."""
+    path = section.get_path(key, required=True)
+    if path is None:
+        return None
+    try:
+        return loader(path)
+    except (OSError, ValueError) as err:
+        section.complain(key, section.entries[key][0][1], str(err))
+        return None
+
+
 def _ladder(section: _Section, key: str):
     """An identical-pulse ladder, given inline as `key` or in the file that
     `key_path` names; None when it is missing or unreadable (and reported)."""
@@ -343,8 +362,7 @@ def _ladder(section: _Section, key: str):
                          "inline or as a file, not both")
         return None
     if section.has(path_key):
-        path = section.get_path(path_key)
-        return load_identical_levels(path) if path else None
+        return _load(section, path_key, load_identical_levels)
     if not section.has(key):
         section.complain(key, None, f"identical device needs {key} or {path_key}")
     return section.get_floats(key)
@@ -372,28 +390,25 @@ def _build_device(section: _Section):
                     "table_ltp_path", "table_ltd_path", "family_axis"):
             section.raw(key)
         return None
-    try:
-        if kind == "identical":
-            ltp = _ladder(section, "levels_ltp")
-            ltd = _ladder(section, "levels_ltd")
-            if None in (ltp, ltd, g_min, g_max):
-                return None
-            try:
-                return PulseFamilyDevice.identical(ltp, ltd, g_min, g_max)
-            except ValueError as err:
-                key = _ladder_fault(section, str(err), ltp)
-                section.complain(key, section.entries[key][0][1], str(err))
-                return None
-        ltp_path = section.get_path("table_ltp_path", required=True)
-        ltd_path = section.get_path("table_ltd_path", required=True)
-        axis = section.get_choice("family_axis", ("amplitude", "width"),
-                                  default="amplitude")
-        if None in (ltp_path, ltd_path, g_min, g_max):
+    if kind == "identical":
+        ltp = _ladder(section, "levels_ltp")
+        ltd = _ladder(section, "levels_ltd")
+        if None in (ltp, ltd, g_min, g_max):
             return None
-        return PulseFamilyDevice(
-            load_family_table(ltp_path, ascending=True),
-            load_family_table(ltd_path, ascending=False),
-            g_min, g_max, family_axis=axis)
+        try:
+            return PulseFamilyDevice.identical(ltp, ltd, g_min, g_max)
+        except ValueError as err:
+            key = _ladder_fault(section, str(err), ltp)
+            section.complain(key, section.entries[key][0][1], str(err))
+            return None
+    ltp = _load(section, "table_ltp_path", lambda p: load_family_table(p, True))
+    ltd = _load(section, "table_ltd_path", lambda p: load_family_table(p, False))
+    axis = section.get_choice("family_axis", ("amplitude", "width"),
+                              default="amplitude")
+    if None in (ltp, ltd, g_min, g_max):
+        return None
+    try:
+        return PulseFamilyDevice(ltp, ltd, g_min, g_max, family_axis=axis)
     except ValueError as err:
         section.complain("kind", None, str(err))
         return None

@@ -178,9 +178,9 @@ class _Line:
     """One spike line of a layer: for each pending step, which neurons carry
     a waveform (`active`) and the sum of what they carry (`volts`).
 
-    A trigger adds its sign-scaled samples (sign is the input polarity, or
-    inh_g on inhibition lines) into each step its waveform covers, so a
-    step's sum runs in trigger order; a step leaves the line once it has run.
+    A trigger adds its sign-scaled samples (sign is inh_g on inhibition
+    lines, 1.0 elsewhere) into each step its waveform covers, so a step's
+    sum runs in trigger order; a step leaves the line once it has run.
     """
 
     __slots__ = ("n", "pending")
@@ -247,8 +247,7 @@ class _Matrix:
         self.needs_post2 = "V_post2" in expr.free_vars(circuit.v_app) | ex_reads
         # the line voltages the engaged loop binds for ex_eqs
         self.ex_lines = tuple(sorted(ex_reads & {"V_pre", "V_post1", "V_post2"}))
-        # V_TB is the kernel's to bind: no expression reads a constant of that name
-        self.base_env = {k: v for k, v in circuit.base_env(dt).items() if k != "V_TB"}
+        self.base_env = circuit.base_env(dt)
 
 
 @dataclass
@@ -360,14 +359,19 @@ def _check_inhibition(spec: NetworkSpec) -> None:
 
 
 def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> None:
-    """Trigger encoded input spikes on layer 0's outgoing line."""
+    """Trigger encoded input spikes on layer 0's outgoing line; every train
+    must be on the network's dt grid."""
     layer0 = net.layers[0]
     if len(trains) != layer0.spec.neurons:
         raise ValueError(
             f"{len(trains)} input trains for {layer0.spec.neurons} input neurons")
+    off_grid = next((c for c, train in enumerate(trains) if train.dt != net.dt), None)
+    if off_grid is not None:
+        raise ValueError(f"input channel {off_grid} has dt={trains[off_grid].dt}, "
+                         f"but the network's dt is {net.dt}")
     for chan, train in enumerate(trains):
-        for k, sign in zip(train.steps, train.signs):
-            layer0.pre_out.trigger(chan, at_step + k, layer0.pre, float(sign))
+        for k in train.steps:
+            layer0.pre_out.trigger(chan, at_step + k, layer0.pre)
 
 
 def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,

@@ -199,14 +199,12 @@ def transmit_current(circuit: CircuitModel, g: float, env: dict[str, float],
 
     Idle passes nothing; potentiation/depression pulses conduct unless the
     circuit disables conduction while programming. A conducting device
-    carries g * V_TB, or the circuit's ex_eqs. The engine binds V_TB in env;
-    when env binds none, it is evaluated here from v_app. env is not changed.
+    carries g * V_TB, or the circuit's ex_eqs. env must bind V_TB (the
+    engine evaluates v_app for it) and whatever ex_eqs reads; it is not
+    changed.
     """
     if mode is not TRANSMIT and (mode is IDLE or not circuit.conduct_during_plasticity):
         return 0.0
-    if "V_TB" not in env:
-        env = {**env, "G": g}
-        env["V_TB"] = expr.evaluate(circuit.v_app, env)
     if circuit.ex_eqs is None:
         return g * env["V_TB"]
     if env.get("G") is not g:

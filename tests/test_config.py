@@ -138,18 +138,64 @@ def test_pulse_convert_path_is_an_unknown_key(tmp_path):
         f"[neuron.out] pulse_convert_path (line {lineno}): unknown key"]
 
 
-def test_family_device_accepts_family_axis(tmp_path):
-    (tmp_path / "ltp.csv").write_text("0.8,1.0\n1e-6,2e-6,3e-6\n1e-6,2.5e-6,3e-6\n")
-    (tmp_path / "ltd.csv").write_text("0.8,1.0\n3e-6,2e-6,1e-6\n3e-6,1.5e-6,1e-6\n")
-    family = ("[device.ladder]\nkind = family\ng_min = 1e-6\ng_max = 3e-6\n"
-              "table_ltp_path = ltp.csv\ntable_ltd_path = ltd.csv\nfamily_axis = width\n")
+GOOD_LTP = "0.8,1.0\n1e-6,2e-6,3e-6\n1e-6,2.5e-6,3e-6\n"
+GOOD_LTD = "0.8,1.0\n3e-6,2e-6,1e-6\n3e-6,1.5e-6,1e-6\n"
+
+
+def with_family_device(tmp_path, ltp=GOOD_LTP, ltd=GOOD_LTD, extra="", g_max="3e-6"):
+    """MINIMAL with its device swapped for a family device read from ltp.csv
+    and ltd.csv, holding the given texts."""
+    (tmp_path / "ltp.csv").write_text(ltp)
+    (tmp_path / "ltd.csv").write_text(ltd)
+    family = (f"[device.ladder]\nkind = family\ng_min = 1e-6\ng_max = {g_max}\n"
+              f"table_ltp_path = ltp.csv\ntable_ltd_path = ltd.csv\n{extra}")
     start = MINIMAL.index("[device.ladder]")
     end = MINIMAL.index("[circuit.gate]")
-    cfg = load_config(write(tmp_path, MINIMAL[:start] + family + "\n" + MINIMAL[end:]))
+    return MINIMAL[:start] + family + "\n" + MINIMAL[end:]
+
+
+def test_family_device_accepts_family_axis(tmp_path):
+    text = with_family_device(tmp_path, extra="family_axis = width\n")
+    cfg = load_config(write(tmp_path, text))
     device = cfg.network.layers[1].device_model
     assert device.family_axis == "width"
     assert device.ltp.amplitudes == (0.8, 1.0)
     assert device.ltd.response[1] == (3e-6, 1.5e-6, 1e-6)
+
+
+@pytest.mark.parametrize("ltp, ltd, key, message", [
+    (GOOD_LTP, "0.8,1.0\nbad\n", "table_ltd_path", "{dir}/ltd.csv:2: bad row: 'bad'"),
+    ("0.8,1.0\n", GOOD_LTD, "table_ltp_path",
+     "{dir}/ltp.csv: need a header of amplitudes plus at least one row"),
+    ("0.8,1.0\n1e-6,3e-6,2e-6\n1e-6,2e-6,3e-6\n", GOOD_LTD, "table_ltp_path",
+     "row 0 must be strictly ascending"),
+], ids=["ltd-bad-row", "ltp-no-rows", "ltp-row-order"])
+def test_bad_family_table_is_filed_under_its_key(tmp_path, ltp, ltd, key, message):
+    text = with_family_device(tmp_path, ltp, ltd)
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] {key} (line {line_of(text, key)}): {message.format(dir=tmp_path)}"]
+
+
+def test_two_bad_family_tables_are_two_problems(tmp_path):
+    text = with_family_device(tmp_path, "0.8\nx\n", "0.8\n3e-6,1e-6,2e-6\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] table_ltp_path (line {line_of(text, 'table_ltp_path')}): "
+        f"{tmp_path / 'ltp.csv'}:2: bad row: 'x'",
+        f"[device.ladder] table_ltd_path (line {line_of(text, 'table_ltd_path')}): "
+        "row 0 must be strictly descending"]
+
+
+def test_family_device_errors_stay_under_kind(tmp_path):
+    # tables that read cleanly but do not fit the device go to the device itself
+    text = with_family_device(tmp_path, g_max="2e-6")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        "[device.ladder] kind: family row value 3e-06 outside [1e-06, 2e-06]"]
 
 
 @pytest.mark.parametrize("key", ["g_max", "g_min", "kind"])
@@ -226,6 +272,36 @@ def test_missing_or_malformed_ladder_is_one_problem(tmp_path, new, problem):
         load_config(write(tmp_path, text))
     lineno = line_of(text, new.strip()) if new else None
     assert err.value.problems == [problem.format(line=lineno)]
+
+
+def test_unreadable_ladder_file_is_filed_under_its_key(tmp_path):
+    (tmp_path / "ltd.csv").write_text("3e-6\nx\n")
+    text = with_device_lines("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd_path = ltd.csv")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] levels_ltd_path (line {line_of(text, 'levels_ltd_path')}): "
+        f"{tmp_path / 'ltd.csv'}:2: not a conductance: 'x'"]
+
+
+@pytest.mark.parametrize("name", ["V_TB", "V_pre", "V_post1", "V_post2", "G", "dt"])
+def test_circuit_constant_may_not_take_a_kernel_bound_name(tmp_path, name):
+    # v_app may read the name, as the kernel binds it: the constant is the one fault
+    text = MINIMAL.replace("v_app = V_post1 - V_node1",
+                           f"v_app = V_post1 - {name}\nconst_{name} = 0.5")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[circuit.gate] const_{name} (line {line_of(text, 'const_')}): the synapse "
+        "kernel binds this name at every step, so it cannot be a constant"]
+
+
+def test_node_voltage_constant_still_loads(tmp_path):
+    text = MINIMAL.replace("v_app = V_post1 - V_node1",
+                           "v_app = V_post1 - V_node1\nconst_V_node1 = 0.25")
+    circuit = load_config(write(tmp_path, text)).network.layers[1].circuit_model
+    assert circuit.constants == (("V_node1", 0.25),)
+    assert circuit.base_env(1e-3)["V_node2"] == 0.25
 
 
 @pytest.mark.parametrize("etype, encoder", [("poisson", PoissonEncoder),

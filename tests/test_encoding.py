@@ -6,14 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikeforge.encoding import (
-    AEREvent, PoissonEncoder, SpikeTrain, aer_to_trains, fixed_rate_encode, load_aer,
-    load_dataset, poisson_encode,
+    PoissonEncoder, SpikeTrain, _spike_probability, fixed_rate_encode, load_dataset,
 )
+
+
+# the one-train draw that PoissonEncoder.encode replaced, kept verbatim as the
+# reference that one encode call must equal, train for train
+def poisson_encode(intensity: float, r_min: float, r_max: float, T: float,
+                   dt: float, rng: np.random.Generator) -> SpikeTrain:
+    """Bernoulli-per-timestep spike train at rate r_min + intensity*(r_max - r_min)."""
+    p = _spike_probability(intensity, r_min, r_max, T, dt)
+    hits = np.flatnonzero(rng.random(int(round(T / dt))) < p)
+    return SpikeTrain(tuple(hits.tolist()), dt)
 
 
 class TestPoisson:
     def test_zero_rate_gives_empty_train(self):
-        train = poisson_encode(0.0, 0.0, 100.0, 1.0, 1e-3, np.random.default_rng(0))
+        train = PoissonEncoder(0.0, 100.0).encode([0.0], 1.0, 1e-3, np.random.default_rng(0))[0]
         assert len(train) == 0
 
     def test_count_statistics_against_binomial(self):
@@ -22,28 +31,28 @@ class TestPoisson:
         n = round(T / dt)
         p = rate * dt
         total = sum(
-            len(poisson_encode(1.0, 0.0, rate, T, dt, np.random.default_rng(seed)))
+            len(PoissonEncoder(0.0, rate).encode([1.0], T, dt, np.random.default_rng(seed))[0])
             for seed in range(reps))
         sigma = math.sqrt(reps * n * p * (1 - p))
         assert abs(total - reps * n * p) <= 3 * sigma
 
     def test_seed_determinism(self):
-        a = poisson_encode(0.5, 0.0, 50.0, 2.0, 1e-3, np.random.default_rng(7))
-        b = poisson_encode(0.5, 0.0, 50.0, 2.0, 1e-3, np.random.default_rng(7))
+        a = PoissonEncoder(0.0, 50.0).encode([0.5], 2.0, 1e-3, np.random.default_rng(7))[0]
+        b = PoissonEncoder(0.0, 50.0).encode([0.5], 2.0, 1e-3, np.random.default_rng(7))[0]
         assert a.steps == b.steps
 
     def test_coarse_dt_warns(self):
         with pytest.warns(UserWarning, match="too coarse"):
-            poisson_encode(1.0, 0.0, 200.0, 1.0, 1e-3, np.random.default_rng(0))
+            PoissonEncoder(0.0, 200.0).encode([1.0], 1.0, 1e-3, np.random.default_rng(0))
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            poisson_encode(0.5, 10.0, 5.0, 1.0, 1e-3, rng)
+            PoissonEncoder(10.0, 5.0).encode([0.5], 1.0, 1e-3, rng)
         with pytest.raises(ValueError):
-            poisson_encode(0.5, 0.0, 5.0, 1.0, 0.0, rng)
+            PoissonEncoder(0.0, 5.0).encode([0.5], 1.0, 0.0, rng)
         with pytest.raises(ValueError):
-            poisson_encode(1.5, 0.0, 5.0, 1.0, 1e-3, rng)
+            PoissonEncoder(0.0, 5.0).encode([1.5], 1.0, 1e-3, rng)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -97,8 +106,8 @@ class TestSpikeTrainInvariants:
         coarse = (r_min + intensity * (r_max - r_min)) * dt > 0.1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            poisson = poisson_encode(intensity, r_min, r_max, T, dt,
-                                     np.random.default_rng(seed))
+            poisson = PoissonEncoder(r_min, r_max).encode(
+                [intensity], T, dt, np.random.default_rng(seed))[0]
         # the "too coarse" warning comes exactly when p = rate * dt > 0.1
         assert ["too coarse" in str(w.message) for w in caught] == [True] * coarse
         for train in (poisson, fixed_rate_encode(intensity, r_min, r_max, T, dt)):
@@ -108,74 +117,6 @@ class TestSpikeTrainInvariants:
     def test_rejects_decreasing_steps(self):
         with pytest.raises(ValueError):
             SpikeTrain((3, 2), 1e-3)
-
-    def test_rejects_sign_mismatch(self):
-        with pytest.raises(ValueError):
-            SpikeTrain((1, 2), 1e-3, (1,))
-
-
-class TestAER:
-    def test_single_line(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("0.001,3,1\n")
-        events = load_aer(p)
-        assert events == {3: [AEREvent(0.001, 3, 1)]}
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("")
-        assert load_aer(p) == {}
-
-    def test_malformed_line_reports_number(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("abc\n")
-        with pytest.raises(ValueError, match=":1:"):
-            load_aer(p)
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("# header\n\n0.002,0,-1\n")
-        events = load_aer(p)
-        assert events[0][0].polarity == -1
-
-    def test_address_out_of_range(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("0.001,9,1\n")
-        with pytest.raises(ValueError, match="out of range"):
-            load_aer(p, num_channels=4)
-
-    def test_events_sorted_per_channel(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("0.005,0,1\n0.001,0,1\n")
-        events = load_aer(p)
-        assert [e.t for e in events[0]] == [0.001, 0.005]
-
-    def test_separate_polarity_mode(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("0.001,0,1\n0.002,0,-1\n0.003,1,1\n")
-        trains = aer_to_trains(load_aer(p), 2, T=0.01, dt=1e-3, polarity_mode="separate")
-        assert len(trains) == 4
-        assert trains[0].steps == (1,)
-        assert trains[1].steps == (2,)
-        assert trains[2].steps == (3,)
-        assert trains[3].steps == ()
-
-    def test_signed_polarity_mode(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("0.001,0,1\n0.002,0,-1\n")
-        trains = aer_to_trains(load_aer(p), 1, T=0.01, dt=1e-3, polarity_mode="signed")
-        assert trains[0].steps == (1, 2)
-        assert trains[0].signs == (1, -1)
-
-    def test_events_beyond_horizon_dropped(self, tmp_path):
-        p = tmp_path / "events.aer"
-        p.write_text("0.5,0,1\n")
-        trains = aer_to_trains(load_aer(p), 1, T=0.01, dt=1e-3)
-        assert trains[0].steps == ()
-
-    def test_bad_polarity_mode(self):
-        with pytest.raises(ValueError):
-            aer_to_trains({}, 1, 0.01, 1e-3, polarity_mode="both")
 
 
 class TestDataset:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -131,6 +132,15 @@ class TestMicroNetTrace:
         d1 = abs(finals[0] - finals[1])
         d2 = abs(finals[1] - finals[2])
         assert d1 >= d2
+
+    def test_spike_train_on_another_dt_grid_is_rejected(self):
+        # a 1 ms spike on a 0.1 ms grid is step 10: 10 ms on this 1 ms net;
+        # channel 0, on the grid, is not scheduled either
+        net = build_network(micro_spec(), dt=1e-3)
+        with pytest.raises(ValueError, match=r"input channel 1 has dt=0\.0001, but "
+                                             r"the network's dt is 0\.001"):
+            schedule_input(net, [SpikeTrain((0,), 1e-3), SpikeTrain((10,), 1e-4)])
+        assert not net.layers[0].pre_out.pending
 
 
 class TestBuildNetwork:
@@ -326,6 +336,17 @@ class TestTrainInferLabels:
         net = self.make_net()
         with pytest.raises(ValueError, match="empty"):
             train(net, [], self.SIM, self.ENC)
+
+    def test_sim_dt_other_than_the_network_dt_is_rejected(self, monkeypatch):
+        net = self.make_net()
+        steps = []
+        monkeypatch.setattr(engine, "run_timestep", lambda net, step, **kw: steps.append(step))
+        sim = dataclasses.replace(self.SIM, dt=0.5e-3)
+        with pytest.raises(ValueError, match=r"input channel 0 has dt=0\.0005, but "
+                                             r"the network's dt is 0\.001"):
+            train(net, one_hot_dataset(2), sim, self.ENC)
+        assert steps == []
+        assert not net.layers[0].pre_out.pending
 
 
 class TestSaveLoad:

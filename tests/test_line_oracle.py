@@ -20,7 +20,7 @@ HORIZON = 16
 
 class _Sched:
     """A waveform triggered at an integer step, active for a fixed step count
-    and scaled by sign (the input polarity, or inh_g on inhibition lines)."""
+    and scaled by sign (inh_g on inhibition lines, 1.0 elsewhere)."""
 
     __slots__ = ("waveform", "origin", "steps", "sign")
 
