@@ -3,9 +3,15 @@
 Sections hold devices, circuits, neuron types, layers, simulation control,
 encoding, data paths and tuning ranges; values are numbers, booleans,
 bare strings (equations), comma-separated number arrays (waveforms) or
-small structured forms like `uniform(lo, hi)`. Validation is total: every
-problem in the file is reported at once, each with its section, key and
-line number, and nothing runs on a partially valid config.
+small structured forms like `uniform(lo, hi)`.
+
+This module reads and types the values; each spec and model constructor
+checks its own and raises a SpecError naming the parameter at fault, which
+`_Section.build` files under that parameter's key and line. So every fault
+of the specs, the network's included, is found at load, never at build or
+run time. Every problem in the file is reported at once (the first of each
+object built), each with its section, key and line number, and nothing runs
+on a partially valid config.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from pathlib import Path
 from spikeforge import expr
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
 from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
+from spikeforge.errors import SpecError
 from spikeforge.neuron import (
     NeuronModel, SpikeWaveforms, calibrate_from_frequency, load_calibration_csv,
 )
@@ -28,13 +35,7 @@ from spikeforge.synapse import (
 from spikeforge.tuner import GAConfig, ParamRange
 from spikeforge.waveform import Waveform, waveform_from_flat
 
-CIRCUIT_VOCABULARY = frozenset(
-    {"V_pre", "V_post1", "V_post2", "V_node1", "V_node2", "G", "dt"})
-TRANSMIT_VOCABULARY = CIRCUIT_VOCABULARY | {"V_TB"}
-# the names the synapse kernel binds at every step; no circuit constant may take one
-KERNEL_BOUND = TRANSMIT_VOCABULARY - {"V_node1", "V_node2"}
-NEURON_VOCABULARY = frozenset({"V", "I", "dt", "tau", "thres", "r_mem"})
-
+_ENCODERS = {"poisson": PoissonEncoder, "fixed": FixedRateEncoder}
 _PRESENCE = {"none": SpikePresence.NONE, "pre_only": SpikePresence.PRE_ONLY,
              "post_only": SpikePresence.POST_ONLY, "both": SpikePresence.BOTH}
 
@@ -103,12 +104,33 @@ class _Section:
         self.base_dir = base_dir
         self.consumed: set[str] = set()
 
-    def _tag(self, key: str, lineno: int | None = None) -> str:
-        where = f" (line {lineno})" if lineno is not None else ""
-        return f"[{self.name}] {key}{where}"
+    def complain(self, key: str | None, lineno: int | None, message: str):
+        """File a problem under key and its line; a key of None files it
+        under the section alone."""
+        where = "" if key is None else f" {key}"
+        if lineno is not None:
+            where += f" (line {lineno})"
+        self.problems.append(f"[{self.name}]{where}: {message}")
 
-    def complain(self, key: str, lineno: int | None, message: str):
-        self.problems.append(f"{self._tag(key, lineno)}: {message}")
+    def line(self, key: str) -> int | None:
+        return self.entries[key][0][1] if key in self.entries else None
+
+    def build(self, make, *args, at: tuple[str, int | None] | None = None, **kwargs):
+        """make(*args, **kwargs), or None when it raises a SpecError. That
+        is filed under `at`, the (key, line) of the one entry the object
+        was read from, or else under the key that gave the parameter it
+        names: a ladder or table read from a file under its *_path key, a
+        circuit constant under its const_ key."""
+        try:
+            return make(*args, **kwargs)
+        except SpecError as err:
+            if at is None:
+                given = (err.key, f"{err.key}_path", f"table_{err.key}_path",
+                         f"const_{err.key}")
+                key = next((k for k in given if self.has(k)), err.key)
+                at = key, self.line(key)
+            self.complain(*at, str(err))
+            return None
 
     def has(self, key: str) -> bool:
         return key in self.entries
@@ -175,25 +197,15 @@ class _Section:
             return tuple(float(x) for x in v.split(","))
         return self._typed(key, required, None, convert, "comma-separated numbers")
 
-    def get_expr(self, key, vocabulary, required=False):
+    def get_expr(self, key, required=False):
         value, lineno = self.require(key) if required else self.raw(key)
         if value is None:
             return None
         try:
-            tree = expr.parse(value)
+            return expr.parse(value)
         except expr.ExprError as err:
             self.complain(key, lineno, f"bad expression: {err}")
             return None
-        extra_constants = {name for name in self.entries
-                           if name.startswith("const_")}
-        allowed = set(vocabulary) | {c[len("const_"):] for c in extra_constants}
-        unknown = expr.free_vars(tree) - allowed
-        if unknown:
-            self.complain(key, lineno,
-                          f"unknown variable(s) {sorted(unknown)}; allowed: "
-                          f"{sorted(allowed)}")
-            return None
-        return tree
 
     def get_path(self, key, required=False):
         value, lineno = self.require(key) if required else self.raw(key)
@@ -238,19 +250,11 @@ class _Section:
         return tuple(pairs)
 
     def constants(self):
-        out = []
-        for name in list(self.entries):
-            if name.startswith("const_"):
-                value, lineno = self.raw(name)
-                if name[len("const_"):] in KERNEL_BOUND:
-                    self.complain(name, lineno, "the synapse kernel binds this name at "
-                                  "every step, so it cannot be a constant")
-                    continue
-                try:
-                    out.append((name[len("const_"):], float(value)))
-                except ValueError:
-                    self.complain(name, lineno, f"expected a number, got {value!r}")
-        return tuple(out)
+        """The const_<name> entries as (name, value) pairs; None when one of
+        them is not a number (reported)."""
+        pairs = tuple((key[len("const_"):], self.get_float(key))
+                      for key in list(self.entries) if key.startswith("const_"))
+        return None if any(value is None for _, value in pairs) else pairs
 
     def rest_voltages(self):
         out = {}
@@ -268,24 +272,16 @@ class _Section:
 
 
 @dataclass(frozen=True)
-class EncodingConfig:
-    type: str
-    r_min: float = 0.0
-    r_max: float = 60.0
-
-    def make_encoder(self):
-        if self.type == "poisson":
-            return PoissonEncoder(self.r_min, self.r_max)
-        if self.type == "fixed":
-            return FixedRateEncoder(self.r_min, self.r_max)
-        raise ValueError(f"unknown encoding type {self.type!r}")
-
-
-@dataclass(frozen=True)
 class TuneConfig:
     space: tuple[ParamRange, ...]
     ga: GAConfig
     val_fraction: float = 0.2
+
+    def __post_init__(self):
+        if not self.space:
+            raise SpecError("param", "at least one param range is required")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise SpecError("val_fraction", f"must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -293,13 +289,13 @@ class LoadedConfig:
     path: Path
     sim: SimConfig
     network: NetworkSpec
-    encoding: EncodingConfig
+    encoding: PoissonEncoder | FixedRateEncoder
     train_path: Path | None
     test_path: Path | None
     tune: TuneConfig | None
 
     def make_encoder(self):
-        return self.encoding.make_encoder()
+        return self.encoding
 
 
 _INIT_RE = re.compile(
@@ -316,25 +312,20 @@ def _parse_init_weights(section: _Section) -> WeightInit | None:
                          "expected uniform(lo, hi), constant(g) or from_file(path)")
         return None
     kind, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+    names = {"uniform": ("lo", "hi"), "constant": ("value",), "from_file": ("path",)}[kind]
     try:
-        if kind == "uniform":
-            if len(args) != 2:
-                raise ValueError
-            return WeightInit("uniform", lo=float(args[0]), hi=float(args[1]))
-        if kind == "constant":
-            if len(args) != 1:
-                raise ValueError
-            return WeightInit("constant", value=float(args[0]))
-        if len(args) != 1 or not args[0]:
+        if len(args) != len(names) or not args[0]:
             raise ValueError
-        path = section.base_dir / args[0]
-        if not path.exists():
-            section.complain("init_weights", lineno, f"file not found: {path}")
-            return None
-        return WeightInit("from_file", path=str(path))
+        values = [str(section.base_dir / args[0])] if kind == "from_file" else [
+            float(a) for a in args]
     except ValueError:
         section.complain("init_weights", lineno, f"bad init_weights arguments {args}")
         return None
+    if kind == "from_file" and not Path(values[0]).exists():
+        section.complain("init_weights", lineno, f"file not found: {values[0]}")
+        return None
+    return section.build(WeightInit, kind, **dict(zip(names, values)),
+                         at=("init_weights", lineno))
 
 
 def _load(section: _Section, key: str, loader):
@@ -346,7 +337,7 @@ def _load(section: _Section, key: str, loader):
     try:
         return loader(path)
     except (OSError, ValueError) as err:
-        section.complain(key, section.entries[key][0][1], str(err))
+        section.complain(key, section.line(key), str(err))
         return None
 
 
@@ -368,19 +359,6 @@ def _ladder(section: _Section, key: str):
     return section.get_floats(key)
 
 
-def _ladder_fault(section: _Section, message: str, ltp) -> str:
-    """The key a bad identical ladder is filed under: g_max for an empty
-    conductance range, else the ladder the message names (or the empty one),
-    as given inline or by file."""
-    if message.startswith("need g_min"):
-        return "g_max"
-    if message.startswith(("levels_ltp", "levels_ltd")):
-        key = message[:len("levels_ltp")]
-    else:
-        key = "levels_ltd" if ltp else "levels_ltp"
-    return key if section.has(key) else f"{key}_path"
-
-
 def _build_device(section: _Section):
     kind = section.get_choice("kind", ("identical", "family"), required=True)
     g_min = section.get_float("g_min", required=True)
@@ -395,28 +373,19 @@ def _build_device(section: _Section):
         ltd = _ladder(section, "levels_ltd")
         if None in (ltp, ltd, g_min, g_max):
             return None
-        try:
-            return PulseFamilyDevice.identical(ltp, ltd, g_min, g_max)
-        except ValueError as err:
-            key = _ladder_fault(section, str(err), ltp)
-            section.complain(key, section.entries[key][0][1], str(err))
-            return None
+        return section.build(PulseFamilyDevice.identical, ltp, ltd, g_min, g_max)
     ltp = _load(section, "table_ltp_path", lambda p: load_family_table(p, True))
     ltd = _load(section, "table_ltd_path", lambda p: load_family_table(p, False))
     axis = section.get_choice("family_axis", ("amplitude", "width"),
                               default="amplitude")
     if None in (ltp, ltd, g_min, g_max):
         return None
-    try:
-        return PulseFamilyDevice(ltp, ltd, g_min, g_max, family_axis=axis)
-    except ValueError as err:
-        section.complain("kind", None, str(err))
-        return None
+    return section.build(PulseFamilyDevice, ltp, ltd, g_min, g_max, family_axis=axis)
 
 
 def _build_circuit(section: _Section):
-    v_app = section.get_expr("v_app", CIRCUIT_VOCABULARY, required=True)
-    ex_eqs = section.get_expr("ex_eqs", TRANSMIT_VOCABULARY)
+    v_app = section.get_expr("v_app", required=True)
+    ex_eqs = section.get_expr("ex_eqs")
     v_th_pos = section.get_float("v_th_pos", required=True)
     v_th_neg = section.get_float("v_th_neg", required=True)
     transmit = section.get_policy("transmit_policy",
@@ -426,28 +395,19 @@ def _build_circuit(section: _Section):
     conduct = section.get_bool("conduct_during_plasticity", default=True)
     rest = section.rest_voltages()
     constants = section.constants()
-    if v_app is None or v_th_pos is None or v_th_neg is None:
+    if None in (v_app, v_th_pos, v_th_neg, constants):
         return None
-    try:
-        return CircuitModel(
-            v_app=v_app, ex_eqs=ex_eqs, v_th_pos=v_th_pos, v_th_neg=v_th_neg,
-            transmit_policy=transmit, plasticity_policy=plasticity,
-            conduct_during_plasticity=conduct, constants=constants, **rest)
-    except ValueError as err:
-        section.complain("v_th_pos", None, str(err))
-        return None
+    return section.build(
+        CircuitModel, v_app=v_app, ex_eqs=ex_eqs, v_th_pos=v_th_pos, v_th_neg=v_th_neg,
+        transmit_policy=transmit, plasticity_policy=plasticity,
+        conduct_during_plasticity=conduct, constants=constants, **rest)
 
 
 def _waveform(section: _Section, key: str) -> Waveform | None:
     values = section.get_floats(key)
     if values is None:
         return None
-    _, lineno = section.entries.get(key, [(None, None)])[0]
-    try:
-        return waveform_from_flat(values)
-    except ValueError as err:
-        section.complain(key, lineno, str(err))
-        return None
+    return section.build(waveform_from_flat, values, at=(key, section.line(key)))
 
 
 def _build_neuron(section: _Section):
@@ -457,8 +417,8 @@ def _build_neuron(section: _Section):
     v_reset = section.get_float("v_reset", default=0.0)
     t_refrac = section.get_float("t_refrac", default=0.0)
     r_mem = section.get_float("r_mem", default=1.0)
-    state_eqs = section.get_expr("state_eqs", NEURON_VOCABULARY)
-    power_expr = section.get_expr("power_expr", NEURON_VOCABULARY)
+    state_eqs = section.get_expr("state_eqs")
+    power_expr = section.get_expr("power_expr")
     waveforms = SpikeWaveforms(
         pre=_waveform(section, "pre_volt"),
         post1=_waveform(section, "post1_volt"),
@@ -488,13 +448,9 @@ def _build_neuron(section: _Section):
                 return None
     if tau is None or thres is None:
         return None
-    try:
-        return NeuronModel(
-            tau=tau, thres=thres, v_reset=v_reset, t_refrac=t_refrac, r_mem=r_mem,
-            state_eqs=state_eqs, power_expr=power_expr, waveforms=waveforms)
-    except ValueError as err:
-        section.complain("tau", None, str(err))
-        return None
+    return section.build(
+        NeuronModel, tau=tau, thres=thres, v_reset=v_reset, t_refrac=t_refrac, r_mem=r_mem,
+        state_eqs=state_eqs, power_expr=power_expr, waveforms=waveforms)
 
 
 def _build_tune(section: _Section):
@@ -506,10 +462,14 @@ def _build_tune(section: _Section):
                              "expected `key.path, lo, hi, linear|log, real|integer`")
             continue
         try:
-            space.append(ParamRange(bits[0], float(bits[1]), float(bits[2]),
-                                    scale=bits[3], kind=bits[4]))
+            lo, hi = float(bits[1]), float(bits[2])
         except ValueError as err:
             section.complain("param", lineno, str(err))
+            continue
+        param = section.build(ParamRange, bits[0], lo, hi, scale=bits[3], kind=bits[4],
+                              at=("param", lineno))
+        if param is not None:
+            space.append(param)
     ga_kwargs = {}
     for key, cast in (("population", int), ("generations", int),
                       ("crossover_rate", float), ("mutation_rate", float),
@@ -520,19 +480,10 @@ def _build_tune(section: _Section):
             if got is not None:
                 ga_kwargs[key] = got
     val_fraction = section.get_float("val_fraction", default=0.2)
-    try:
-        ga = GAConfig(**ga_kwargs)
-    except ValueError as err:
-        section.complain("population", None, str(err))
-        return None
-    if not space:
-        section.complain("param", None, "at least one param range is required")
-        return None
-    if not 0.0 < val_fraction < 1.0:
-        section.complain("val_fraction", None,
-                         f"must be in (0, 1), got {val_fraction}")
-        return None
-    return TuneConfig(tuple(space), ga, val_fraction)
+    ga = section.build(GAConfig, **ga_kwargs)
+    if ga is None or len(space) < len(section.raw_all("param")):
+        return None  # each bad param line is reported already
+    return section.build(TuneConfig, tuple(space), ga, val_fraction)
 
 
 def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig:
@@ -548,12 +499,9 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
     problems: list[str] = []
     base_dir = raw.path.parent
 
-    def section(name, required=False) -> _Section | None:
-        if name not in raw.sections:
-            if required:
-                problems.append(f"[{name}]: required section is missing")
-            return None
-        return _Section(name, raw.sections[name], problems, base_dir)
+    def section(name) -> _Section:
+        """The named section; a missing one reads as empty."""
+        return _Section(name, raw.sections.get(name, {}), problems, base_dir)
 
     known_prefixes = ("device.", "circuit.", "neuron.", "layers.")
     for name in raw.section_names():
@@ -562,9 +510,11 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
         if not name.startswith(known_prefixes):
             problems.append(f"[{name}]: unknown section")
 
-    sim_s = section("sim", required=True)
     sim = None
-    if sim_s is not None:
+    if "sim" not in raw.sections:
+        problems.append("[sim]: required section is missing")
+    else:
+        sim_s = section("sim")
         T = sim_s.get_float("T", required=True)
         dt = sim_s.get_float("dt", required=True)
         T_sample = sim_s.get_float("T_sample", default=0.1)
@@ -573,24 +523,15 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
         shuffle = sim_s.get_bool("shuffle", default=True)
         sim_s.reject_unknown()
         if T is not None and dt is not None:
-            try:
-                sim = SimConfig(T=T, dt=dt, T_sample=T_sample,
-                                reset_between_samples=reset, shuffle=shuffle,
-                                seed=seed)
-            except ValueError as err:
-                sim_s.complain("T", None, str(err))
+            sim = sim_s.build(SimConfig, T=T, dt=dt, T_sample=T_sample,
+                              reset_between_samples=reset, shuffle=shuffle, seed=seed)
 
     enc_s = section("encoding")
-    encoding = EncodingConfig(type="poisson")
-    if enc_s is not None:
-        etype = enc_s.get_choice("type", ("poisson", "fixed"), default="poisson")
-        r_min = enc_s.get_float("r_min", default=0.0)
-        r_max = enc_s.get_float("r_max", default=60.0)
-        enc_s.reject_unknown()
-        if r_min is not None and r_max is not None and not 0 <= r_min <= r_max:
-            enc_s.complain("r_min", None,
-                           f"need 0 <= r_min <= r_max, got {r_min}, {r_max}")
-        encoding = EncodingConfig(etype or "poisson", r_min, r_max)
+    etype = enc_s.get_choice("type", tuple(_ENCODERS), default="poisson")
+    r_min = enc_s.get_float("r_min", default=0.0)
+    r_max = enc_s.get_float("r_max", default=60.0)
+    enc_s.reject_unknown()
+    encoding = enc_s.build(_ENCODERS[etype], r_min, r_max)
 
     devices = {}
     circuits = {}
@@ -635,7 +576,7 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
                                "not applicable to the input layer (layer 0)")
             s.reject_unknown()
             if n is not None and model is not None:
-                layers.append(LayerSpec(neurons=n, neuron_model=model))
+                layers.append(s.build(LayerSpec, neurons=n, neuron_model=model))
             continue
         plastic = s.get_bool("plastic", default=False)
         label = s.get_bool("label", default=False)
@@ -658,46 +599,33 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
         s.reject_unknown()
         if None in (n, model, device, circuit):
             continue
-        try:
-            layers.append(LayerSpec(
-                neurons=n, neuron_model=model, plastic=plastic, label=label,
-                conn_type=conn_type or "all_to_all", sparse_p=sparse_p,
-                circuit_model=circuit, device_model=device))
-        except ValueError as err:
-            s.complain("neurons", None, str(err))
+        layers.append(s.build(
+            LayerSpec, neurons=n, neuron_model=model, plastic=plastic, label=label,
+            conn_type=conn_type, sparse_p=sparse_p, circuit_model=circuit,
+            device_model=device))
 
     net_s = section("network")
-    inh_conn = ()
-    inh_g = 0.0
-    net_seed = 0
-    init_weights = None
-    if net_s is not None:
-        inh_conn = net_s.get_pairs("inh_conn")
-        inh_g = net_s.get_float("inh_g", default=0.0)
-        net_seed = net_s.get_int("seed", default=0)
-        init_weights = _parse_init_weights(net_s)
-        net_s.reject_unknown()
+    inh_conn = net_s.get_pairs("inh_conn")
+    inh_g = net_s.get_float("inh_g", default=0.0)
+    net_seed = net_s.get_int("seed", default=0)
+    init_weights = _parse_init_weights(net_s)
+    net_s.reject_unknown()
 
     data_s = section("data")
-    train_path = test_path = None
-    if data_s is not None:
-        train_path = data_s.get_path("train_path") if data_s.has("train_path") else None
-        test_path = data_s.get_path("test_path") if data_s.has("test_path") else None
-        data_s.reject_unknown()
+    train_path = data_s.get_path("train_path") if data_s.has("train_path") else None
+    test_path = data_s.get_path("test_path") if data_s.has("test_path") else None
+    data_s.reject_unknown()
 
-    tune_s = section("tune")
-    tune = _build_tune(tune_s) if tune_s is not None else None
-    if tune_s is not None:
+    tune = None
+    if "tune" in raw.sections:
+        tune_s = section("tune")
+        tune = _build_tune(tune_s)
         tune_s.reject_unknown()
 
     network = None
-    if not problems and len(layers) == len(layer_indices) and layers:
-        try:
-            network = NetworkSpec(
-                layers=tuple(layers), inh_conn=inh_conn, inh_g=inh_g,
-                seed=net_seed, init_weights=init_weights)
-        except ValueError as err:
-            problems.append(f"[network]: {err}")
+    if not problems:  # so every layer was built
+        network = net_s.build(NetworkSpec, layers=tuple(layers), inh_conn=inh_conn,
+                              inh_g=inh_g, seed=net_seed, init_weights=init_weights)
 
     if problems:
         raise ConfigError(problems)

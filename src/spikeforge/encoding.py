@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spikeforge.errors import SpecError
+
 
 @dataclass(frozen=True)
 class SpikeTrain:
@@ -53,83 +55,72 @@ class Sample:
                 raise ValueError(f"feature {x} outside [0, 1]")
 
 
-def _check_rate_args(r_min, r_max, T, dt):
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not 0 <= r_min <= r_max:
-        raise ValueError(f"need 0 <= r_min <= r_max, got {r_min}, {r_max}")
-    if T < dt:
-        raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
-
-
-def _rate(intensity, r_min, r_max):
-    if not 0.0 <= intensity <= 1.0:
-        raise ValueError(f"intensity {intensity} outside [0, 1]")
-    return r_min + intensity * (r_max - r_min)
-
-
-def _spike_probability(intensity, r_min, r_max, T, dt) -> float:
-    """Per-step spike probability, warning when dt is too coarse for it."""
-    _check_rate_args(r_min, r_max, T, dt)
-    p = _rate(intensity, r_min, r_max) * dt
-    if p > 0.1:
-        warnings.warn(
-            f"spike probability per step is {p:.3f} > 0.1; "
-            "dt is too coarse for this rate", stacklevel=3)
-    return p
-
-
-def fixed_rate_encode(intensity: float, r_min: float, r_max: float, T: float,
-                      dt: float) -> SpikeTrain:
-    """Deterministic train with period 1/rate, phase 0, times floored to the grid."""
-    _check_rate_args(r_min, r_max, T, dt)
-    rate = _rate(intensity, r_min, r_max)
-    if rate == 0.0:
-        return SpikeTrain((), dt)
-    n = int(round(T / dt))
-    steps = []
-    k = 0
-    while True:
-        t = k / rate
-        if t >= T:
-            break
-        # min() guards division rounding t/dt up to exactly n despite t < T
-        step = min(int(t / dt), n - 1)
-        if not steps or step > steps[-1]:
-            steps.append(step)
-        k += 1
-    return SpikeTrain(tuple(steps), dt)
-
-
 @dataclass(frozen=True)
-class PoissonEncoder:
-    """Per-feature Bernoulli-timestep encoding at a linear intensity-to-rate map."""
+class _RateMap:
+    """The encoders' linear intensity-to-rate map: an intensity x in [0, 1]
+    spikes at r_min + x * (r_max - r_min) Hz."""
 
     r_min: float
     r_max: float
 
+    def __post_init__(self):
+        if not 0 <= self.r_min <= self.r_max:
+            raise SpecError(
+                "r_min", f"need 0 <= r_min <= r_max, got {self.r_min}, {self.r_max}")
+
+    def _rates(self, features, T: float, dt: float) -> list[float]:
+        """Each feature's rate, once T, dt and the intensities are checked."""
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if T < dt:
+            raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
+        bad = next((x for x in features if not 0.0 <= x <= 1.0), None)
+        if bad is not None:
+            raise ValueError(f"intensity {bad} outside [0, 1]")
+        return [self.r_min + x * (self.r_max - self.r_min) for x in features]
+
+
+@dataclass(frozen=True)
+class PoissonEncoder(_RateMap):
+    """Per-feature Bernoulli-timestep encoding."""
+
     def encode(self, features, T: float, dt: float,
                rng: np.random.Generator) -> list[SpikeTrain]:
-        """One Bernoulli train per feature at rate r_min + x*(r_max - r_min),
-        from one (features, steps) draw: the generator fills it row by row,
-        so the trains and the generator's state afterwards are those of one
-        T/dt draw per feature in turn."""
-        p = [_spike_probability(x, self.r_min, self.r_max, T, dt) for x in features]
+        """One Bernoulli train per feature, with spike probability rate * dt
+        per step, from one (features, steps) draw: the generator fills it row
+        by row, so the trains and the generator's state afterwards are those
+        of one T/dt draw per feature in turn. Warns once when the largest
+        probability is above 0.1, where dt is too coarse for the rate."""
+        p = [rate * dt for rate in self._rates(features, T, dt)]
+        top = max(p, default=0.0)
+        if top > 0.1:
+            warnings.warn(f"spike probability per step is {top:.3f} > 0.1; "
+                          "dt is too coarse for this rate", stacklevel=2)
         hits = rng.random((len(p), int(round(T / dt)))) < np.array(p)[:, None]
         return [SpikeTrain(tuple(np.flatnonzero(row).tolist()), dt) for row in hits]
 
 
 @dataclass(frozen=True)
-class FixedRateEncoder:
+class FixedRateEncoder(_RateMap):
     """Deterministic periodic encoding; the rng argument is accepted and unused."""
-
-    r_min: float
-    r_max: float
 
     def encode(self, features, T: float, dt: float,
                rng: np.random.Generator | None = None) -> list[SpikeTrain]:
-        return [fixed_rate_encode(x, self.r_min, self.r_max, T, dt)
-                for x in features]
+        """One train per feature with period 1/rate, phase 0, times floored
+        to the grid."""
+        n = int(round(T / dt))
+        trains = []
+        for rate in self._rates(features, T, dt):
+            steps: list[int] = []
+            k = 0
+            while rate and k / rate < T:
+                # min() guards division rounding k/rate/dt up to exactly n despite k/rate < T
+                step = min(int(k / rate / dt), n - 1)
+                if not steps or step > steps[-1]:
+                    steps.append(step)
+                k += 1
+            trains.append(SpikeTrain(tuple(steps), dt))
+        return trains
 
 
 def load_dataset(path) -> list[Sample]:

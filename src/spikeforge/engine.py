@@ -32,6 +32,7 @@ import numpy as np
 
 from spikeforge import expr
 from spikeforge.encoding import SpikeTrain
+from spikeforge.errors import SpecError
 from spikeforge.neuron import NeuronModel, NeuronState, fire_check, integrate
 from spikeforge.synapse import (
     PRESENCE_BY_CODE, PROGRAMMING, TRANSMIT, CircuitModel, PulseFamilyDevice, SynapseMode,
@@ -73,11 +74,11 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.neurons < 1:
-            raise ValueError(f"layer needs at least one neuron, got {self.neurons}")
+            raise SpecError("neurons", f"layer needs at least one neuron, got {self.neurons}")
         if self.conn_type not in ("all_to_all", "one_to_one", "sparse"):
-            raise ValueError(f"unknown conn_type {self.conn_type!r}")
+            raise SpecError("conn_type", f"unknown conn_type {self.conn_type!r}")
         if self.conn_type == "sparse" and not 0.0 < self.sparse_p <= 1.0:
-            raise ValueError(f"sparse_p must be in (0, 1], got {self.sparse_p}")
+            raise SpecError("sparse_p", f"sparse_p must be in (0, 1], got {self.sparse_p}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ class WeightInit:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "constant", "from_file"):
-            raise ValueError(f"unknown init kind {self.kind!r}")
+            raise SpecError("kind", f"unknown init kind {self.kind!r}")
         if self.kind == "uniform" and not self.lo < self.hi:
-            raise ValueError(f"uniform init needs lo < hi, got {self.lo}, {self.hi}")
+            raise SpecError("lo", f"uniform init needs lo < hi, got {self.lo}, {self.hi}")
 
 
 def middle_band_init(g_min: float, g_max: float) -> WeightInit:
@@ -105,6 +106,8 @@ def middle_band_init(g_min: float, g_max: float) -> WeightInit:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """The whole topology; every layer and matrix it names can be built."""
+
     layers: tuple[LayerSpec, ...]
     inh_conn: tuple[tuple[int, int], ...] = ()
     inh_g: float = 0.0
@@ -113,15 +116,31 @@ class NetworkSpec:
 
     def __post_init__(self):
         if len(self.layers) < 2:
-            raise ValueError("a network needs an input layer and at least one more")
+            raise SpecError(None, "a network needs an input layer and at least one more")
         labels = [k for k, layer in enumerate(self.layers) if layer.label]
         if len(labels) != 1:
-            raise ValueError(f"exactly one layer must have label=true, got {len(labels)}")
+            raise SpecError(None, f"exactly one layer must have label=true, got {len(labels)}")
         if labels[0] == 0:
-            raise ValueError("the input layer cannot be the label layer")
+            raise SpecError(None, "the input layer cannot be the label layer")
+        if self.layers[0].neuron_model.waveforms.pre is None:
+            raise SpecError(None, "layer 0 neuron model needs a pre waveform for input spikes")
+        for q, (pre, post) in enumerate(zip(self.layers, self.layers[1:]), start=1):
+            if post.circuit_model is None or post.device_model is None:
+                raise SpecError(None, f"layer {q} needs circuit_model and device_model")
+            if post.plastic and post.neuron_model.waveforms.post1 is None:
+                raise SpecError(None, f"layer {q} is plastic but has no post1 waveform")
+            if post.conn_type == "one_to_one" and pre.neurons != post.neurons:
+                raise SpecError(None, f"one_to_one into layer {q} needs equal sizes, "
+                                f"got {pre.neurons} != {post.neurons}")
         for a, b in self.inh_conn:
             if not (0 <= a < len(self.layers) and 0 <= b < len(self.layers)):
-                raise ValueError(f"inh_conn pair ({a}, {b}) out of range")
+                raise SpecError("inh_conn", f"inh_conn pair ({a}, {b}) out of range")
+        if self.inh_conn and self.inh_g <= 0:
+            raise SpecError("inh_g", "inh_conn configured but inh_g is not positive")
+        for a, _ in self.inh_conn:
+            if self.layers[a].neuron_model.waveforms.inhib is None:
+                raise SpecError("inh_conn", f"layer {a} drives inhibition but its neuron "
+                                "model has no inhib waveform")
 
     @property
     def label_layer(self) -> int:
@@ -139,13 +158,12 @@ class SimConfig:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.T < self.dt:
-            raise ValueError(f"T must be at least dt, got T={self.T}, dt={self.dt}")
-        ratio = self.T_sample / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError(
-                f"T_sample={self.T_sample} must be a positive multiple of dt={self.dt}")
+            raise SpecError("dt", f"dt must be positive, got {self.dt}")
+        for key in ("T", "T_sample"):
+            ratio = getattr(self, key) / self.dt
+            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise SpecError(key, f"{key}={getattr(self, key)} must be a positive "
+                                f"multiple of dt={self.dt}")
 
 
 def num_steps(T: float, dt: float) -> int:
@@ -296,16 +314,9 @@ def build_network(spec: NetworkSpec, dt: float) -> Network:
     """Create matrices, masks and initial conductances from the topology spec."""
     rng = np.random.default_rng(spec.seed)
     net = Network(spec, dt)
-    if spec.layers[0].neuron_model.waveforms.pre is None:
-        raise ValueError("layer 0 neuron model needs a pre waveform for input spikes")
     for q in range(1, len(spec.layers)):
         post = spec.layers[q]
-        pre_n = spec.layers[q - 1].neurons
-        if post.circuit_model is None or post.device_model is None:
-            raise ValueError(f"layer {q} needs circuit_model and device_model")
-        if post.plastic and post.neuron_model.waveforms.post1 is None:
-            raise ValueError(f"layer {q} is plastic but has no post1 waveform")
-        mask = _make_mask(post, pre_n, post.neurons, rng, q)
+        mask = _make_mask(post, spec.layers[q - 1].neurons, post.neurons, rng, q)
         matrix = _Matrix(post.circuit_model, post.device_model, post.plastic, mask, dt)
         init = spec.init_weights or middle_band_init(
             post.device_model.g_min, post.device_model.g_max)
@@ -314,7 +325,6 @@ def build_network(spec: NetworkSpec, dt: float) -> Network:
                 out=matrix.g)
         matrix.g[~mask] = 0.0
         net.matrices.append(matrix)
-    _check_inhibition(spec)
     if spec.init_weights is not None and spec.init_weights.kind == "from_file":
         _load_conductances(net, spec.init_weights.path)
     return net
@@ -324,9 +334,6 @@ def _make_mask(post: LayerSpec, n_pre: int, n_post: int, rng, q: int) -> np.ndar
     if post.conn_type == "all_to_all":
         return np.ones((n_pre, n_post), dtype=bool)
     if post.conn_type == "one_to_one":
-        if n_pre != n_post:
-            raise ValueError(
-                f"one_to_one into layer {q} needs equal sizes, got {n_pre} != {n_post}")
         return np.eye(n_pre, dtype=bool)
     mask = rng.random((n_pre, n_post)) < post.sparse_p
     for j in range(n_post):
@@ -347,15 +354,6 @@ def _initial_conductances(init: WeightInit, count: int, rng) -> np.ndarray:
         return np.full(count, init.value)
     # from_file fills later, after the topology exists
     return np.zeros(count)
-
-
-def _check_inhibition(spec: NetworkSpec) -> None:
-    if spec.inh_conn and spec.inh_g <= 0:
-        raise ValueError("inh_conn configured but inh_g is not positive")
-    for a, _ in spec.inh_conn:
-        if spec.layers[a].neuron_model.waveforms.inhib is None:
-            raise ValueError(
-                f"layer {a} drives inhibition but its neuron model has no inhib waveform")
 
 
 def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> None:
@@ -496,7 +494,7 @@ def _emit(net: Network, q: int, j: int, step: int) -> None:
         layer.post1_in.trigger(j, origin, layer.post1)
     if layer.post2 is not None and q < len(net.layers) - 1:
         layer.pre_out.trigger(j, origin, layer.post2)
-    # build_network checked that every inhibiting layer has an inhib waveform
+    # NetworkSpec checked that every inhibiting layer has an inhib waveform
     for a, b in net.spec.inh_conn:
         if a == q:
             peers = np.arange(net.layers[b].spec.neurons)

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spikeforge.errors import SpecError
+
 FUNCTIONS = {
     "exp": (1, math.exp),
     "log": (1, math.log),
@@ -330,6 +332,13 @@ def free_vars(e: Expression) -> set[str]:
     if isinstance(e, (BinOp, Call)):
         return set().union(*map(free_vars, e.args if isinstance(e, Call) else (e.left, e.right)))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def check_names(key: str, e: Expression | None, allowed) -> None:
+    """Raise SpecError(key) when e reads a name outside allowed."""
+    unknown = set() if e is None else free_vars(e) - set(allowed)
+    if unknown:
+        raise SpecError(key, f"unknown variable(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
 def unparse(e: Expression) -> str:

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spikeforge import expr
+from spikeforge.errors import SpecError
 from spikeforge.waveform import Waveform
+
+# the names state_eqs and power_expr may read
+NEURON_VOCABULARY = frozenset({"V", "I", "dt", "tau", "thres", "r_mem"})
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,14 @@ class NeuronModel:
 
     def __post_init__(self):
         if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise SpecError("tau", f"tau must be positive, got {self.tau}")
         if not self.thres > self.v_reset:
-            raise ValueError(
-                f"thres must exceed v_reset, got {self.thres} <= {self.v_reset}")
+            raise SpecError(
+                "thres", f"thres must exceed v_reset, got {self.thres} <= {self.v_reset}")
         if self.t_refrac < 0:
-            raise ValueError(f"t_refrac must be >= 0, got {self.t_refrac}")
+            raise SpecError("t_refrac", f"t_refrac must be >= 0, got {self.t_refrac}")
+        expr.check_names("state_eqs", self.state_eqs, NEURON_VOCABULARY)
+        expr.check_names("power_expr", self.power_expr, NEURON_VOCABULARY)
 
 
 @dataclass

@@ -18,6 +18,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from spikeforge import expr
+from spikeforge.errors import SpecError
+
+# the names v_app may read besides the circuit's constants; ex_eqs may read V_TB too
+CIRCUIT_VOCABULARY = frozenset(
+    {"V_pre", "V_post1", "V_post2", "V_node1", "V_node2", "G", "dt"})
+TRANSMIT_VOCABULARY = CIRCUIT_VOCABULARY | {"V_TB"}
+# the names the synapse kernel binds at every step; no circuit constant may take one
+KERNEL_BOUND = TRANSMIT_VOCABULARY - {"V_node1", "V_node2"}
 
 
 class SynapseMode(enum.Enum):
@@ -54,23 +62,23 @@ PRESENCE_BY_CODE = (SpikePresence.NONE, SpikePresence.POST_ONLY,
 
 def _check_range(g_min, g_max):
     if g_min >= g_max:
-        raise ValueError(f"need g_min < g_max, got {g_min}, {g_max}")
+        raise SpecError("g_max", f"need g_min < g_max, got {g_min}, {g_max}")
 
 
-def _check_order(levels, ascending, label):
+def _check_order(levels, ascending, key, label=None):
     if ascending:
         bad = any(b <= a for a, b in zip(levels, levels[1:]))
     else:
         bad = any(b >= a for a, b in zip(levels, levels[1:]))
     if bad:
         order = "ascending" if ascending else "descending"
-        raise ValueError(f"{label} must be strictly {order}")
+        raise SpecError(key, f"{label or key} must be strictly {order}")
 
 
-def _check_bounds(levels, g_min, g_max, label):
+def _check_bounds(levels, g_min, g_max, key, label=None):
     for g in levels:
         if not g_min <= g <= g_max:
-            raise ValueError(f"{label} value {g} outside [{g_min}, {g_max}]")
+            raise SpecError(key, f"{label or key} value {g} outside [{g_min}, {g_max}]")
 
 
 @dataclass(frozen=True)
@@ -83,15 +91,15 @@ class PulseFamilyTable:
 
     def __post_init__(self):
         if len(self.amplitudes) != len(self.response):
-            raise ValueError(
-                f"{len(self.amplitudes)} amplitudes but {len(self.response)} rows")
+            raise SpecError("response",
+                            f"{len(self.amplitudes)} amplitudes but {len(self.response)} rows")
         if not self.amplitudes:
-            raise ValueError("family table must have at least one row")
-        _check_order(self.amplitudes, True, "row amplitudes")
+            raise SpecError("response", "family table must have at least one row")
+        _check_order(self.amplitudes, True, "amplitudes", "row amplitudes")
         for k, row in enumerate(self.response):
             if not row:
-                raise ValueError(f"row {k} is empty")
-            _check_order(row, self.ascending, f"row {k}")
+                raise SpecError("response", f"row {k} is empty")
+            _check_order(row, self.ascending, "response", f"row {k}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +118,15 @@ class PulseFamilyDevice:
     def __post_init__(self):
         _check_range(self.g_min, self.g_max)
         if not self.ltp.ascending:
-            raise ValueError("ltp table rows must be ascending")
+            raise SpecError("ltp", "ltp table rows must be ascending")
         if self.ltd.ascending:
-            raise ValueError("ltd table rows must be descending")
+            raise SpecError("ltd", "ltd table rows must be descending")
         if self.family_axis not in ("amplitude", "width"):
-            raise ValueError(f"family_axis must be amplitude or width, got {self.family_axis!r}")
-        for table in (self.ltp, self.ltd):
+            raise SpecError("family_axis",
+                            f"family_axis must be amplitude or width, got {self.family_axis!r}")
+        for key, table in (("ltp", self.ltp), ("ltd", self.ltd)):
             for row in table.response:
-                _check_bounds(row, self.g_min, self.g_max, "family row")
+                _check_bounds(row, self.g_min, self.g_max, key, "family row")
 
     @classmethod
     def identical(cls, levels_ltp, levels_ltd, g_min: float,
@@ -127,7 +136,8 @@ class PulseFamilyDevice:
         ltp, ltd = tuple(levels_ltp), tuple(levels_ltd)
         _check_range(g_min, g_max)
         if not ltp or not ltd:
-            raise ValueError("level arrays must be non-empty")
+            raise SpecError("levels_ltd" if ltp else "levels_ltp",
+                            "level arrays must be non-empty")
         _check_order(ltp, True, "levels_ltp")
         _check_order(ltd, False, "levels_ltd")
         _check_bounds(ltp, g_min, g_max, "levels_ltp")
@@ -158,8 +168,16 @@ class CircuitModel:
     constants: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        if self.v_th_pos <= 0 or self.v_th_neg <= 0:
-            raise ValueError("thresholds must be positive")
+        for name, _ in self.constants:
+            if name in KERNEL_BOUND:
+                raise SpecError(name, "the synapse kernel binds this name at every step, "
+                                "so it cannot be a constant")
+        names = {name for name, _ in self.constants}
+        expr.check_names("v_app", self.v_app, CIRCUIT_VOCABULARY | names)
+        expr.check_names("ex_eqs", self.ex_eqs, TRANSMIT_VOCABULARY | names)
+        for key in ("v_th_pos", "v_th_neg"):
+            if getattr(self, key) <= 0:
+                raise SpecError(key, "thresholds must be positive")
 
     def base_env(self, dt: float) -> dict[str, float]:
         """Static bindings: node voltages (one value for both unless the user

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from spikeforge.errors import SpecError
+
 
 @dataclass(frozen=True)
 class ParamRange:
@@ -27,13 +29,13 @@ class ParamRange:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError(f"{self.name}: need lo < hi, got {self.lo}, {self.hi}")
+            raise SpecError("lo", f"{self.name}: need lo < hi, got {self.lo}, {self.hi}")
         if self.scale not in ("linear", "log"):
-            raise ValueError(f"{self.name}: unknown scale {self.scale!r}")
+            raise SpecError("scale", f"{self.name}: unknown scale {self.scale!r}")
         if self.kind not in ("real", "integer"):
-            raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
+            raise SpecError("kind", f"{self.name}: unknown kind {self.kind!r}")
         if self.scale == "log" and self.lo <= 0:
-            raise ValueError(f"{self.name}: log scale requires lo > 0, got {self.lo}")
+            raise SpecError("lo", f"{self.name}: log scale requires lo > 0, got {self.lo}")
 
     def bounds(self) -> tuple[float, float]:
         """Search bounds in gene (scale) space."""
@@ -63,16 +65,18 @@ class GAConfig:
 
     def __post_init__(self):
         if self.population < self.elitism + 1:
-            raise ValueError(
-                f"population {self.population} must exceed elitism {self.elitism}")
+            raise SpecError(
+                "population", f"population {self.population} must exceed elitism {self.elitism}")
         if self.tournament_size < 2:
-            raise ValueError(f"tournament_size must be >= 2, got {self.tournament_size}")
+            raise SpecError("tournament_size",
+                            f"tournament_size must be >= 2, got {self.tournament_size}")
         for name in ("crossover_rate", "mutation_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.generations < 0 or self.elitism < 0:
-            raise ValueError("generations and elitism must be non-negative")
+                raise SpecError(name, f"{name} must be in [0, 1], got {v}")
+        for name in ("generations", "elitism"):
+            if getattr(self, name) < 0:
+                raise SpecError(name, "generations and elitism must be non-negative")
 
 
 @dataclass

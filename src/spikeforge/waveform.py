@@ -11,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from spikeforge.errors import SpecError
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -27,19 +29,20 @@ class Waveform:
     def __post_init__(self):
         pts = tuple((float(t), float(v)) for t, v in self.breakpoints)
         if not pts:
-            raise ValueError("waveform needs at least one breakpoint")
+            raise SpecError("breakpoints", "waveform needs at least one breakpoint")
         if pts[0][0] != 0.0:
-            raise ValueError(f"first breakpoint time must be 0, got {pts[0][0]}")
+            raise SpecError("breakpoints", f"first breakpoint time must be 0, got {pts[0][0]}")
         times = [t for t, _ in pts]
         for a, b in zip(times, times[1:]):
             if b < a:
-                raise ValueError(f"breakpoint times must be non-decreasing ({a} then {b})")
+                raise SpecError("breakpoints",
+                                f"breakpoint times must be non-decreasing ({a} then {b})")
         for i in range(len(times) - 2):
             if times[i] == times[i + 1] == times[i + 2]:
-                raise ValueError(f"time {times[i]} repeated more than twice")
+                raise SpecError("breakpoints", f"time {times[i]} repeated more than twice")
         for t, v in pts:
             if not (abs(v) < float("inf") and v == v):
-                raise ValueError(f"non-finite voltage {v} at t={t}")
+                raise SpecError("breakpoints", f"non-finite voltage {v} at t={t}")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_times", tuple(times))
         object.__setattr__(self, "_volts", tuple(v for _, v in pts))
@@ -76,6 +79,7 @@ def waveform_from_flat(values) -> Waveform:
     """Build a waveform from a flat [t0, v0, t1, v1, ...] array (config form)."""
     vals = list(values)
     if len(vals) % 2 != 0 or not vals:
-        raise ValueError("flat waveform array needs an even, non-zero number of values")
+        raise SpecError("values",
+                        "flat waveform array needs an even, non-zero number of values")
     pairs = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
     return Waveform(pairs)

@@ -71,7 +71,7 @@ def line_of(text, fragment):
 def test_minimal_config_builds_the_expected_spec(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL))
     assert cfg.sim == SimConfig(T=0.2, dt=0.001, T_sample=0.1, seed=3)
-    assert cfg.encoding.type == "poisson"
+    assert cfg.encoding == PoissonEncoder(0.0, 60.0)
     assert cfg.train_path is None and cfg.tune is None
     expected = NetworkSpec(
         layers=(
@@ -189,13 +189,14 @@ def test_two_bad_family_tables_are_two_problems(tmp_path):
         "row 0 must be strictly descending"]
 
 
-def test_family_device_errors_stay_under_kind(tmp_path):
-    # tables that read cleanly but do not fit the device go to the device itself
+def test_family_device_errors_are_filed_under_the_table_key(tmp_path):
+    # tables that read cleanly but do not fit the device go to the table at fault
     text = with_family_device(tmp_path, g_max="2e-6")
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert err.value.problems == [
-        "[device.ladder] kind: family row value 3e-06 outside [1e-06, 2e-06]"]
+        f"[device.ladder] table_ltp_path (line {line_of(text, 'table_ltp_path')}): "
+        "family row value 3e-06 outside [1e-06, 2e-06]"]
 
 
 @pytest.mark.parametrize("key", ["g_max", "g_min", "kind"])
@@ -328,3 +329,52 @@ def test_aer_keys_are_unknown(tmp_path, key):
         load_config(write(tmp_path, text))
     assert err.value.problems == [
         f"[encoding] {key} (line {line_of(text, key)}): unknown key"]
+
+
+TUNE = "\n[tune]\nparam = neuron.out.tau, 0.005, 0.05, log, real\n"
+
+
+# one edit of MINIMAL per case and the exact problems it must give; {line} is
+# the line of the file that holds `at`. A fault of one key names that key and
+# its line; one that spans layers is filed under [network] alone.
+@pytest.mark.parametrize("old, new, at, problem", [
+    ("thres = 0.2\n", "thres = 0.2\nt_refrac = -0.001\n", "t_refrac",
+     "[neuron.out] t_refrac (line {line}): t_refrac must be >= 0, got -0.001"),
+    ("v_th_neg = 1.5", "v_th_neg = 0", "v_th_neg",
+     "[circuit.gate] v_th_neg (line {line}): thresholds must be positive"),
+    ("T = 0.2\n", "T = 0.2005\n", "T = ",
+     "[sim] T (line {line}): T=0.2005 must be a positive multiple of dt=0.001"),
+    ("T_sample = 0.1", "T_sample = 0.1005", "T_sample",
+     "[sim] T_sample (line {line}): T_sample=0.1005 must be a positive multiple of dt=0.001"),
+    ("neurons = 4", "neurons = 0", "neurons = 0",
+     "[layers.0] neurons (line {line}): layer needs at least one neuron, got 0"),
+    ("circuit = gate\n", "circuit = gate\nconn_type = sparse\nsparse_p = 1.5\n", "sparse_p",
+     "[layers.1] sparse_p (line {line}): sparse_p must be in (0, 1], got 1.5"),
+    ("inh_g = 2e-6", "inh_g = -2e-6", "inh_g",
+     "[network] inh_g (line {line}): inh_conn configured but inh_g is not positive"),
+    ("inhib_volt = 0, 1.0, 0.005, 1.0\n", "", "inh_conn",
+     "[network] inh_conn (line {line}): layer 1 drives inhibition but its neuron model "
+     "has no inhib waveform"),
+    ("post1_volt = 0, 1.7, 0.01, 1.7\n", "", None,
+     "[network]: layer 1 is plastic but has no post1 waveform"),
+    ("pre_volt = 0, 0.5, 0.002, 0.5\n", "", None,
+     "[network]: layer 0 neuron model needs a pre waveform for input spikes"),
+    ("circuit = gate\n", "circuit = gate\nconn_type = one_to_one\n", None,
+     "[network]: one_to_one into layer 1 needs equal sizes, got 4 != 2"),
+    ("seed = 11\n", "seed = 11\n" + TUNE + "tournament_size = 1\n", "tournament_size",
+     "[tune] tournament_size (line {line}): tournament_size must be >= 2, got 1"),
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace("0.005, 0.05", "0.05, 0.005"), "param",
+     "[tune] param (line {line}): neuron.out.tau: need lo < hi, got 0.05, 0.005"),
+    ("seed = 11\n", "seed = 11\ninit_weights = uniform(0.9, 0.1)\n", "init_weights",
+     "[network] init_weights (line {line}): uniform init needs lo < hi, got 0.9, 0.1"),
+    ("[network]", "[encoding]\nr_min = 50\nr_max = 10\n\n[network]", "r_min",
+     "[encoding] r_min (line {line}): need 0 <= r_min <= r_max, got 50.0, 10.0"),
+], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
+        "inh_g", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
+        "tournament_size", "param-range", "init_weights", "r_min"])
+def test_config_error_table(tmp_path, old, new, at, problem):
+    assert MINIMAL.count(old) == 1
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [problem.format(line=at and line_of(text, at))]

@@ -5,13 +5,61 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spikeforge.encoding import (
-    PoissonEncoder, SpikeTrain, _spike_probability, fixed_rate_encode, load_dataset,
-)
+from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, SpikeTrain, load_dataset
+from spikeforge.errors import SpecError
 
 
-# the one-train draw that PoissonEncoder.encode replaced, kept verbatim as the
-# reference that one encode call must equal, train for train
+# the per-feature helpers and one-train encoders that the encoders' shared
+# rate map replaced, kept verbatim as the reference that one encode call must
+# equal, train for train
+def _check_rate_args(r_min, r_max, T, dt):
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 <= r_min <= r_max:
+        raise ValueError(f"need 0 <= r_min <= r_max, got {r_min}, {r_max}")
+    if T < dt:
+        raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
+
+
+def _rate(intensity, r_min, r_max):
+    if not 0.0 <= intensity <= 1.0:
+        raise ValueError(f"intensity {intensity} outside [0, 1]")
+    return r_min + intensity * (r_max - r_min)
+
+
+def _spike_probability(intensity, r_min, r_max, T, dt) -> float:
+    """Per-step spike probability, warning when dt is too coarse for it."""
+    _check_rate_args(r_min, r_max, T, dt)
+    p = _rate(intensity, r_min, r_max) * dt
+    if p > 0.1:
+        warnings.warn(
+            f"spike probability per step is {p:.3f} > 0.1; "
+            "dt is too coarse for this rate", stacklevel=3)
+    return p
+
+
+def fixed_rate_encode(intensity: float, r_min: float, r_max: float, T: float,
+                      dt: float) -> SpikeTrain:
+    """Deterministic train with period 1/rate, phase 0, times floored to the grid."""
+    _check_rate_args(r_min, r_max, T, dt)
+    rate = _rate(intensity, r_min, r_max)
+    if rate == 0.0:
+        return SpikeTrain((), dt)
+    n = int(round(T / dt))
+    steps = []
+    k = 0
+    while True:
+        t = k / rate
+        if t >= T:
+            break
+        # min() guards division rounding t/dt up to exactly n despite t < T
+        step = min(int(t / dt), n - 1)
+        if not steps or step > steps[-1]:
+            steps.append(step)
+        k += 1
+    return SpikeTrain(tuple(steps), dt)
+
+
 def poisson_encode(intensity: float, r_min: float, r_max: float, T: float,
                    dt: float, rng: np.random.Generator) -> SpikeTrain:
     """Bernoulli-per-timestep spike train at rate r_min + intensity*(r_max - r_min)."""
@@ -45,6 +93,14 @@ class TestPoisson:
         with pytest.warns(UserWarning, match="too coarse"):
             PoissonEncoder(0.0, 200.0).encode([1.0], 1.0, 1e-3, np.random.default_rng(0))
 
+    def test_coarse_dt_warns_once_at_the_caller(self):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            PoissonEncoder(0.0, 200.0).encode([0.9, 1.0], 1.0, 1e-3, np.random.default_rng(0))
+        assert [str(w.message) for w in got] == [
+            "spike probability per step is 0.200 > 0.1; dt is too coarse for this rate"]
+        assert got[0].filename == __file__
+
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -75,25 +131,45 @@ def test_encoder_draws_like_one_poisson_encode_per_feature(seed, width, r_max, T
         lambda: [poisson_encode(x, 2.0, r_max, T, dt, theirs) for x in features])
     assert trains == expected
     assert mine.bit_generator.state == theirs.bit_generator.state
-    assert said == expected_said
+    # one warning per call, naming the largest probability: feature 0's, at x = 1
+    assert said == expected_said[:1]
     assert bool(said) == (r_max * dt > 0.1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("width, r_min, r_max, T, dt", [
+    (1, 0.0, 10.0, 0.5, 1e-3), (13, 2.0, 60.0, 0.05, 1e-3), (784, 0.0, 60.0, 0.1, 1e-3),
+    (5, 3.0, 20.0, 0.2, 5e-3), (9, 0.0, 2000.0, 0.01, 1e-3)])
+def test_fixed_rate_encoder_matches_one_fixed_rate_encode_per_feature(
+        seed, width, r_min, r_max, T, dt):
+    features = np.random.default_rng([seed, width]).random(width).tolist()
+    features[0] = 0.0
+    assert FixedRateEncoder(r_min, r_max).encode(features, T, dt) == [
+        fixed_rate_encode(x, r_min, r_max, T, dt) for x in features]
+
+
+def test_rate_map_is_checked_when_the_encoder_is_built():
+    for encoder in (PoissonEncoder, FixedRateEncoder):
+        with pytest.raises(SpecError, match=r"need 0 <= r_min <= r_max, got 10.0, 5.0") as err:
+            encoder(10.0, 5.0)
+        assert err.value.key == "r_min"
 
 
 class TestFixedRate:
     def test_ten_hz(self):
-        train = fixed_rate_encode(1.0, 0.0, 10.0, 0.5, 1e-3)
+        train = FixedRateEncoder(0.0, 10.0).encode([1.0], 0.5, 1e-3)[0]
         assert train.times == (0.0, pytest.approx(0.1), pytest.approx(0.2),
                                pytest.approx(0.3), pytest.approx(0.4))
 
     def test_zero_intensity_zero_min_rate(self):
-        assert len(fixed_rate_encode(0.0, 0.0, 10.0, 1.0, 1e-3)) == 0
+        assert len(FixedRateEncoder(0.0, 10.0).encode([0.0], 1.0, 1e-3)[0]) == 0
 
     def test_three_hz_floors_to_grid(self):
-        train = fixed_rate_encode(1.0, 0.0, 3.0, 1.0, 1e-3)
+        train = FixedRateEncoder(0.0, 3.0).encode([1.0], 1.0, 1e-3)[0]
         assert train.steps == (0, 333, 666)
 
     def test_rate_above_grid_dedupes(self):
-        train = fixed_rate_encode(1.0, 0.0, 2000.0, 0.01, 1e-3)
+        train = FixedRateEncoder(0.0, 2000.0).encode([1.0], 0.01, 1e-3)[0]
         assert train.steps == tuple(range(10))
 
 
@@ -110,7 +186,8 @@ class TestSpikeTrainInvariants:
                 [intensity], T, dt, np.random.default_rng(seed))[0]
         # the "too coarse" warning comes exactly when p = rate * dt > 0.1
         assert ["too coarse" in str(w.message) for w in caught] == [True] * coarse
-        for train in (poisson, fixed_rate_encode(intensity, r_min, r_max, T, dt)):
+        fixed = FixedRateEncoder(r_min, r_max).encode([intensity], T, dt)[0]
+        for train in (poisson, fixed):
             assert all(0 <= k < n for k in train.steps)
             assert all(t == k * dt for t, k in zip(train.times, train.steps))
 

@@ -155,9 +155,8 @@ class TestBuildNetwork:
         assert np.array_equal(net.matrices[0].mask, np.eye(3, dtype=bool))
 
     def test_one_to_one_size_mismatch(self):
-        spec = two_layer_spec(4, 3, conn_type="one_to_one")
         with pytest.raises(ValueError, match="one_to_one"):
-            build_network(spec, 1e-3)
+            two_layer_spec(4, 3, conn_type="one_to_one")
 
     def test_sparse_mask_deterministic_and_covering(self):
         spec = two_layer_spec(10, 10, conn_type="sparse", sparse_p=0.3, seed=11)
@@ -185,9 +184,8 @@ class TestBuildNetwork:
             NetworkSpec(layers=(bad_input, hidden_layer(2)))
 
     def test_inhibition_requires_waveform_and_conductance(self):
-        spec = two_layer_spec(2, 2, inh_conn=((1, 1),), inh_g=0.0)
         with pytest.raises(ValueError, match="inh_g"):
-            build_network(spec, 1e-3)
+            two_layer_spec(2, 2, inh_conn=((1, 1),), inh_g=0.0)
 
 
 class TestNumSteps:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.neuron import (
     CalibrationResult, NeuronModel, NeuronState,
@@ -177,6 +178,11 @@ class TestModelValidation:
     def test_negative_refractory(self):
         with pytest.raises(ValueError):
             NeuronModel(tau=1e-3, thres=1.0, t_refrac=-1.0)
+
+    def test_state_eqs_may_not_read_an_unknown_name(self):
+        with pytest.raises(SpecError, match=r"unknown variable\(s\) \['W'\]") as err:
+            lif(state_eqs=parse("-V / tau + W"))
+        assert err.value.key == "state_eqs"
 
 
 class TestCsvLoaders:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikeforge.engine import _support_steps, stdp_pairing_sweep
+from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.synapse import (
     PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence,
@@ -399,6 +400,25 @@ class TestDeviceValidation:
             PulseFamilyDevice(good.ltd, good.ltd, 1 * US, 9 * US)
         with pytest.raises(ValueError):
             PulseFamilyDevice(good.ltp, good.ltp, 1 * US, 9 * US)
+
+
+class TestCircuitValidation:
+    def test_constant_may_not_take_a_kernel_bound_name(self):
+        # else v_app would read the constant, not the V_TB the kernel binds
+        with pytest.raises(SpecError, match="the synapse kernel binds this name") as err:
+            dataclasses.replace(gate_circuit(), v_app=parse("V_post1 - V_TB"),
+                                constants=(("V_TB", 0.5),))
+        assert err.value.key == "V_TB"
+
+    def test_v_app_may_not_read_an_unknown_name(self):
+        with pytest.raises(SpecError, match=r"unknown variable\(s\) \['V_gate'\]") as err:
+            dataclasses.replace(gate_circuit(), v_app=parse("V_post1 - V_gate"))
+        assert err.value.key == "v_app"
+
+    def test_v_app_may_read_a_constant(self):
+        circuit = dataclasses.replace(gate_circuit(), v_app=parse("V_post1 - V_gate"),
+                                      constants=(("V_gate", 0.25),))
+        assert circuit.base_env(1e-3)["V_gate"] == 0.25
 
 
 class TestTableLoaders:
