@@ -436,13 +436,13 @@ def _build_neuron(section: _Section):
                 fit = calibrate_from_frequency(
                     load_calibration_csv(p), amplitude, rate)
             except ValueError as err:
-                section.complain("calib_path", None, str(err))
+                section.complain("calib_path", section.line("calib_path"), str(err))
                 return None
             tau = tau if tau is not None else fit.tau
             thres = thres if thres is not None else fit.thres
             if math.isinf(tau) and state_eqs is None:
                 section.complain(
-                    "calib_path", None,
+                    "calib_path", section.line("calib_path"),
                     "calibration found a pure integrate-and-fire device "
                     "(infinite tau); provide state_eqs or an explicit tau")
                 return None
@@ -565,7 +565,7 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
         neuron_name = s.get_str("neuron", required=True)
         model = neurons.get(neuron_name)
         if neuron_name is not None and neuron_name not in neurons:
-            s.complain("neuron", None, f"unknown neuron type {neuron_name!r}; "
+            s.complain("neuron", s.line("neuron"), f"unknown neuron type {neuron_name!r}; "
                        f"defined: {sorted(neurons)}")
         if idx == 0:
             for forbidden in ("device", "circuit", "conn_type", "sparse_p",
@@ -589,10 +589,10 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
         device = devices.get(device_name)
         circuit = circuits.get(circuit_name)
         if device_name is not None and device_name not in devices:
-            s.complain("device", None, f"unknown device {device_name!r}; "
+            s.complain("device", s.line("device"), f"unknown device {device_name!r}; "
                        f"defined: {sorted(devices)}")
         if circuit_name is not None and circuit_name not in circuits:
-            s.complain("circuit", None, f"unknown circuit {circuit_name!r}; "
+            s.complain("circuit", s.line("circuit"), f"unknown circuit {circuit_name!r}; "
                        f"defined: {sorted(circuits)}")
         if conn_type == "sparse" and not s.has("sparse_p"):
             s.complain("sparse_p", None, "sparse connectivity needs sparse_p")

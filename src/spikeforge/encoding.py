@@ -31,7 +31,8 @@ class SpikeTrain:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise ValueError("spike steps must be strictly increasing")
-        if any(s < 0 for s in self.steps):
+        # increasing, so the first step is the least
+        if self.steps and self.steps[0] < 0:
             raise ValueError("spike steps must be non-negative")
 
     @property
@@ -97,7 +98,10 @@ class PoissonEncoder(_RateMap):
             warnings.warn(f"spike probability per step is {top:.3f} > 0.1; "
                           "dt is too coarse for this rate", stacklevel=2)
         hits = rng.random((len(p), int(round(T / dt)))) < np.array(p)[:, None]
-        return [SpikeTrain(tuple(np.flatnonzero(row).tolist()), dt) for row in hits]
+        # row-major, so each row's steps are one run, ascending
+        steps = np.nonzero(hits)[1].tolist()
+        ends = np.cumsum(hits.sum(axis=1)).tolist()
+        return [SpikeTrain(tuple(steps[a:b]), dt) for a, b in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)

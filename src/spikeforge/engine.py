@@ -1,11 +1,12 @@
 """Network construction and the clock-driven train/infer loops.
 
 Every timestep walks the layers in order: the synapse kernel
-(`_synapse_pass`) picks out the engaged synapses in one array pass and
-resolves their mode and current, lateral inhibition is subtracted, the
-membranes advance, and `_program` programs the devices of plastic layers;
-the pairing sweep runs on the same two functions. Spikes emitted at step k
-become visible at step k+1: one timestep is the network's only feedback latency.
+(`_synapse_pass`) picks out the engaged synapses and resolves their mode and
+current, each neuron takes the row-order sum of its engaged currents less
+lateral inhibition, the membranes advance, and `_program` programs the
+devices of plastic layers; the pairing sweep runs on the same two functions.
+Spikes emitted at step k become visible at step k+1: one timestep is the
+network's only feedback latency.
 
 Spike delivery is integer-step throughout: each layer samples its waveforms
 once on the dt grid (`_samples`), and a waveform triggered at step m is
@@ -14,18 +15,23 @@ Each spike line (`_Line`) holds only the steps still to run, summed per
 neuron, which keeps presence windows exact, state bounded by the longest
 waveform, and runs reproducible bit for bit.
 
-V_TB is evaluated once per matrix and step, over the engaged synapses as one
-array (`expr.evaluate_array`). The loop over them that remains, on Python
-floats, makes the per-element calls the benchmark's trace hooks count:
-mode_from_voltage, transmit_current, step_device and the neuron calls, looked
-up as module globals (`TestTracedNames`), until the engine keeps its own run
-statistics.
+A step's array work follows spike activity, not matrix size: a matrix whose
+circuit engages no synapse without a pre spike scans only the rows of active
+pre lines, the kernel returns the engaged synapses alone, and an idle line's
+state is a cached read-only array. V_TB is evaluated once per matrix and step,
+over the engaged synapses as one array (`expr.evaluate_array`). The loop over
+them that remains, on Python floats, makes the per-element calls the
+benchmark's trace hooks count: mode_from_voltage, transmit_current,
+step_device and the neuron calls, looked up as module globals
+(`TestTracedNames`), until the engine keeps its own run statistics.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,9 +228,17 @@ class _Line:
         """Per-neuron (active, voltage) at a step; idle neurons sit at rest."""
         cell = self.pending.get(step)
         if cell is None:
-            return np.zeros(self.n, dtype=bool), np.full(self.n, rest)
+            return _idle_state(self.n, rest, math.copysign(1.0, rest))
         active, volts = cell
         return active, np.where(active, volts, rest)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _idle_state(n: int, rest: float, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only state of n idle neurons at rest; sign keys -0.0 apart from 0.0."""
+    active, volts = np.zeros(n, dtype=bool), np.full(n, rest)
+    active.flags.writeable = volts.flags.writeable = False
+    return active, volts
 
 
 class _LayerRuntime:
@@ -249,7 +263,7 @@ class _LayerRuntime:
 
 class _Matrix:
     __slots__ = ("circuit", "device", "plastic", "mask", "g", "pairs", "engaged_lut",
-                 "plastic_lut", "needs_post2", "ex_lines", "base_env")
+                 "plastic_lut", "pre_gated", "all_rows", "needs_post2", "ex_lines", "base_env")
 
     def __init__(self, circuit: CircuitModel, device: PulseFamilyDevice, plastic: bool,
                  mask: np.ndarray, dt: float):
@@ -261,6 +275,9 @@ class _Matrix:
         self.pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
         self.plastic_lut = np.array([p in circuit.plasticity_policy for p in PRESENCE_BY_CODE])
         self.engaged_lut = self.plastic_lut | [p in circuit.transmit_policy for p in PRESENCE_BY_CODE]
+        # no synapse engages without a pre spike: codes 0 and 1 (none, post_only) are off
+        self.pre_gated = not self.engaged_lut[:2].any()
+        self.all_rows = np.arange(mask.shape[0])
         ex_reads = set() if circuit.ex_eqs is None else expr.free_vars(circuit.ex_eqs)
         self.needs_post2 = "V_post2" in expr.free_vars(circuit.v_app) | ex_reads
         # the line voltages the engaged loop binds for ex_eqs
@@ -376,23 +393,28 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
                   post2_out: _Line, step: int, dt: float):
     """The synapse kernel: one matrix (layer q) for one timestep.
 
-    Presence is resolved for the whole matrix as the code 2 * pre_active +
-    post_active (PRESENCE_BY_CODE); only engaged synapses, those connected
-    with a presence in a circuit policy, are visited, in row-major order,
-    on Python floats, with V_TB evaluated over all of them as one array.
-    Returns (currents, modes, events): the (n_pre, n_post) current and
-    MODE_CODES arrays, and the programming pulses as (i, j, direction, |V_TB|).
+    Only the candidate rows are scanned: those with an active pre line when
+    no circuit policy engages without a pre spike (`_Matrix.pre_gated`),
+    else all. Over them presence is the code 2 * pre_active + post_active
+    (PRESENCE_BY_CODE), and the engaged synapses, those connected with a
+    presence in a circuit policy, are found by one flat nonzero. They are
+    visited in row-major order, on Python floats, with V_TB evaluated over
+    all of them as one array. Returns (rows, cols, modes, currents, events):
+    each engaged synapse's coordinates, MODE_CODES code and current, and the
+    programming pulses as (i, j, direction, |V_TB|).
     """
     circuit = matrix.circuit
-    currents = np.zeros(matrix.g.shape)
-    modes = np.zeros(matrix.g.shape, dtype=np.int8)
     events: list[tuple[int, int, SynapseMode, float]] = []
     pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
     post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
-    code = 2 * pre_active[:, None].astype(np.int8) + post_active
-    rows, cols = np.nonzero(matrix.engaged_lut[code] & matrix.mask)
+    candidates = np.flatnonzero(pre_active) if matrix.pre_gated else matrix.all_rows
+    code = (2 * pre_active[candidates, None].astype(np.int8) + post_active).ravel()
+    flat = np.flatnonzero(matrix.engaged_lut[code] & matrix.mask[candidates].ravel())
+    k, cols = np.divmod(flat, len(post_active))
+    rows = candidates[k]
+    out, mode_codes = [], []
     if not len(rows):
-        return currents, modes, events
+        return rows, cols, mode_codes, out, events
     g = matrix.g[rows, cols]
     columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
     if matrix.needs_post2:
@@ -403,10 +425,9 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     ex_volts = (zip(*(columns[name].tolist() for name in matrix.ex_lines)) if matrix.ex_lines
                 else itertools.repeat(()))
     plastic = matrix.plastic_lut.tolist()
-    out, mode_codes = [], []
     try:
         # zip stops at the first synapse whose V_TB failed
-        for i, j, c, v, gk, volts in zip(rows.tolist(), cols.tolist(), code[rows, cols].tolist(),
+        for i, j, c, v, gk, volts in zip(rows.tolist(), cols.tolist(), code[flat].tolist(),
                                          v_tb[:n].tolist(), g.tolist(), ex_volts):
             env["V_TB"] = v
             # for ex_eqs, as the very float transmit_current gets, so it need not copy env
@@ -429,9 +450,7 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     except expr.ExprError as err:
         raise SimulationError(
             f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}") from err
-    currents[rows, cols] = out
-    modes[rows, cols] = mode_codes
-    return currents, modes, events
+    return rows, cols, mode_codes, out, events
 
 
 def _program(matrix: _Matrix, events) -> int:
@@ -455,11 +474,11 @@ def run_timestep(net: Network, step: int, learn: bool = True,
     for q in range(1, len(net.layers)):
         matrix = net.matrices[q - 1]
         post_layer = net.layers[q]
-        currents, modes, events = _synapse_pass(
+        rows, cols, modes, currents, events = _synapse_pass(
             matrix, q, net.layers[q - 1].pre_out, post_layer.post1_in,
             post_layer.pre_out, step, dt)
         _, inhib = post_layer.inhib_in.state(step, 0.0)
-        total = currents.sum(axis=0) - inhib
+        total = np.bincount(cols, weights=currents, minlength=len(inhib)) - inhib
         for j, (state, current) in enumerate(zip(post_layer.states, total.tolist())):
             try:
                 integrate(post_layer.spec.neuron_model, state, current, t, dt)
@@ -476,8 +495,10 @@ def run_timestep(net: Network, step: int, learn: bool = True,
             net.saturation_events += _program(matrix, events)
 
         if record:
-            trace.modes.append(modes)
-            trace.currents.append(total.copy())
+            dense = np.zeros(matrix.g.shape, dtype=np.int8)
+            dense[rows, cols] = modes
+            trace.modes.append(dense)
+            trace.currents.append(total)
             trace.v.append(np.array([s.v for s in post_layer.states]))
             trace.fired.append(fired)
     for layer in net.layers:
@@ -540,7 +561,7 @@ def stdp_pairing_sweep(circuit: CircuitModel, device: PulseFamilyDevice,
         ends.append(max(pre_o + len(pre), post_o + len(post)))
     n_pot, n_dep = [0] * len(deltas), [0] * len(deltas)
     for k in range(max(ends, default=0)):
-        _, _, events = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt)
+        *_, events = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt)
         events = [e for e in events if k < ends[e[0]]]
         _program(matrix, events)
         for m, _, mode, _ in events:

@@ -107,8 +107,8 @@ def test_every_problem_is_reported_at_once(tmp_path):
     assert f"[circuit.gate] v_th_pos (line {line_of(text, 'high')}): expected a " \
            "number, got 'high'" in problems
     assert f"[circuit.gate] bogus (line {line_of(text, 'bogus')}): unknown key" in problems
-    assert any(p.startswith("[layers.1] neuron: unknown neuron type 'missing'")
-               for p in problems)
+    assert f"[layers.1] neuron (line {line_of(text, 'missing')}): unknown neuron type " \
+           "'missing'; defined: ['input', 'out']" in problems
     assert len(problems) == 4
 
 
@@ -333,6 +333,11 @@ def test_aer_keys_are_unknown(tmp_path, key):
 
 TUNE = "\n[tune]\nparam = neuron.out.tau, 0.005, 0.05, log, real\n"
 
+# calibration files the error table's cases may name, written next to the config
+CALIB_FILES = {"bad.csv": "0.001,x\n", "one.csv": "0.001,5\n",
+               "linear.csv": "0.001,5\n0.002,10\n"}
+OUT_CALIB = "calib_path = {}\ncalib_pulse_amplitude = 1.0\n"
+
 
 # one edit of MINIMAL per case and the exact problems it must give; {line} is
 # the line of the file that holds `at`. A fault of one key names that key and
@@ -369,12 +374,29 @@ TUNE = "\n[tune]\nparam = neuron.out.tau, 0.005, 0.05, log, real\n"
      "[network] init_weights (line {line}): uniform init needs lo < hi, got 0.9, 0.1"),
     ("[network]", "[encoding]\nr_min = 50\nr_max = 10\n\n[network]", "r_min",
      "[encoding] r_min (line {line}): need 0 <= r_min <= r_max, got 50.0, 10.0"),
+    ("neuron = out", "neuron = missing", "neuron = missing",
+     "[layers.1] neuron (line {line}): unknown neuron type 'missing'; "
+     "defined: ['input', 'out']"),
+    ("device = ladder", "device = missing", "device = missing",
+     "[layers.1] device (line {line}): unknown device 'missing'; defined: ['ladder']"),
+    ("circuit = gate", "circuit = missing", "circuit = missing",
+     "[layers.1] circuit (line {line}): unknown circuit 'missing'; defined: ['gate']"),
+    ("tau = 0.01\nthres = 0.2\n", OUT_CALIB.format("bad.csv"), "calib_path",
+     "[neuron.out] calib_path (line {line}): {dir}/bad.csv:1: bad numbers in '0.001,x'"),
+    ("tau = 0.01\nthres = 0.2\n", OUT_CALIB.format("one.csv"), "calib_path",
+     "[neuron.out] calib_path (line {line}): need at least 2 calibration points, got 1"),
+    ("tau = 0.01\nthres = 0.2\n", OUT_CALIB.format("linear.csv"), "calib_path",
+     "[neuron.out] calib_path (line {line}): calibration found a pure integrate-and-fire "
+     "device (infinite tau); provide state_eqs or an explicit tau"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
-        "tournament_size", "param-range", "init_weights", "r_min"])
+        "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
+        "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)
+    for name, content in CALIB_FILES.items():
+        write(tmp_path, content, name)
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
-    assert err.value.problems == [problem.format(line=at and line_of(text, at))]
+    assert err.value.problems == [problem.format(line=at and line_of(text, at), dir=tmp_path)]

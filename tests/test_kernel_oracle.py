@@ -3,11 +3,15 @@
 `full_scan_synapse_pass` is the kernel as it was before presence was
 resolved for the whole matrix at once and V_TB evaluated over it as one
 array: it visits every connected pair, classifies its presence one by one,
-skips the pairs no circuit policy engages and evaluates V_TB per synapse.
-On seeded random small networks the engine's kernel must give bit-equal
-currents, equal modes, the same programming events in the same order, the
-same SimulationError when the circuit fails, and the same calls to the
-per-synapse functions, so counts traced at those calls hold too.
+skips the pairs no circuit policy engages and evaluates V_TB per synapse,
+and returns dense current and mode matrices. On seeded random networks of
+up to 40 x 12 the engine's kernel, which scans only the candidate rows and
+returns the engaged synapses alone, must visit the same synapses in the
+same order and, densified, give bit-equal currents and equal modes, the
+same programming events in the same order, the same SimulationError when
+the circuit fails, and the same calls to the per-synapse functions, so
+counts traced at those calls hold too. `run_timestep` must then feed each
+neuron the row-order sum of its engaged currents.
 """
 
 import itertools
@@ -17,9 +21,11 @@ import pytest
 
 from spikeforge import expr
 from spikeforge.engine import (
-    MODE_CODES, SimulationError, _Line, _Matrix, _samples, _synapse_pass,
+    MODE_CODES, LayerSpec, NetworkSpec, SimulationError, WeightInit, _Line, _Matrix,
+    _samples, _synapse_pass, build_network, run_timestep,
 )
 from spikeforge.expr import parse
+from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
     PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode,
     mode_from_voltage, transmit_current,
@@ -53,11 +59,13 @@ def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
     currents = np.zeros(matrix.g.shape)
     modes = np.zeros(matrix.g.shape, dtype=np.int8)
     events = []
+    visited = []
     env = dict(matrix.base_env)
     for i, j in matrix.pairs:
         presence = classify_presence(bool(pre_active[i]), bool(post_active[j]))
         if presence not in engaged:
             continue
+        visited.append((i, j))
         env["V_pre"] = v_pre[i]
         env["V_post1"] = v_post1[j]
         env["V_post2"] = v_post2[j] if v_post2 is not None else circuit.rest_v_post2
@@ -78,7 +86,16 @@ def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
                 f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}"
             ) from err
         modes[i, j] = MODE_CODES[mode]
-    return currents, modes, events
+    return currents, modes, events, visited
+
+
+def densified(matrix, rows, cols, codes, currents):
+    """The engine kernel's sparse return as the full scan's dense matrices."""
+    dense_currents = np.zeros(matrix.g.shape)
+    dense_modes = np.zeros(matrix.g.shape, dtype=np.int8)
+    dense_currents[rows, cols] = currents
+    dense_modes[rows, cols] = codes
+    return dense_currents, dense_modes
 
 
 def random_line(rng, n):
@@ -96,7 +113,9 @@ def random_line(rng, n):
 
 
 def random_case(rng, transmit, plasticity):
-    n_pre, n_post = (int(n) for n in rng.integers(1, 8, size=2))
+    # half the shapes small, half up to 40 x 12, past the 7 x 7 of the small ones
+    high = (8, 8) if rng.integers(2) else (41, 13)
+    n_pre, n_post = (int(rng.integers(1, h)) for h in high)
     conn = rng.choice(["all_to_all", "one_to_one", "sparse"])
     if conn == "all_to_all":
         mask = np.ones((n_pre, n_post), dtype=bool)
@@ -150,7 +169,7 @@ def outcome(kernel, matrix, lines):
     sorted(s.value for s in p)) or "no_plasticity")
 def test_engaged_only_kernel_matches_the_full_scan(plasticity):
     rng = np.random.default_rng(POLICIES.index(plasticity))
-    seen_modes, errors = set(), 0
+    seen_modes, errors, scanned_fewer = set(), 0, 0
     for transmit in POLICIES:
         for _ in range(4):
             matrix, lines = random_case(rng, transmit, plasticity)
@@ -161,12 +180,68 @@ def test_engaged_only_kernel_matches_the_full_scan(plasticity):
                 assert got == expected
                 errors += 1
                 continue
-            currents, modes, events = got
-            assert currents.dtype == expected[0].dtype
-            assert currents.tobytes() == expected[0].tobytes()
-            assert np.array_equal(modes, expected[1])
+            rows, cols, codes, currents, events = got
+            assert list(zip(rows.tolist(), cols.tolist())) == expected[3]
+            assert len(codes) == len(currents) == len(rows)
+            dense_currents, dense_modes = densified(matrix, rows, cols, codes, currents)
+            assert dense_currents.dtype == expected[0].dtype
+            assert dense_currents.tobytes() == expected[0].tobytes()
+            assert np.array_equal(dense_modes, expected[1])
             assert events == expected[2]
-            seen_modes.update(np.unique(modes[matrix.mask]).tolist())
+            seen_modes.update(np.unique(dense_modes[matrix.mask]).tolist())
+            scanned_fewer += matrix.pre_gated and not lines[0].state(STEP, 0.0)[0].all()
     # the random cases reach every mode the policies allow, and the error path
     assert seen_modes == {0, 1} | ({2, 3} if plasticity else set())
     assert errors
+    if SpikePresence.NONE not in plasticity and SpikePresence.POST_ONLY not in plasticity:
+        # some transmit policies leave the matrix gated by its pre lines
+        assert scanned_fewer
+
+
+def test_pre_gated_is_read_from_both_policies():
+    none_or_post = {SpikePresence.NONE, SpikePresence.POST_ONLY}
+    for transmit, plasticity in itertools.product(POLICIES, POLICIES):
+        circuit = CircuitModel(v_app=parse("V_pre"), v_th_pos=1.0, v_th_neg=1.0,
+                               transmit_policy=transmit, plasticity_policy=plasticity)
+        matrix = _Matrix(circuit, DEVICE, True, np.ones((2, 2), dtype=bool), DT)
+        assert matrix.pre_gated == (not (transmit | plasticity) & none_or_post)
+
+
+@pytest.mark.parametrize("n_pre, n_post, seed", [(12, 1, 6), (40, 1, 1), (9, 3, 2),
+                                                 (30, 12, 3)])
+def test_run_timestep_sums_each_neuron_input_in_row_order(n_pre, n_post, seed):
+    """With no inhibition, a neuron's input is 0.0 plus its engaged currents,
+    added one at a time in row order, also for a one-column layer with many
+    engaged inputs, where a pairwise sum would round differently."""
+    rng = np.random.default_rng(seed)
+    pre = Waveform(((0.0, 0.7), (2 * DT, 0.7)))
+    circuit = CircuitModel(v_app=parse("V_pre - V_post1"), v_th_pos=1.0, v_th_neg=1.0,
+                           transmit_policy=frozenset({SpikePresence.PRE_ONLY}),
+                           plasticity_policy=frozenset())
+    spec = NetworkSpec(layers=(
+        LayerSpec(neurons=n_pre, neuron_model=NeuronModel(
+            tau=1.0, thres=1.0, waveforms=SpikeWaveforms(pre=pre))),
+        LayerSpec(neurons=n_post, label=True, circuit_model=circuit, device_model=DEVICE,
+                  neuron_model=NeuronModel(tau=1.0, thres=1.0, r_mem=1.0))),
+        seed=seed, init_weights=WeightInit("uniform", lo=1 * US, hi=9 * US))
+    net = build_network(spec, DT)
+    layer0, layer1 = net.layers
+    active = np.flatnonzero(rng.random(n_pre) < 0.8)
+    for i in active:
+        layer0.pre_out.trigger(int(i), 0, layer0.pre)
+    matrix = net.matrices[0]
+    currents, *_ = full_scan_synapse_pass(matrix, 1, layer0.pre_out, layer1.post1_in,
+                                          layer1.pre_out, 0, DT)
+    expected = []
+    for j in range(n_post):
+        total = 0.0
+        for i in active.tolist():
+            total += float(currents[i, j])
+        expected.append(total)
+    trace = run_timestep(net, 0, learn=False, record=True)
+    assert trace.currents[0].tobytes() == np.array(expected).tobytes()
+    assert len(active) >= 8
+    if n_post == 1:
+        # seeded so that the order shows: the dense column sum, pairwise
+        # over a one-column matrix, rounds differently
+        assert expected[0] != float(currents.sum(axis=0)[0])

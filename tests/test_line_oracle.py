@@ -131,6 +131,19 @@ def check_case(seed):
     assert not line.pending
 
 
+def test_idle_state_keeps_each_rest_bit_for_bit_and_is_read_only():
+    """An idle step's state is cached per rest; rests that compare equal
+    (0.0, -0.0 and the integer 0) still give their own sign and dtype."""
+    line = _Line(3)
+    for rest in (0.0, -0.0, 0, 0.25, -0.0, 0.0):
+        expected_active, expected_volts = _line_state([[], [], []], 5, DT, rest)
+        active, volts = line.state(5, rest)
+        assert np.array_equal(active, expected_active)
+        assert volts.dtype == expected_volts.dtype
+        assert volts.tobytes() == expected_volts.tobytes()
+        assert not active.flags.writeable and not volts.flags.writeable
+
+
 def test_random_cases_reach_every_feature():
     shapes, multi, overlaps = set(), 0, 0
     for seed in range(200):
