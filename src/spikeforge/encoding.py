@@ -100,8 +100,10 @@ class PoissonEncoder(_RateMap):
         hits = rng.random((len(p), int(round(T / dt)))) < np.array(p)[:, None]
         # row-major, so each row's steps are one run, ascending
         steps = np.nonzero(hits)[1].tolist()
-        ends = np.cumsum(hits.sum(axis=1)).tolist()
-        return [SpikeTrain(tuple(steps[a:b]), dt) for a, b in zip([0] + ends, ends)]
+        counts = hits.sum(axis=1)
+        empty = SpikeTrain((), dt)  # frozen, so every silent channel can share it
+        return [SpikeTrain(tuple(steps[b - c:b]), dt) if c else empty
+                for c, b in zip(counts.tolist(), np.cumsum(counts).tolist())]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ over the engaged synapses as one array (`expr.evaluate_array`). The loop over
 them that remains, on Python floats, makes the per-element calls the
 benchmark's trace hooks count: mode_from_voltage, transmit_current,
 step_device and the neuron calls, looked up as module globals
-(`TestTracedNames`), until the engine keeps its own run statistics.
+(`TestTracedNames`), until the engine keeps its own run statistics. Set-up
+(a matrix's synapse list, saving and loading a network) runs on whole arrays.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ class _Matrix:
         self.plastic = plastic
         self.mask = mask
         self.g = np.zeros(mask.shape)
-        self.pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]
+        self.pairs = np.argwhere(mask)  # (synapses, 2): row-major (pre, post) indices
         self.plastic_lut = np.array([p in circuit.plasticity_policy for p in PRESENCE_BY_CODE])
         self.engaged_lut = self.plastic_lut | [p in circuit.transmit_policy for p in PRESENCE_BY_CODE]
         # no synapse engages without a pre spike: codes 0 and 1 (none, post_only) are off
@@ -687,11 +688,15 @@ def infer(net: Network, dataset, sim: SimConfig, encoder) -> InferResult:
 
 
 def save_network(net: Network, path) -> None:
-    """Versioned text dump: header, synapse conductances, neuron labels."""
+    """Write format v1: the line `spikeforge-net v1`, a `q,i,j,g` line per
+    synapse (matrix q from 1, pre i, post j, in `matrix.pairs` order, g as
+    repr(float)), then `label,n,c|none` per label-layer neuron n. load_network
+    takes the lines in any order, and of two lines with one key the last."""
     lines = [NET_FORMAT]
     for q, matrix in enumerate(net.matrices, start=1):
-        for i, j in matrix.pairs:
-            lines.append(f"{q},{i},{j},{float(matrix.g[i, j])!r}")
+        rows, cols = matrix.pairs.T
+        lines += (f"{q},{i},{j},{g!r}" for i, j, g in
+                  zip(rows.tolist(), cols.tolist(), matrix.g[rows, cols].tolist()))
     for n, label in enumerate(net.labels):
         lines.append(f"label,{n},{'none' if label is None else label}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -699,11 +704,12 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path, spec: NetworkSpec, dt: float) -> Network:
-    """Rebuild a network from its spec and restore saved weights and labels.
-
-    The file's synapse set must exactly match the spec's (deterministic)
-    topology; anything missing or extra reads as corruption.
-    """
+    """Rebuild a network from its spec and restore the weights and labels of
+    a save_network file: `spikeforge-net v1`, then `q,i,j,g` and
+    `label,n,c|none` lines in any order, blank lines skipped, the last of two
+    lines with one key winning. The synapse set must exactly match the spec's
+    (deterministic) topology and the labels cover the label layer; anything
+    missing or extra reads as corruption."""
     net = build_network(spec, dt)
     _load_conductances(net, path)
     return net
@@ -711,45 +717,74 @@ def load_network(path, spec: NetworkSpec, dt: float) -> Network:
 
 def _load_conductances(net: Network, path) -> None:
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
+        text = fh.read()
+    if not text:
         raise NetworkFileError(f"{path}: empty file")
-    header = lines[0]
+    header = text.partition("\n")[0]
     if header != NET_FORMAT:
         if header.startswith("spikeforge-net "):
             raise NetworkFileError(
                 f"{path}: file format {header!r} not supported; this build reads "
                 f"{NET_FORMAT!r}")
         raise NetworkFileError(f"{path}: not a spikeforge network file")
-    synapses: dict[tuple[int, int, int], float] = {}
-    labels: dict[int, int | None] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            if parts[0] == "label":
-                if len(parts) != 3:
-                    raise ValueError("label line needs 3 fields")
-                labels[int(parts[1])] = None if parts[2] == "none" else int(parts[2])
-            else:
-                if len(parts) != 4:
-                    raise ValueError("synapse line needs 4 fields")
-                synapses[(int(parts[0]), int(parts[1]), int(parts[2]))] = float(parts[3])
-        except ValueError as err:
-            raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None
-    expected = {(q, i, j)
-                for q, matrix in enumerate(net.matrices, start=1)
-                for i, j in matrix.pairs}
-    if set(synapses) != expected:
-        raise NetworkFileError(
-            f"{path}: synapse set does not match the network topology "
-            f"({len(synapses)} entries, expected {len(expected)}); file truncated "
-            "or from a different network")
-    if set(labels) != set(range(len(net.labels))):
-        raise NetworkFileError(
-            f"{path}: label lines do not cover the label layer "
-            f"({len(labels)} entries, expected {len(net.labels)})")
-    for (q, i, j), g in synapses.items():
-        net.matrices[q - 1].g[i, j] = g
-    net.labels = [labels[n] for n in range(len(net.labels))]
+    try:
+        g, labels = _saved_lines(net, text)
+    except ValueError:  # another layout, or a corrupt line: read line by line
+        synapses: dict[tuple[int, int, int], float] = {}
+        by_neuron: dict[int, int | None] = {}
+        for lineno, line in enumerate(text.split("\n")[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            try:
+                if parts[0] == "label":
+                    if len(parts) != 3:
+                        raise ValueError("label line needs 3 fields")
+                    by_neuron[int(parts[1])] = None if parts[2] == "none" else int(parts[2])
+                else:
+                    if len(parts) != 4:
+                        raise ValueError("synapse line needs 4 fields")
+                    synapses[(int(parts[0]), int(parts[1]), int(parts[2]))] = float(parts[3])
+            except ValueError as err:
+                raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None
+        expected = [(q, i, j) for q, matrix in enumerate(net.matrices, start=1)
+                    for i, j in matrix.pairs.tolist()]  # pairs are row-major: sorted
+        if sorted(synapses) != expected:
+            raise NetworkFileError(
+                f"{path}: synapse set does not match the network topology "
+                f"({len(synapses)} entries, expected {len(expected)}); file truncated "
+                "or from a different network") from None
+        if set(by_neuron) != set(range(len(net.labels))):
+            raise NetworkFileError(
+                f"{path}: label lines do not cover the label layer "
+                f"({len(by_neuron)} entries, expected {len(net.labels)})") from None
+        g = np.array([synapses[key] for key in expected])
+        labels = [by_neuron[n] for n in range(len(net.labels))]
+    for matrix in net.matrices:
+        matrix.g[matrix.mask], g = g[:len(matrix.pairs)], g[len(matrix.pairs):]
+    net.labels = labels
+
+
+def _saved_lines(net: Network, text: str) -> tuple[np.ndarray, list[int | None]]:
+    """The conductances, in `matrix.pairs` order, and the labels of a file
+    laid out exactly as save_network writes it; ValueError for other text."""
+    keys = np.concatenate([np.insert(matrix.pairs, 0, q, axis=1)
+                           for q, matrix in enumerate(net.matrices, start=1)])
+    n, m = len(keys), len(net.labels)
+    body = text[len(NET_FORMAT) + 1:]
+    raw = np.frombuffer(body.encode(), np.uint8)
+    # 4 fields on a synapse line, 3 on a label line, and every line ends in a newline
+    if (not body.endswith("\n") or raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes()
+            != b",,,\n" * n + b",,\n" * m):
+        raise ValueError("not the layout save_network writes")
+    fields = body[:-1].replace("\n", ",").split(",")
+    synapses, labels = fields[:4 * n], fields[4 * n:]
+    g = synapses[3::4]
+    del synapses[3::4]
+    # each index must read str(k), the one text of k that save_network writes
+    names = np.array(list(map(str, range(max(keys.max(), m) + 1))), dtype=object)
+    if (synapses != names[keys].ravel().tolist() or labels[0::3] != ["label"] * m
+            or labels[1::3] != names[:m].tolist()):
+        raise ValueError("not the network's synapses and label neurons in order")
+    return (np.fromiter(map(float, g), float, n),
+            [None if c == "none" else int(c) for c in labels[2::3]])

@@ -136,6 +136,29 @@ def test_encoder_draws_like_one_poisson_encode_per_feature(seed, width, r_max, T
     assert bool(said) == (r_max * dt > 0.1)
 
 
+def trains_built_per_row(p, T, dt, rng):
+    """The encoder's train construction before silent channels shared one
+    empty train: a SpikeTrain built and checked for every row of the draw."""
+    hits = rng.random((len(p), int(round(T / dt)))) < np.array(p)[:, None]
+    steps = np.nonzero(hits)[1].tolist()
+    ends = np.cumsum(hits.sum(axis=1)).tolist()
+    return [SpikeTrain(tuple(steps[a:b]), dt) for a, b in zip([0] + ends, ends)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_mostly_silent_encode_equals_a_train_built_per_row(seed):
+    # 784 channels at up to 10 Hz for 50 ms, most of them dark: few spike
+    features = np.random.default_rng([seed, 784]).random(784)
+    features[features < 0.8] = 0.0
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    trains = PoissonEncoder(0.0, 10.0).encode(features.tolist(), 0.05, 1e-3, mine)
+    assert trains == trains_built_per_row(features * 10.0 * 1e-3, 0.05, 1e-3, theirs)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    silent = [train for train in trains if not train.steps]
+    assert len(silent) > 700
+    assert all(train == SpikeTrain((), 1e-3) for train in silent)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("width, r_min, r_max, T, dt", [
     (1, 0.0, 10.0, 0.5, 1e-3), (13, 2.0, 60.0, 0.05, 1e-3), (784, 0.0, 60.0, 0.1, 1e-3),

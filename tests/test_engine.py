@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spikeforge import engine
+from spikeforge.config import load_config
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample, SpikeTrain
 from spikeforge.engine import (
     LayerSpec, Network, NetworkFileError, NetworkSpec, SimConfig, SimulationError,
@@ -186,6 +188,21 @@ class TestBuildNetwork:
     def test_inhibition_requires_waveform_and_conductance(self):
         with pytest.raises(ValueError, match="inh_g"):
             two_layer_spec(2, 2, inh_conn=((1, 1),), inh_g=0.0)
+
+    def test_peak_memory_of_the_largest_build_is_bounded(self):
+        # 784 x 100 all-to-all, the largest net the benchmarks aim at: its
+        # synapse list is one (78400, 2) index array. The peak read 3.2 MB;
+        # with a Python tuple per synapse it read 8.6 MB.
+        spec = two_layer_spec(784, 100)
+        build_network(spec, 1e-3)  # caches filled on a first build stay out of the count
+        tracemalloc.start()
+        try:
+            net = build_network(spec, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net.matrices[0].pairs) == 784 * 100
+        assert peak < 4e6
 
 
 class TestNumSteps:
@@ -392,6 +409,111 @@ class TestSaveLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(NetworkFileError, match=":2:"):
             load_network(path, spec, 1e-3)
+
+    def test_corrupt_line_deep_in_the_file_reports_its_own_line(self, tmp_path):
+        spec = two_layer_spec(40, 30)
+        path = tmp_path / "net.weights"
+        save_network(build_network(spec, 1e-3), path)
+        lines = path.read_text().splitlines()
+        lines[987] = lines[987].rpartition(",")[0] + ",1.0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NetworkFileError) as err:
+            load_network(path, spec, 1e-3)
+        assert str(err.value) == (
+            f"{path}:988: corrupt line: could not convert string to float: '1.0.0'")
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        spec = two_layer_spec(30, 7)
+        net = build_network(spec, 1e-3)
+        rng = np.random.default_rng(5)
+        g = rng.uniform(0.0, 1.0, size=210) * 10.0 ** rng.integers(-320, 10, size=210)
+        g[:6] = [5e-324, np.nextafter(5e-324, 1.0), 2.2250738585072009e-308, -0.0,
+                 0.1, np.nextafter(0.1, 1.0)]
+        g[6:20:2] = np.nextafter(g[7:21:2], np.inf)  # one ulp apart
+        net.matrices[0].g[:] = g.reshape(30, 7)
+        net.labels = [None, 3, 0, None, 1, 2, 2]
+        path = tmp_path / "net.weights"
+        save_network(net, path)
+        loaded = load_network(path, spec, 1e-3)
+        assert [x.hex() for x in loaded.matrices[0].g.ravel().tolist()] == [
+            x.hex() for x in g.tolist()]
+        assert loaded.labels == net.labels
+
+    def test_three_layers_with_a_sparse_second_matrix(self, tmp_path):
+        spec = NetworkSpec(layers=(
+            input_layer(6), hidden_layer(5),
+            output_layer(4, conn_type="sparse", sparse_p=0.4)), seed=8)
+        net = build_network(spec, 1e-3)
+        second = net.matrices[1]
+        assert not second.mask.all()
+        second.g[second.mask] = np.linspace(1 * US, 9 * US, int(second.mask.sum()))
+        net.labels = [1, None, 0, 1]
+        path = tmp_path / "net.weights"
+        save_network(net, path)
+        loaded = load_network(path, spec, 1e-3)
+        for a, b in zip(net.conductances(), loaded.conductances()):
+            assert a.tobytes() == b.tobytes()
+        assert loaded.labels == [1, None, 0, 1]
+        # a conductance for a pair the sparse matrix does not connect
+        i, j = np.argwhere(~second.mask)[0]
+        text = path.read_text()
+        path.write_text(text.replace("label,0,", f"2,{i},{j},1e-06\nlabel,0,"))
+        n = 6 * 5 + int(second.mask.sum())
+        with pytest.raises(NetworkFileError, match=r"synapse set does not match the network "
+                                                   rf"topology \({n + 1} entries, expected {n}\)"):
+            load_network(path, spec, 1e-3)
+
+    def test_from_file_init_weights_reach_the_same_loader(self, tmp_path):
+        sim, layers = "[sim]\nT = 0.01\ndt = 0.001\nT_sample = 0.01\n", """
+[device.ladder]
+kind = identical
+g_min = 1e-6
+g_max = 3e-6
+levels_ltp = 1e-6, 2e-6, 3e-6
+levels_ltd = 3e-6, 2e-6, 1e-6
+
+[circuit.pass]
+v_app = V_pre
+v_th_pos = 1.5
+v_th_neg = 1.5
+
+[neuron.input]
+tau = 1.0
+thres = 1.0
+pre_volt = 0, 0.5, 0.002, 0.5
+
+[neuron.out]
+tau = 0.01
+thres = 0.2
+
+[layers.0]
+neurons = 5
+neuron = input
+
+[layers.1]
+neurons = 3
+neuron = out
+label = true
+device = ladder
+circuit = pass
+"""
+        (tmp_path / "plain.cfg").write_text(sim + layers)
+        cfg = load_config(tmp_path / "plain.cfg")
+        net = build_network(cfg.network, cfg.sim.dt)
+        net.matrices[0].g[:] = np.arange(15).reshape(5, 3) * 1e-7 + 1e-6
+        net.labels = [2, None, 0]
+        save_network(net, tmp_path / "net.weights")
+        (tmp_path / "saved.cfg").write_text(
+            sim + layers + "\n[network]\ninit_weights = from_file(net.weights)\n")
+        cfg = load_config(tmp_path / "saved.cfg")
+        loaded = build_network(cfg.network, cfg.sim.dt)
+        assert loaded.matrices[0].g.tobytes() == net.matrices[0].g.tobytes()
+        assert loaded.labels == [2, None, 0]
+        (tmp_path / "net.weights").write_text(
+            (tmp_path / "net.weights").read_text().replace("label,1,none\n", ""))
+        with pytest.raises(NetworkFileError, match="label lines do not cover the label "
+                                                   r"layer \(2 entries, expected 3\)"):
+            build_network(cfg.network, cfg.sim.dt)
 
 
 class TestLateralInhibition:

@@ -1,0 +1,277 @@
+"""Differential oracle for the network file (format v1).
+
+`save_network_by_element` and `load_conductances_by_line` are the writer
+and loader the engine used before set-up ran on whole arrays, kept verbatim
+as the reference: the writer indexes one conductance per line, and the
+loader parses one line at a time into dicts, then compares Python sets.
+The engine's writer must give the same bytes. Its loader must agree with
+this one on saved files that are mutated in every way the tests below
+draw: both raise a NetworkFileError with the same text, or both restore
+bit-identical conductances and the same labels.
+"""
+
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spikeforge import engine
+from spikeforge.engine import (
+    NET_FORMAT, LayerSpec, Network, NetworkFileError, NetworkSpec, build_network, load_network,
+    save_network,
+)
+from spikeforge.expr import parse
+from spikeforge.neuron import NeuronModel, SpikeWaveforms
+from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
+from spikeforge.waveform import Waveform
+
+DT = 1e-3
+US = 1e-6
+
+
+def save_network_by_element(net: Network, path) -> None:
+    """Versioned text dump: header, synapse conductances, neuron labels."""
+    lines = [NET_FORMAT]
+    for q, matrix in enumerate(net.matrices, start=1):
+        for i, j in matrix.pairs:
+            lines.append(f"{q},{i},{j},{float(matrix.g[i, j])!r}")
+    for n, label in enumerate(net.labels):
+        lines.append(f"label,{n},{'none' if label is None else label}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def load_conductances_by_line(net: Network, path) -> None:
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines:
+        raise NetworkFileError(f"{path}: empty file")
+    header = lines[0]
+    if header != NET_FORMAT:
+        if header.startswith("spikeforge-net "):
+            raise NetworkFileError(
+                f"{path}: file format {header!r} not supported; this build reads "
+                f"{NET_FORMAT!r}")
+        raise NetworkFileError(f"{path}: not a spikeforge network file")
+    synapses: dict[tuple[int, int, int], float] = {}
+    labels: dict[int, int | None] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            if parts[0] == "label":
+                if len(parts) != 3:
+                    raise ValueError("label line needs 3 fields")
+                labels[int(parts[1])] = None if parts[2] == "none" else int(parts[2])
+            else:
+                if len(parts) != 4:
+                    raise ValueError("synapse line needs 4 fields")
+                synapses[(int(parts[0]), int(parts[1]), int(parts[2]))] = float(parts[3])
+        except ValueError as err:
+            raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None
+    expected = {(q, i, j)
+                for q, matrix in enumerate(net.matrices, start=1)
+                for i, j in matrix.pairs}
+    if set(synapses) != expected:
+        raise NetworkFileError(
+            f"{path}: synapse set does not match the network topology "
+            f"({len(synapses)} entries, expected {len(expected)}); file truncated "
+            "or from a different network")
+    if set(labels) != set(range(len(net.labels))):
+        raise NetworkFileError(
+            f"{path}: label lines do not cover the label layer "
+            f"({len(labels)} entries, expected {len(net.labels)})")
+    for (q, i, j), g in synapses.items():
+        net.matrices[q - 1].g[i, j] = g
+    net.labels = [labels[n] for n in range(len(net.labels))]
+
+
+def layer(n, conn_type="all_to_all", sparse_p=1.0, label=False):
+    pre = Waveform(((0.0, 0.5), (2e-3, 0.5)))
+    model = NeuronModel(tau=1e-2, thres=0.2, waveforms=SpikeWaveforms(pre=pre, post2=pre))
+    circuit = CircuitModel(
+        v_app=parse("V_pre"), v_th_pos=10.0, v_th_neg=10.0,
+        transmit_policy=frozenset({SpikePresence.PRE_ONLY}), plasticity_policy=frozenset())
+    device = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
+    return LayerSpec(neurons=n, neuron_model=model, label=label, conn_type=conn_type,
+                     sparse_p=sparse_p, circuit_model=circuit, device_model=device)
+
+
+# a one-matrix net, a 3-layer net whose second matrix is sparse (so q = 2 and
+# off-mask keys exist), a one-to-one matrix, and a label layer of one neuron
+SPECS = (
+    NetworkSpec(layers=(layer(4), layer(3, label=True)), seed=1),
+    NetworkSpec(layers=(layer(3), layer(4), layer(5, "sparse", 0.5, label=True)), seed=2),
+    NetworkSpec(layers=(layer(12), layer(12, "one_to_one", label=True)), seed=3),
+    NetworkSpec(layers=(layer(2), layer(1, label=True)), seed=4),
+)
+
+
+def saved_lines(spec, rng) -> list[str]:
+    """A net of spec with random conductances (subnormals, -0.0 and one-ulp
+    neighbours among them) and labels, written by the engine's writer."""
+    net = build_network(spec, DT)
+    for matrix in net.matrices:
+        shape = matrix.g.shape
+        g = rng.uniform(-2.0, 2.0, size=shape) * 10.0 ** rng.integers(-9, 3, size=shape)
+        g.flat[rng.integers(0, g.size, size=3)] = rng.choice(
+            [5e-324, -0.0, np.nextafter(0.1, 1.0), 0.1, 2.2250738585072014e-308])
+        matrix.g[matrix.mask] = g[matrix.mask]
+    net.labels = [None if c < 0 else int(c) for c in rng.integers(-1, 4, size=len(net.labels))]
+    text = render(save_network, net)
+    assert text == render(save_network_by_element, net)
+    return text.splitlines()
+
+
+def render(writer, net) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/net.weights"
+        writer(net, path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def synapse_line(lines, rng) -> int:
+    """A random line that holds a synapse (the header when none does)."""
+    hits = [k for k, line in enumerate(lines) if line[:1].isdigit()]
+    return hits[rng.integers(len(hits))] if hits else 0
+
+
+def set_field(lines, rng, k, field, value):
+    parts = lines[k].split(",")
+    parts[min(field, len(parts) - 1)] = value
+    lines[k] = ",".join(parts)
+
+
+BAD_INTS = ("x", "1.5", "", " ", "1e3", "0x1")
+GOOD_INTS = ("01", " 1", "+1", "1_0", "١", "-0")
+BAD_FLOATS = ("abc", "", "0x1p-3", "1.2.3", "--1", "1e")
+GOOD_FLOATS = ("-0.0", "5e-324", "1e999", "nan", "-inf", " 0.25 ", "1_0.5",
+               "0.1000000000000000055511151231257827")
+
+
+def mutate(lines: list[str], kind: str, rng) -> list[str]:
+    lines = list(lines)
+    k = int(rng.integers(len(lines)))
+    if kind == "drop":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[k])
+    elif kind == "duplicate_changed":  # the later of the two lines must win
+        k = synapse_line(lines, rng)
+        lines.insert(int(rng.integers(k, len(lines) + 1)), lines[k])
+        set_field(lines, rng, k, 3, repr(float(rng.random())))
+    elif kind == "reorder":
+        j = int(rng.integers(len(lines)))
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "blank":
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "  ", "\t"])))
+    elif kind == "field_count":
+        if rng.random() < 0.5:
+            lines[k] += ",7"
+        else:
+            lines[k] = lines[k].rpartition(",")[0]
+    elif kind == "shift_field" and k + 1 < len(lines):  # two lines, one field moved across
+        head, _, rest = lines[k + 1].partition(",")
+        lines[k], lines[k + 1] = f"{lines[k]},{head}", rest
+    elif kind == "bad_int":
+        set_field(lines, rng, synapse_line(lines, rng), int(rng.integers(3)),
+                  str(rng.choice(BAD_INTS + GOOD_INTS)))
+    elif kind == "bad_float":
+        set_field(lines, rng, synapse_line(lines, rng), 3,
+                  str(rng.choice(BAD_FLOATS + GOOD_FLOATS)))
+    elif kind == "out_of_range":
+        value = (-1, 0, 1, 2, 3, 5, 12, 13, 10**20)[rng.integers(9)]
+        set_field(lines, rng, synapse_line(lines, rng), int(rng.integers(3)), str(value))
+    elif kind == "label":
+        labels = [n for n, line in enumerate(lines) if line.startswith("label,")]
+        n = labels[rng.integers(len(labels))] if labels else k
+        choice = rng.integers(4)
+        if choice == 0:
+            del lines[n]
+        elif choice == 1:
+            lines.append(f"label,{len(labels) + int(rng.integers(2))},{rng.integers(-1, 3)}")
+        else:
+            set_field(lines, rng, n, 2, str(rng.choice(["none", "2", "x", "2.0", "", " 3"])))
+    elif kind == "header":
+        lines[0] = str(rng.choice(["spikeforge-net v2", "nonsense", "", NET_FORMAT + " "]))
+    return lines
+
+
+KINDS = ("drop", "duplicate", "duplicate_changed", "reorder", "blank", "field_count",
+         "shift_field", "bad_int", "bad_float", "out_of_range", "label", "header", "none")
+
+
+def outcome(load, path):
+    """The loaded conductances (as bytes) and labels, or the NetworkFileError's text."""
+    try:
+        net = load(path)
+    except NetworkFileError as err:
+        return "error", str(err)
+    return "loaded", [m.g.tobytes() for m in net.matrices], [(type(c), c) for c in net.labels]
+
+
+def compare(tmp, spec, lines, ending="\n"):
+    path = tmp / "net.weights"
+    path.write_text("\n".join(lines) + ending, encoding="utf-8")
+
+    def by_line(p):
+        net = build_network(spec, DT)
+        load_conductances_by_line(net, p)
+        return net
+
+    theirs = outcome(by_line, path)
+    assert outcome(lambda p: load_network(p, spec, DT), path) == theirs
+    return theirs[0]
+
+
+@pytest.fixture(scope="module")
+def net_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("netfile")
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(spec=st.sampled_from(SPECS), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+       ending=st.sampled_from(["\n", "", "\n\n"]))
+def test_loader_matches_the_line_by_line_loader(net_dir, spec, seed, kinds, ending):
+    rng = np.random.default_rng(seed)
+    lines = saved_lines(spec, rng)
+    for kind in kinds:
+        lines = mutate(lines, kind, rng)
+    compare(net_dir, spec, lines, ending)
+
+
+def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array_path(
+        tmp_path, monkeypatch):
+    """Each mutation kind on its own, over a few seeds: the loaders agree, the
+    corrupting kinds do fail and the harmless ones do load; and every file as
+    save_network writes it is read by `_saved_lines` alone."""
+    read_fast = []
+    saved = engine._saved_lines
+
+    def counted(net, text):
+        result = saved(net, text)
+        read_fast.append(1)
+        return result
+
+    monkeypatch.setattr(engine, "_saved_lines", counted)
+    seen = {kind: set() for kind in KINDS}
+    for kind in KINDS:
+        for seed in range(8):
+            for spec in SPECS:
+                rng = np.random.default_rng([seed, SPECS.index(spec)])
+                lines = saved_lines(spec, rng)
+                before = len(read_fast)
+                got = compare(tmp_path, spec, mutate(lines, kind, rng))
+                seen[kind].add(got)
+                if kind == "none":
+                    assert got == "loaded" and len(read_fast) == before + 1
+    for kind in ("drop", "field_count", "shift_field", "bad_int", "bad_float",
+                 "out_of_range", "label", "header"):
+        assert "error" in seen[kind], kind
+    for kind in ("duplicate", "duplicate_changed", "reorder", "blank", "bad_int", "bad_float",
+                 "label"):
+        assert "loaded" in seen[kind], kind
