@@ -5,42 +5,61 @@ encoding, data paths and tuning ranges; values are numbers, booleans,
 bare strings (equations), comma-separated number arrays (waveforms) or
 small structured forms like `uniform(lo, hi)`.
 
-This module reads and types the values; each spec and model constructor
-checks its own and raises a SpecError naming the parameter at fault, which
-`_Section.build` files under that parameter's key and line. So every fault
-of the specs, the network's included, is found at load, never at build or
-run time. Every problem in the file is reported at once (the first of each
-object built), each with its section, key and line number, and nothing runs
-on a partially valid config.
+This module reads and types the values and passes on only the keys the
+file gives: a key the file leaves out is not passed, so the spec's own
+default applies. (The one default kept here is the encoding `type`, which
+picks the encoder class, not a field value.) Each spec and
+model constructor checks its own values and raises a SpecError naming the
+parameter at fault, which `_Section.build` files under that parameter's key
+and line. So every fault of the specs, the network's included, is found at
+load, never at build or run time. Every problem in the file is reported at
+once (the first of each object built), each with its section, key and line
+number, and nothing runs on a partially valid config.
+
+The side files a config names (ladders, family tables, calibration data)
+and the datasets are read here too, all through `_rows`: blank lines and
+`#` comment lines are skipped, and a fault is prefixed with `path:line:`.
+So the model modules do no file I/O.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from spikeforge import expr
-from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
+from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample
 from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
 from spikeforge.errors import SpecError
-from spikeforge.neuron import (
-    NeuronModel, SpikeWaveforms, calibrate_from_frequency, load_calibration_csv,
-)
-from spikeforge.synapse import (
-    CircuitModel, PulseFamilyDevice, SpikePresence,
-    load_family_table, load_identical_levels,
-)
+from spikeforge.neuron import NeuronModel, SpikeWaveforms, calibrate_from_frequency
+from spikeforge.synapse import CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence
 from spikeforge.tuner import GAConfig, ParamRange
 from spikeforge.waveform import Waveform, waveform_from_flat
 
 _ENCODERS = {"poisson": PoissonEncoder, "fixed": FixedRateEncoder}
-_PRESENCE = {"none": SpikePresence.NONE, "pre_only": SpikePresence.PRE_ONLY,
-             "post_only": SpikePresence.POST_ONLY, "both": SpikePresence.BOTH}
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z0-9_]+)\s*=\s*(.*)$")
+
+
+def _bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "on", "yes", "1"):
+        return True
+    if low in ("false", "off", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+# how `_Section.read` reads each kind of value, and what a malformed one should be
+_KINDS = {float: (float, "a number"), int: (int, "an integer"),
+          bool: (_bool, "true or false"), str: (str, "a string")}
 
 
 class ConfigError(ValueError):
@@ -51,22 +70,10 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(problems))
 
 
-@dataclass
-class RawConfig:
-    """Parsed but untyped file: section -> key -> [(value, line number)]."""
-
-    path: Path
-    sections: dict[str, dict[str, list[tuple[str, int]]]] = field(default_factory=dict)
-
-    def section_names(self):
-        return list(self.sections)
-
-
-def parse_raw(path) -> RawConfig:
-    path = Path(path)
-    raw = RawConfig(path)
+def parse_raw(path) -> dict[str, dict[str, list[tuple[str, int]]]]:
+    """The parsed but untyped file: section -> key -> [(value, line number)]."""
+    sections: dict[str, dict[str, list[tuple[str, int]]]] = {}
     current: dict[str, list[tuple[str, int]]] | None = None
-    current_name = ""
     problems: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -75,10 +82,10 @@ def parse_raw(path) -> RawConfig:
                 continue
             m = _SECTION_RE.match(stripped)
             if m:
-                current_name = m.group(1)
-                if current_name in raw.sections:
-                    problems.append(f"line {lineno}: duplicate section [{current_name}]")
-                current = raw.sections.setdefault(current_name, {})
+                name = m.group(1)
+                if name in sections:
+                    problems.append(f"line {lineno}: duplicate section [{name}]")
+                current = sections.setdefault(name, {})
                 continue
             m = _KEY_RE.match(stripped)
             if m is None:
@@ -91,7 +98,7 @@ def parse_raw(path) -> RawConfig:
             current.setdefault(m.group(1), []).append((m.group(2).strip(), lineno))
     if problems:
         raise ConfigError(problems)
-    return raw
+    return sections
 
 
 class _Section:
@@ -135,10 +142,14 @@ class _Section:
     def has(self, key: str) -> bool:
         return key in self.entries
 
-    def raw(self, key: str):
+    def raw(self, key: str, required: bool = False):
+        """The (value, line) the file gives for key, else (None, None),
+        reported when the key is required."""
         self.consumed.add(key)
         values = self.entries.get(key)
         if not values:
+            if required:
+                self.complain(key, None, "required key is missing")
             return None, None
         if len(values) > 1:
             self.complain(key, values[1][1], "key given more than once")
@@ -148,14 +159,8 @@ class _Section:
         self.consumed.add(key)
         return self.entries.get(key, [])
 
-    def require(self, key: str):
-        value, lineno = self.raw(key)
-        if value is None:
-            self.complain(key, None, "required key is missing")
-        return value, lineno
-
     def _typed(self, key, required, default, convert, describe):
-        value, lineno = self.require(key) if required else self.raw(key)
+        value, lineno = self.raw(key, required)
         if value is None:
             return default
         try:
@@ -164,41 +169,30 @@ class _Section:
             self.complain(key, lineno, f"expected {describe}, got {value!r}")
             return default
 
-    def get_float(self, key, required=False, default=None):
-        return self._typed(key, required, default, float, "a number")
-
-    def get_int(self, key, required=False, default=None):
-        return self._typed(key, required, default, int, "an integer")
-
-    def get_bool(self, key, required=False, default=None):
-        def convert(v):
-            low = v.lower()
-            if low in ("true", "on", "yes", "1"):
-                return True
-            if low in ("false", "off", "no", "0"):
-                return False
-            raise ValueError(v)
-        return self._typed(key, required, default, convert, "true or false")
-
-    def get_str(self, key, required=False, default=None):
-        return self._typed(key, required, default, str, "a string")
+    def read(self, kinds: dict[str, type], required=()) -> dict:
+        """{key: value} for each key of kinds that the section gives, read as
+        its kind (float, int, bool or str). A missing required key or a
+        malformed key is reported and left out, so the spec's own default
+        stands in while the rest of the file is checked."""
+        got = {}
+        for key, kind in kinds.items():
+            value = self._typed(key, key in required, None, *_KINDS[kind])
+            if value is not None:
+                got[key] = value
+        return got
 
     def get_choice(self, key, choices, required=False, default=None):
         def convert(v):
             if v not in choices:
                 raise ValueError(v)
             return v
-        got = self._typed(key, required, default, convert,
-                          "one of " + "/".join(choices))
-        return got
+        return self._typed(key, required, default, convert, "one of " + "/".join(choices))
 
     def get_floats(self, key, required=False):
-        def convert(v):
-            return tuple(float(x) for x in v.split(","))
-        return self._typed(key, required, None, convert, "comma-separated numbers")
+        return self._typed(key, required, None, _floats, "comma-separated numbers")
 
     def get_expr(self, key, required=False):
-        value, lineno = self.require(key) if required else self.raw(key)
+        value, lineno = self.raw(key, required)
         if value is None:
             return None
         try:
@@ -208,7 +202,7 @@ class _Section:
             return None
 
     def get_path(self, key, required=False):
-        value, lineno = self.require(key) if required else self.raw(key)
+        value, lineno = self.raw(key, required)
         if value is None:
             return None
         path = self.base_dir / value
@@ -217,25 +211,24 @@ class _Section:
             return None
         return path
 
-    def get_policy(self, key, default):
+    def get_policy(self, key):
         value, lineno = self.raw(key)
         if value is None:
-            return default
+            return None
         states = set()
         for part in value.split(","):
-            part = part.strip()
-            if part not in _PRESENCE:
-                self.complain(key, lineno,
-                              f"unknown presence state {part!r}; allowed: "
-                              f"{sorted(_PRESENCE)}")
-                return default
-            states.add(_PRESENCE[part])
+            try:
+                states.add(SpikePresence(part.strip()))
+            except ValueError:
+                self.complain(key, lineno, f"unknown presence state {part.strip()!r}; "
+                              f"allowed: {sorted(p.value for p in SpikePresence)}")
+                return None
         return frozenset(states)
 
     def get_pairs(self, key):
         value, lineno = self.raw(key)
-        if value is None or not value.strip():
-            return ()
+        if not value:
+            return None if value is None else ()
         pairs = []
         for part in value.split(","):
             bits = part.strip().split(":")
@@ -246,23 +239,17 @@ class _Section:
             except ValueError:
                 self.complain(key, lineno,
                               f"expected `start:end` pairs, got {part.strip()!r}")
-                return ()
+                return None
         return tuple(pairs)
 
     def constants(self):
         """The const_<name> entries as (name, value) pairs; None when one of
         them is not a number (reported)."""
-        pairs = tuple((key[len("const_"):], self.get_float(key))
-                      for key in list(self.entries) if key.startswith("const_"))
-        return None if any(value is None for _, value in pairs) else pairs
-
-    def rest_voltages(self):
-        out = {}
-        for line in ("V_pre", "V_post1", "V_post2"):
-            key = f"rest_{line}"
-            if self.has(key):
-                out[f"rest_{line.lower()}"] = self.get_float(key)
-        return out
+        keys = [key for key in self.entries if key.startswith("const_")]
+        got = self.read(dict.fromkeys(keys, float))
+        if len(got) < len(keys):
+            return None
+        return tuple((key[len("const_"):], value) for key, value in got.items())
 
     def reject_unknown(self):
         for key in self.entries:
@@ -361,46 +348,43 @@ def _ladder(section: _Section, key: str):
 
 def _build_device(section: _Section):
     kind = section.get_choice("kind", ("identical", "family"), required=True)
-    g_min = section.get_float("g_min", required=True)
-    g_max = section.get_float("g_max", required=True)
+    args = section.read({"g_min": float, "g_max": float}, required=("g_min", "g_max"))
     if kind is None:  # the kind decides which keys apply; flag none as unknown
         for key in ("levels_ltp", "levels_ltd", "levels_ltp_path", "levels_ltd_path",
                     "table_ltp_path", "table_ltd_path", "family_axis"):
             section.raw(key)
         return None
     if kind == "identical":
-        ltp = _ladder(section, "levels_ltp")
-        ltd = _ladder(section, "levels_ltd")
-        if None in (ltp, ltd, g_min, g_max):
-            return None
-        return section.build(PulseFamilyDevice.identical, ltp, ltd, g_min, g_max)
-    ltp = _load(section, "table_ltp_path", lambda p: load_family_table(p, True))
-    ltd = _load(section, "table_ltd_path", lambda p: load_family_table(p, False))
-    axis = section.get_choice("family_axis", ("amplitude", "width"),
-                              default="amplitude")
-    if None in (ltp, ltd, g_min, g_max):
+        make = PulseFamilyDevice.identical
+        tables = _ladder(section, "levels_ltp"), _ladder(section, "levels_ltd")
+    else:
+        make = PulseFamilyDevice
+        tables = (_load(section, "table_ltp_path", lambda p: load_family_table(p, True)),
+                  _load(section, "table_ltd_path", lambda p: load_family_table(p, False)))
+        axis = section.get_choice("family_axis", ("amplitude", "width"))
+        if axis is not None:
+            args["family_axis"] = axis
+    if None in tables or not {"g_min", "g_max"} <= args.keys():
         return None
-    return section.build(PulseFamilyDevice, ltp, ltd, g_min, g_max, family_axis=axis)
+    return section.build(make, *tables, **args)
 
 
 def _build_circuit(section: _Section):
     v_app = section.get_expr("v_app", required=True)
     ex_eqs = section.get_expr("ex_eqs")
-    v_th_pos = section.get_float("v_th_pos", required=True)
-    v_th_neg = section.get_float("v_th_neg", required=True)
-    transmit = section.get_policy("transmit_policy",
-                                  frozenset({SpikePresence.PRE_ONLY}))
-    plasticity = section.get_policy("plasticity_policy",
-                                    frozenset({SpikePresence.BOTH}))
-    conduct = section.get_bool("conduct_during_plasticity", default=True)
-    rest = section.rest_voltages()
+    args = section.read({"v_th_pos": float, "v_th_neg": float},
+                        required=("v_th_pos", "v_th_neg"))
+    for key in ("transmit_policy", "plasticity_policy"):
+        policy = section.get_policy(key)
+        if policy is not None:
+            args[key] = policy
+    args |= section.read({"conduct_during_plasticity": bool})
+    rest = section.read(dict.fromkeys(("rest_V_pre", "rest_V_post1", "rest_V_post2"), float))
+    args |= {key.lower(): value for key, value in rest.items()}  # the field is rest_v_pre
     constants = section.constants()
-    if None in (v_app, v_th_pos, v_th_neg, constants):
+    if None in (v_app, constants) or not {"v_th_pos", "v_th_neg"} <= args.keys():
         return None
-    return section.build(
-        CircuitModel, v_app=v_app, ex_eqs=ex_eqs, v_th_pos=v_th_pos, v_th_neg=v_th_neg,
-        transmit_policy=transmit, plasticity_policy=plasticity,
-        conduct_during_plasticity=conduct, constants=constants, **rest)
+    return section.build(CircuitModel, v_app=v_app, ex_eqs=ex_eqs, constants=constants, **args)
 
 
 def _waveform(section: _Section, key: str) -> Waveform | None:
@@ -412,11 +396,9 @@ def _waveform(section: _Section, key: str) -> Waveform | None:
 
 def _build_neuron(section: _Section):
     has_calib = section.has("calib_path")
-    tau = section.get_float("tau", required=not has_calib)
-    thres = section.get_float("thres", required=not has_calib)
-    v_reset = section.get_float("v_reset", default=0.0)
-    t_refrac = section.get_float("t_refrac", default=0.0)
-    r_mem = section.get_float("r_mem", default=1.0)
+    args = section.read(
+        {"tau": float, "thres": float, "v_reset": float, "t_refrac": float, "r_mem": float},
+        required=() if has_calib else ("tau", "thres"))
     state_eqs = section.get_expr("state_eqs")
     power_expr = section.get_expr("power_expr")
     waveforms = SpikeWaveforms(
@@ -429,28 +411,63 @@ def _build_neuron(section: _Section):
         # measured frequency-vs-width data fills in whatever tau/thres the
         # user left out; explicit keys win
         p = section.get_path("calib_path")
-        amplitude = section.get_float("calib_pulse_amplitude", required=True)
-        rate = section.get_float("calib_pulse_rate", default=1.0)
-        if p is not None and amplitude is not None:
+        pulses = section.read({"calib_pulse_amplitude": float, "calib_pulse_rate": float},
+                              required=("calib_pulse_amplitude",))
+        if p is not None and "calib_pulse_amplitude" in pulses:
             try:
-                fit = calibrate_from_frequency(
-                    load_calibration_csv(p), amplitude, rate)
+                fit = calibrate_from_frequency(load_calibration_csv(p), **{
+                    key[len("calib_"):]: value for key, value in pulses.items()})
             except ValueError as err:
                 section.complain("calib_path", section.line("calib_path"), str(err))
                 return None
-            tau = tau if tau is not None else fit.tau
-            thres = thres if thres is not None else fit.thres
-            if math.isinf(tau) and state_eqs is None:
+            args = {"tau": fit.tau, "thres": fit.thres} | args
+            if math.isinf(args["tau"]) and state_eqs is None:
                 section.complain(
                     "calib_path", section.line("calib_path"),
                     "calibration found a pure integrate-and-fire device "
                     "(infinite tau); provide state_eqs or an explicit tau")
                 return None
-    if tau is None or thres is None:
+    if not {"tau", "thres"} <= args.keys():
         return None
-    return section.build(
-        NeuronModel, tau=tau, thres=thres, v_reset=v_reset, t_refrac=t_refrac, r_mem=r_mem,
-        state_eqs=state_eqs, power_expr=power_expr, waveforms=waveforms)
+    return section.build(NeuronModel, **args, state_eqs=state_eqs, power_expr=power_expr,
+                         waveforms=waveforms)
+
+
+# what a layer's reference key names: the LayerSpec field it fills and the
+# word its unknown-name message uses
+_REFERENCES = {"neuron": ("neuron_model", "neuron type"),
+               "device": ("device_model", "device"),
+               "circuit": ("circuit_model", "circuit")}
+
+
+def _build_layer(section: _Section, idx: int, defined: dict[str, dict]):
+    """The LayerSpec of [layers.idx], whose neuron, device and circuit
+    references are resolved in defined; None when any part is missing."""
+    args = section.read({"neurons": int}, required=("neurons",))
+    complete = "neurons" in args
+    for ref in ("neuron",) if idx == 0 else _REFERENCES:
+        field_name, word = _REFERENCES[ref]
+        name = section.read({ref: str}, required=(ref,)).get(ref)
+        if name is not None and name not in defined[ref]:
+            section.complain(ref, section.line(ref),
+                             f"unknown {word} {name!r}; defined: {sorted(defined[ref])}")
+        args[field_name] = defined[ref].get(name)
+        complete = complete and args[field_name] is not None
+    if idx == 0:
+        for forbidden in ("device", "circuit", "conn_type", "sparse_p", "plastic", "label"):
+            if section.has(forbidden):
+                section.complain(forbidden, section.raw(forbidden)[1],
+                                 "not applicable to the input layer (layer 0)")
+    else:
+        args |= section.read({"plastic": bool, "label": bool})
+        conn_type = section.get_choice("conn_type", ("all_to_all", "one_to_one", "sparse"))
+        if conn_type is not None:
+            args["conn_type"] = conn_type
+        args |= section.read({"sparse_p": float})
+        if conn_type == "sparse" and not section.has("sparse_p"):
+            section.complain("sparse_p", None, "sparse connectivity needs sparse_p")
+    section.reject_unknown()
+    return section.build(LayerSpec, **args) if complete else None
 
 
 def _build_tune(section: _Section):
@@ -470,20 +487,19 @@ def _build_tune(section: _Section):
                               at=("param", lineno))
         if param is not None:
             space.append(param)
-    ga_kwargs = {}
-    for key, cast in (("population", int), ("generations", int),
-                      ("crossover_rate", float), ("mutation_rate", float),
-                      ("mutation_sigma", float), ("elitism", int),
-                      ("tournament_size", int), ("seed", int)):
-        if section.has(key):
-            got = section.get_int(key) if cast is int else section.get_float(key)
-            if got is not None:
-                ga_kwargs[key] = got
-    val_fraction = section.get_float("val_fraction", default=0.2)
-    ga = section.build(GAConfig, **ga_kwargs)
+    ga_args = section.read({
+        "population": int, "generations": int, "crossover_rate": float,
+        "mutation_rate": float, "mutation_sigma": float, "elitism": int,
+        "tournament_size": int, "seed": int})
+    args = section.read({"val_fraction": float})
+    ga = section.build(GAConfig, **ga_args)
     if ga is None or len(space) < len(section.raw_all("param")):
         return None  # each bad param line is reported already
-    return section.build(TuneConfig, tuple(space), ga, val_fraction)
+    return section.build(TuneConfig, tuple(space), ga, **args)
+
+
+# the builder of each named-object section kind, `[kind.name]`
+_BUILDERS = {"device": _build_device, "circuit": _build_circuit, "neuron": _build_neuron}
 
 
 def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig:
@@ -493,150 +509,87 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
     onto replacement values, applied before validation; unknown paths are
     rejected. This is how tuned parameters re-enter the pipeline.
     """
+    path = Path(path)
     raw = parse_raw(path)
     if overrides:
         _apply_overrides(raw, overrides)
     problems: list[str] = []
-    base_dir = raw.path.parent
 
     def section(name) -> _Section:
         """The named section; a missing one reads as empty."""
-        return _Section(name, raw.sections.get(name, {}), problems, base_dir)
-
-    known_prefixes = ("device.", "circuit.", "neuron.", "layers.")
-    for name in raw.section_names():
-        if name in ("sim", "encoding", "data", "network", "tune"):
-            continue
-        if not name.startswith(known_prefixes):
-            problems.append(f"[{name}]: unknown section")
+        return _Section(name, raw.get(name, {}), problems, path.parent)
 
     sim = None
-    if "sim" not in raw.sections:
+    if "sim" not in raw:
         problems.append("[sim]: required section is missing")
     else:
         sim_s = section("sim")
-        T = sim_s.get_float("T", required=True)
-        dt = sim_s.get_float("dt", required=True)
-        T_sample = sim_s.get_float("T_sample", default=0.1)
-        seed = sim_s.get_int("seed", default=0)
-        reset = sim_s.get_bool("reset_between_samples", default=True)
-        shuffle = sim_s.get_bool("shuffle", default=True)
+        args = sim_s.read({"T": float, "dt": float, "T_sample": float, "seed": int,
+                           "reset_between_samples": bool, "shuffle": bool},
+                          required=("T", "dt"))
         sim_s.reject_unknown()
-        if T is not None and dt is not None:
-            sim = sim_s.build(SimConfig, T=T, dt=dt, T_sample=T_sample,
-                              reset_between_samples=reset, shuffle=shuffle, seed=seed)
+        if {"T", "dt"} <= args.keys():
+            sim = sim_s.build(SimConfig, **args)
 
     enc_s = section("encoding")
     etype = enc_s.get_choice("type", tuple(_ENCODERS), default="poisson")
-    r_min = enc_s.get_float("r_min", default=0.0)
-    r_max = enc_s.get_float("r_max", default=60.0)
+    rates = enc_s.read({"r_min": float, "r_max": float})
     enc_s.reject_unknown()
-    encoding = enc_s.build(_ENCODERS[etype], r_min, r_max)
+    encoding = enc_s.build(_ENCODERS[etype], **rates)
 
-    devices = {}
-    circuits = {}
-    neurons = {}
-    for name in raw.section_names():
-        if name.startswith("device."):
+    defined: dict[str, dict] = {kind: {} for kind in _BUILDERS}
+    layer_indices = []
+    for name in raw:
+        kind, dot, label = name.partition(".")
+        if dot and kind in _BUILDERS:
             s = section(name)
-            devices[name.split(".", 1)[1]] = _build_device(s)
+            defined[kind][label] = _BUILDERS[kind](s)
             s.reject_unknown()
-        elif name.startswith("circuit."):
-            s = section(name)
-            circuits[name.split(".", 1)[1]] = _build_circuit(s)
-            s.reject_unknown()
-        elif name.startswith("neuron."):
-            s = section(name)
-            neurons[name.split(".", 1)[1]] = _build_neuron(s)
-            s.reject_unknown()
-
-    layer_indices = sorted(
-        int(name.split(".", 1)[1]) for name in raw.section_names()
-        if name.startswith("layers.") and name.split(".", 1)[1].isdigit())
+        elif dot and kind == "layers":
+            if label.isdigit():
+                layer_indices.append(int(label))
+        elif name not in ("sim", "encoding", "data", "network", "tune"):
+            problems.append(f"[{name}]: unknown section")
+    layer_indices.sort()
     if not layer_indices:
         problems.append("[layers.*]: no layer sections found")
     elif layer_indices != list(range(len(layer_indices))):
         problems.append(f"[layers.*]: layer indices must be 0..n-1, got {layer_indices}")
-
-    layers = []
-    for idx in layer_indices:
-        s = section(f"layers.{idx}")
-        n = s.get_int("neurons", required=True)
-        neuron_name = s.get_str("neuron", required=True)
-        model = neurons.get(neuron_name)
-        if neuron_name is not None and neuron_name not in neurons:
-            s.complain("neuron", s.line("neuron"), f"unknown neuron type {neuron_name!r}; "
-                       f"defined: {sorted(neurons)}")
-        if idx == 0:
-            for forbidden in ("device", "circuit", "conn_type", "sparse_p",
-                              "plastic", "label"):
-                if s.has(forbidden):
-                    _, lineno = s.raw(forbidden)
-                    s.complain(forbidden, lineno,
-                               "not applicable to the input layer (layer 0)")
-            s.reject_unknown()
-            if n is not None and model is not None:
-                layers.append(s.build(LayerSpec, neurons=n, neuron_model=model))
-            continue
-        plastic = s.get_bool("plastic", default=False)
-        label = s.get_bool("label", default=False)
-        conn_type = s.get_choice("conn_type",
-                                 ("all_to_all", "one_to_one", "sparse"),
-                                 default="all_to_all")
-        sparse_p = s.get_float("sparse_p", default=1.0)
-        device_name = s.get_str("device", required=True)
-        circuit_name = s.get_str("circuit", required=True)
-        device = devices.get(device_name)
-        circuit = circuits.get(circuit_name)
-        if device_name is not None and device_name not in devices:
-            s.complain("device", s.line("device"), f"unknown device {device_name!r}; "
-                       f"defined: {sorted(devices)}")
-        if circuit_name is not None and circuit_name not in circuits:
-            s.complain("circuit", s.line("circuit"), f"unknown circuit {circuit_name!r}; "
-                       f"defined: {sorted(circuits)}")
-        if conn_type == "sparse" and not s.has("sparse_p"):
-            s.complain("sparse_p", None, "sparse connectivity needs sparse_p")
-        s.reject_unknown()
-        if None in (n, model, device, circuit):
-            continue
-        layers.append(s.build(
-            LayerSpec, neurons=n, neuron_model=model, plastic=plastic, label=label,
-            conn_type=conn_type, sparse_p=sparse_p, circuit_model=circuit,
-            device_model=device))
+    layers = tuple(_build_layer(section(f"layers.{idx}"), idx, defined)
+                   for idx in layer_indices)
 
     net_s = section("network")
-    inh_conn = net_s.get_pairs("inh_conn")
-    inh_g = net_s.get_float("inh_g", default=0.0)
-    net_seed = net_s.get_int("seed", default=0)
-    init_weights = _parse_init_weights(net_s)
+    net_args = {"inh_conn": net_s.get_pairs("inh_conn"),
+                **net_s.read({"inh_g": float, "seed": int}),
+                "init_weights": _parse_init_weights(net_s)}
     net_s.reject_unknown()
 
     data_s = section("data")
-    train_path = data_s.get_path("train_path") if data_s.has("train_path") else None
-    test_path = data_s.get_path("test_path") if data_s.has("test_path") else None
+    train_path = data_s.get_path("train_path")
+    test_path = data_s.get_path("test_path")
     data_s.reject_unknown()
 
     tune = None
-    if "tune" in raw.sections:
+    if "tune" in raw:
         tune_s = section("tune")
         tune = _build_tune(tune_s)
         tune_s.reject_unknown()
 
     network = None
     if not problems:  # so every layer was built
-        network = net_s.build(NetworkSpec, layers=tuple(layers), inh_conn=inh_conn,
-                              inh_g=inh_g, seed=net_seed, init_weights=init_weights)
+        network = net_s.build(NetworkSpec, layers=layers, **{
+            key: value for key, value in net_args.items() if value is not None})
 
     if problems:
         raise ConfigError(problems)
-    return LoadedConfig(raw.path, sim, network, encoding, train_path, test_path, tune)
+    return LoadedConfig(path, sim, network, encoding, train_path, test_path, tune)
 
 
-def _apply_overrides(raw: RawConfig, overrides: dict[str, float]) -> None:
+def _apply_overrides(raw: dict, overrides: dict[str, float]) -> None:
     problems = []
     for dotted, value in overrides.items():
         section, _, key = dotted.rpartition(".")
-        entries = raw.sections.get(section)
+        entries = raw.get(section)
         if entries is None or key not in entries:
             problems.append(f"override {dotted!r}: no such config key")
             continue
@@ -649,3 +602,61 @@ def _apply_overrides(raw: RawConfig, overrides: dict[str, float]) -> None:
         entries[key] = [(rendered, lineno)]
     if problems:
         raise ConfigError(problems)
+
+
+def _rows(path, parse) -> list:
+    """parse(row) for each row of the file at path: each line, stripped,
+    that is neither blank nor a `#` comment. A ValueError that parse raises
+    becomes ValueError(`path:lineno: message`)."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    rows.append(parse(line))
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
+    return rows
+
+
+def _as(convert, line: str, fault: str):
+    """convert(line); else ValueError(`fault 'line'`)."""
+    try:
+        return convert(line)
+    except ValueError:
+        raise ValueError(f"{fault} {line!r}") from None
+
+
+def load_identical_levels(path) -> tuple[float, ...]:
+    """Read an identical-pulse ladder: one conductance per row."""
+    return tuple(_rows(path, lambda line: _as(float, line, "not a conductance:")))
+
+
+def load_family_table(path, ascending: bool) -> PulseFamilyTable:
+    """Read a family table: a first row of pulse amplitudes, then one row of
+    conductances per amplitude; every row is comma-separated numbers."""
+    rows = _rows(path, lambda line: _as(_floats, line, "bad row:"))
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need a header of amplitudes plus at least one row")
+    return PulseFamilyTable(rows[0], tuple(rows[1:]), ascending)
+
+
+def load_calibration_csv(path) -> list[tuple[float, float]]:
+    """Read calibration data: one `width_seconds,frequency_hz` pair per row."""
+    def pair(line):
+        if line.count(",") != 1:
+            raise ValueError(f"expected width_seconds,frequency_hz, got {line!r}")
+        return _as(_floats, line, "bad numbers in")
+    return _rows(path, pair)
+
+
+def load_dataset(path) -> list[Sample]:
+    """Read a dataset: per row, the features in [0, 1] then an integer
+    label, comma-separated."""
+    def sample(line):
+        *features, label = line.split(",")
+        if not features:
+            raise ValueError("need at least one feature and a label")
+        return Sample(tuple(float(x) for x in features), int(label))
+    return _rows(path, sample)

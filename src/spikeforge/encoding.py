@@ -61,8 +61,8 @@ class _RateMap:
     """The encoders' linear intensity-to-rate map: an intensity x in [0, 1]
     spikes at r_min + x * (r_max - r_min) Hz."""
 
-    r_min: float
-    r_max: float
+    r_min: float = 0.0
+    r_max: float = 60.0
 
     def __post_init__(self):
         if not 0 <= self.r_min <= self.r_max:
@@ -127,23 +127,3 @@ class FixedRateEncoder(_RateMap):
                 k += 1
             trains.append(SpikeTrain(tuple(steps), dt))
         return trains
-
-
-def load_dataset(path) -> list[Sample]:
-    """Read a CSV dataset: feature columns in [0, 1], last column integer label."""
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: need at least one feature and a label")
-            try:
-                features = tuple(float(x) for x in parts[:-1])
-                label = int(parts[-1])
-                samples.append(Sample(features, label))
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-    return samples

@@ -142,6 +142,9 @@ class NetworkSpec:
         for a, b in self.inh_conn:
             if not (0 <= a < len(self.layers) and 0 <= b < len(self.layers)):
                 raise SpecError("inh_conn", f"inh_conn pair ({a}, {b}) out of range")
+            if 0 in (a, b):
+                raise SpecError("inh_conn", f"inh_conn pair ({a}, {b}) names the input "
+                                "layer, which neither fires nor integrates inhibition")
         if self.inh_conn and self.inh_g <= 0:
             raise SpecError("inh_g", "inh_conn configured but inh_g is not positive")
         for a, _ in self.inh_conn:
@@ -514,7 +517,7 @@ def _emit(net: Network, q: int, j: int, step: int) -> None:
     origin = step + 1
     if layer.post1 is not None:
         layer.post1_in.trigger(j, origin, layer.post1)
-    if layer.post2 is not None and q < len(net.layers) - 1:
+    if layer.post2 is not None:
         layer.pre_out.trigger(j, origin, layer.post2)
     # NetworkSpec checked that every inhibiting layer has an inhib waveform
     for a, b in net.spec.inh_conn:

@@ -3,8 +3,9 @@
 Neurons integrate total synaptic current with explicit Euler at the global
 timestep, fire on a threshold crossing and reset. The engine then schedules
 the neuron's configured spike shapes: post1 back to the incoming synapses,
-post2 forward as the next layer's pre-spike, and an optional inhibitory
-spike toward peers.
+post2 forward as the next layer's pre-spike (and as V_post2 to its own
+incoming synapses, on every layer), and an optional inhibitory spike toward
+peers.
 The leak constant and threshold can be recovered from measured
 firing-frequency-vs-pulse-width device data.
 """
@@ -202,22 +203,3 @@ def calibrate_from_frequency(data, pulse_amplitude: float,
     if rms(tau, thres) <= rms(math.inf, thres0):
         return CalibrationResult(tau, thres, rms(tau, thres))
     return CalibrationResult(math.inf, thres0, rms(math.inf, thres0))
-
-
-def load_calibration_csv(path) -> list[tuple[float, float]]:
-    """Read `width_seconds,frequency_hz` lines."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected width_seconds,frequency_hz, "
-                                 f"got {line!r}")
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad numbers in {line!r}") from None
-    return pairs

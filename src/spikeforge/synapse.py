@@ -158,8 +158,8 @@ class CircuitModel:
     v_app: expr.Expression
     v_th_pos: float
     v_th_neg: float
-    transmit_policy: frozenset[SpikePresence]
-    plasticity_policy: frozenset[SpikePresence]
+    transmit_policy: frozenset[SpikePresence] = frozenset({SpikePresence.PRE_ONLY})
+    plasticity_policy: frozenset[SpikePresence] = frozenset({SpikePresence.BOTH})
     ex_eqs: expr.Expression | None = None
     conduct_during_plasticity: bool = True
     rest_v_pre: float = 0.0
@@ -275,35 +275,3 @@ def saturates(device: PulseFamilyDevice, direction: SynapseMode, g: float,
     """True when a pulse in this direction can no longer move the conductance."""
     row = _row(device, direction, pulse_amplitude)
     return _nearest(row, g) == len(row) - 1
-
-
-def load_identical_levels(path) -> tuple[float, ...]:
-    """Read a one-conductance-per-line CSV ladder."""
-    levels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                levels.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a conductance: {line!r}") from None
-    return tuple(levels)
-
-
-def load_family_table(path, ascending: bool) -> PulseFamilyTable:
-    """Read a family CSV: header line of amplitudes, then one row per amplitude."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append(tuple(float(x) for x in line.split(",")))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad row: {line!r}") from None
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header of amplitudes plus at least one row")
-    return PulseFamilyTable(rows[0], tuple(rows[1:]), ascending)

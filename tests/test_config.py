@@ -1,11 +1,15 @@
 import pytest
 
-from spikeforge.config import ConfigError, load_config
+from spikeforge.config import (
+    ConfigError, TuneConfig, load_calibration_csv, load_config, load_dataset,
+    load_family_table, load_identical_levels,
+)
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
 from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
+from spikeforge.tuner import GAConfig, ParamRange
 from spikeforge.waveform import Waveform
 
 MINIMAL = """\
@@ -101,15 +105,13 @@ def test_every_problem_is_reported_at_once(tmp_path):
             .replace("neuron = out", "neuron = missing"))
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
-    problems = err.value.problems
-    assert f"[sim] dt (line {line_of(text, 'dt = fast')}): expected a number, " \
-           "got 'fast'" in problems
-    assert f"[circuit.gate] v_th_pos (line {line_of(text, 'high')}): expected a " \
-           "number, got 'high'" in problems
-    assert f"[circuit.gate] bogus (line {line_of(text, 'bogus')}): unknown key" in problems
-    assert f"[layers.1] neuron (line {line_of(text, 'missing')}): unknown neuron type " \
-           "'missing'; defined: ['input', 'out']" in problems
-    assert len(problems) == 4
+    assert err.value.problems == [
+        f"[sim] dt (line {line_of(text, 'dt = fast')}): expected a number, got 'fast'",
+        f"[circuit.gate] v_th_pos (line {line_of(text, 'high')}): expected a number, "
+        "got 'high'",
+        f"[circuit.gate] bogus (line {line_of(text, 'bogus')}): unknown key",
+        f"[layers.1] neuron (line {line_of(text, 'missing')}): unknown neuron type "
+        "'missing'; defined: ['input', 'out']"]
 
 
 def test_override_renders_integers_and_reals(tmp_path):
@@ -140,6 +142,68 @@ def test_pulse_convert_path_is_an_unknown_key(tmp_path):
 
 GOOD_LTP = "0.8,1.0\n1e-6,2e-6,3e-6\n1e-6,2.5e-6,3e-6\n"
 GOOD_LTD = "0.8,1.0\n3e-6,2e-6,1e-6\n3e-6,1.5e-6,1e-6\n"
+
+# every section with only the keys its spec requires, and the one label
+# layer a network requires
+REQUIRED_ONLY = """\
+[sim]
+T = 0.2
+dt = 0.001
+
+[device.family]
+kind = family
+g_min = 1e-6
+g_max = 3e-6
+table_ltp_path = ltp.csv
+table_ltd_path = ltd.csv
+
+[circuit.gate]
+v_app = V_pre
+v_th_pos = 1.5
+v_th_neg = 1.5
+
+[neuron.input]
+tau = 1.0
+thres = 1.0
+pre_volt = 0, 0.5, 0.002, 0.5
+
+[neuron.out]
+tau = 0.01
+thres = 0.2
+
+[layers.0]
+neurons = 4
+neuron = input
+
+[layers.1]
+neurons = 2
+neuron = out
+label = true
+device = family
+circuit = gate
+
+[tune]
+param = neuron.out.tau, 0.005, 0.05, log, real
+"""
+
+
+def test_each_omitted_key_takes_its_specs_default(tmp_path):
+    ltp, ltd = write(tmp_path, GOOD_LTP, "ltp.csv"), write(tmp_path, GOOD_LTD, "ltd.csv")
+    cfg = load_config(write(tmp_path, REQUIRED_ONLY))
+    assert cfg.sim == SimConfig(T=0.2, dt=0.001)
+    assert cfg.encoding == PoissonEncoder()
+    assert cfg.network == NetworkSpec(layers=(
+        LayerSpec(neurons=4, neuron_model=NeuronModel(
+            tau=1.0, thres=1.0,
+            waveforms=SpikeWaveforms(pre=Waveform(((0.0, 0.5), (0.002, 0.5)))))),
+        LayerSpec(neurons=2, neuron_model=NeuronModel(tau=0.01, thres=0.2), label=True,
+                  circuit_model=CircuitModel(v_app=parse("V_pre"), v_th_pos=1.5,
+                                             v_th_neg=1.5),
+                  device_model=PulseFamilyDevice(load_family_table(ltp, True),
+                                                 load_family_table(ltd, False),
+                                                 1e-6, 3e-6))))
+    assert cfg.tune == TuneConfig(
+        (ParamRange("neuron.out.tau", 0.005, 0.05, scale="log"),), GAConfig())
 
 
 def with_family_device(tmp_path, ltp=GOOD_LTP, ltd=GOOD_LTD, extra="", g_max="3e-6"):
@@ -357,6 +421,9 @@ OUT_CALIB = "calib_path = {}\ncalib_pulse_amplitude = 1.0\n"
      "[layers.1] sparse_p (line {line}): sparse_p must be in (0, 1], got 1.5"),
     ("inh_g = 2e-6", "inh_g = -2e-6", "inh_g",
      "[network] inh_g (line {line}): inh_conn configured but inh_g is not positive"),
+    ("inh_conn = 1:1", "inh_conn = 1:0", "inh_conn",
+     "[network] inh_conn (line {line}): inh_conn pair (1, 0) names the input layer, "
+     "which neither fires nor integrates inhibition"),
     ("inhib_volt = 0, 1.0, 0.005, 1.0\n", "", "inh_conn",
      "[network] inh_conn (line {line}): layer 1 drives inhibition but its neuron model "
      "has no inhib waveform"),
@@ -389,7 +456,7 @@ OUT_CALIB = "calib_path = {}\ncalib_pulse_amplitude = 1.0\n"
      "[neuron.out] calib_path (line {line}): calibration found a pure integrate-and-fire "
      "device (infinite tau); provide state_eqs or an explicit tau"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
-        "inh_g", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
+        "inh_g", "inh_conn-input", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
         "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak"])
 def test_config_error_table(tmp_path, old, new, at, problem):
@@ -400,3 +467,24 @@ def test_config_error_table(tmp_path, old, new, at, problem):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert err.value.problems == [problem.format(line=at and line_of(text, at), dir=tmp_path)]
+
+
+# one bad line (or file) per kind of side-file fault, with its exact text
+@pytest.mark.parametrize("read, text, message", [
+    (load_identical_levels, "1e-6\n\n# LTP\n2e-6, 3e-6\n",
+     "{path}:4: not a conductance: '2e-6, 3e-6'"),
+    (lambda p: load_family_table(p, True), "0.8,1.0\n1e-6,x\n", "{path}:2: bad row: '1e-6,x'"),
+    (lambda p: load_family_table(p, True), "# amplitudes\n0.8,1.0\n",
+     "{path}: need a header of amplitudes plus at least one row"),
+    (load_calibration_csv, "0.001,5\n0.002,10,3\n",
+     "{path}:2: expected width_seconds,frequency_hz, got '0.002,10,3'"),
+    (load_calibration_csv, "0.001,x\n", "{path}:1: bad numbers in '0.001,x'"),
+    (load_dataset, "0.5,1\n0.5\n", "{path}:2: need at least one feature and a label"),
+    (load_dataset, "0.5,1\n\n1.5,0.2,1\n", "{path}:3: feature 1.5 outside [0, 1]"),
+], ids=["ladder-line", "family-row", "family-no-rows", "calib-fields", "calib-numbers",
+        "dataset-short", "dataset-range"])
+def test_side_file_fault_texts(tmp_path, read, text, message):
+    path = write(tmp_path, text, "side.csv")
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value) == message.format(path=path)

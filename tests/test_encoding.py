@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, SpikeTrain, load_dataset
+from spikeforge.config import load_dataset
+from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, SpikeTrain
 from spikeforge.errors import SpecError
 
 

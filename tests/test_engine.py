@@ -15,6 +15,7 @@ from spikeforge.engine import (
     WeightInit, assign_labels, build_network, infer, load_network, num_steps,
     run_timestep, save_network, schedule_input, train,
 )
+from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
@@ -143,6 +144,30 @@ class TestMicroNetTrace:
                                              r"the network's dt is 0\.001"):
             schedule_input(net, [SpikeTrain((0,), 1e-3), SpikeTrain((10,), 1e-4)])
         assert not net.layers[0].pre_out.pending
+
+
+class TestOutputPost2:
+    def test_output_neurons_post2_reaches_its_own_synapses(self):
+        # v_app reads V_post2: once the output neuron fires, its post2 spike
+        # adds to V_TB from the next step, as it does on a hidden matrix
+        output = NeuronModel(tau=0.01, thres=0.15, r_mem=1e6,
+                             waveforms=SpikeWaveforms(post2=rect(1.0, 1e-3)))
+        spec = NetworkSpec(
+            layers=(LayerSpec(neurons=2, neuron_model=NeuronModel(
+                        tau=1.0, thres=1.0, waveforms=SpikeWaveforms(pre=rect(0.5, 5e-3)))),
+                    LayerSpec(neurons=1, neuron_model=output, label=True,
+                              circuit_model=CircuitModel(
+                                  v_app=parse("V_pre + V_post2"), v_th_pos=10.0,
+                                  v_th_neg=10.0),
+                              device_model=micro_spec().layers[1].device_model)),
+            init_weights=WeightInit("constant", value=2 * US))
+        net = build_network(spec, dt=1e-3)
+        schedule_input(net, [SpikeTrain((0,), 1e-3), SpikeTrain((), 1e-3)])
+        traces = [run_timestep(net, k, record=True) for k in range(4)]
+        # V after steps 0 and 1: 0.1, then 0.1 + (1.0 - 0.1) * 0.1 = 0.19 >= 0.15
+        assert [t.fired[0] for t in traces] == [[], [0], [0], [0]]
+        assert [t.currents[0][0] for t in traces] == [
+            2e-6 * 0.5, 2e-6 * 0.5, 2e-6 * (0.5 + 1.0), 2e-6 * (0.5 + 1.0)]
 
 
 class TestBuildNetwork:
@@ -546,6 +571,21 @@ class TestLateralInhibition:
                                               inh_g=50 * US, **base))
         assert suppressed[1] < free[1]  # loser is slowed by the winner
         assert suppressed[0] > suppressed[1]  # the stronger drive stays dominant
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 0)])
+    def test_a_pair_naming_the_input_layer_is_rejected(self, pair):
+        # layer 0 neither fires nor integrates, so the pair would be inert
+        inhib = rect(1.0, 5e-3)
+        input_layer = LayerSpec(neurons=2, neuron_model=NeuronModel(
+            tau=1.0, thres=1.0, waveforms=SpikeWaveforms(pre=rect(0.5, 2e-3), inhib=inhib)))
+        layers = (input_layer, LayerSpec(
+            neurons=3, neuron_model=out_model(inhib=inhib), label=True,
+            circuit_model=transmit_circuit(), device_model=small_device()))
+        with pytest.raises(SpecError, match=rf"inh_conn pair \({pair[0]}, {pair[1]}\) "
+                                            "names the input layer") as err:
+            NetworkSpec(layers=layers, inh_conn=(pair,), inh_g=1 * US)
+        assert err.value.key == "inh_conn"
+        NetworkSpec(layers=layers, inh_conn=((1, 1),), inh_g=1 * US)
 
     def test_pending_inhibition_stays_bounded_without_reset(self):
         # an inhibition line keeps only the steps still to run, so however long

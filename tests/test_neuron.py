@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from spikeforge.config import load_calibration_csv
 from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.neuron import (
     CalibrationResult, NeuronModel, NeuronState,
     calibrate_from_frequency, fire_check, firing_frequency, integrate,
-    load_calibration_csv,
 )
 
 

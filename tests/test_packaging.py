@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,19 @@ def test_loading_a_config_does_not_import_scipy():
          "import sys, spikeforge.config; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"
+
+
+class TestFileIO:
+    """Only the parameter file's module (config.py, which reads the config,
+    its side files and datasets) and the network file's (engine.py, which
+    saves and loads conductances) touch files. The model modules do no file
+    I/O, so each is used and tested on values alone."""
+
+    OPENERS = {"config.py", "engine.py"}
+    FILE_IO = re.compile(r"\bopen\(|\.(read|write)_(text|bytes)\(")
+
+    def test_only_config_and_engine_open_files(self):
+        package = PYPROJECT.parent / "src" / "spikeforge"
+        opening = {path.name for path in package.glob("*.py")
+                   if self.FILE_IO.search(path.read_text(encoding="utf-8"))}
+        assert opening <= self.OPENERS, sorted(opening - self.OPENERS)

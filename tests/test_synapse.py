@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spikeforge.config import load_family_table, load_identical_levels
 from spikeforge.engine import _support_steps, stdp_pairing_sweep
 from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.synapse import (
     PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence,
-    SynapseMode, load_family_table, load_identical_levels, mode_from_voltage,
-    saturates, step_device, transmit_current,
+    SynapseMode, mode_from_voltage, saturates, step_device, transmit_current,
 )
 from spikeforge.waveform import Waveform
 
