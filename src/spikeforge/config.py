@@ -8,13 +8,18 @@ small structured forms like `uniform(lo, hi)`.
 This module reads and types the values and passes on only the keys the
 file gives: a key the file leaves out is not passed, so the spec's own
 default applies. (The one default kept here is the encoding `type`, which
-picks the encoder class, not a field value.) Each spec and
-model constructor checks its own values and raises a SpecError naming the
-parameter at fault, which `_Section.build` files under that parameter's key
-and line. So every fault of the specs, the network's included, is found at
-load, never at build or run time. Every problem in the file is reported at
-once (the first of each object built), each with its section, key and line
-number, and nothing runs on a partially valid config.
+picks the encoder class, not a field value.) Every key is read by
+`_Section.read`, through a reader: a function from the value's text to the
+value, which raises a ValueError whose message is the problem. `read` is
+the one place that files such a problem under its key and line. A spec
+built from one entry (a waveform, a param range, init_weights) is built by
+its reader, so its SpecError is filed the same way. A spec built from
+several keys is built by `_Section.build`, which files its SpecError under
+the key that gave the parameter it names. So every fault of the specs, the
+network's included, is found at load, never at build or run time. Every
+problem in the file is reported at once (the first of each object built),
+each with its section, key and line number, and nothing runs on a partially
+valid config.
 
 The side files a config names (ladders, family tables, calibration data)
 and the datasets are read here too, all through `_rows`: blank lines and
@@ -57,9 +62,111 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-# how `_Section.read` reads each kind of value, and what a malformed one should be
-_KINDS = {float: (float, "a number"), int: (int, "an integer"),
-          bool: (_bool, "true or false"), str: (str, "a string")}
+def _as(convert, line: str, fault: str):
+    """convert(line); else ValueError(`fault 'line'`)."""
+    try:
+        return convert(line)
+    except ValueError:
+        raise ValueError(f"{fault} {line!r}") from None
+
+
+def _expect(convert, describe: str):
+    """The reader convert, whose fault reads `expected <describe>, got 'text'`."""
+    return lambda text: _as(convert, text, f"expected {describe}, got")
+
+
+def _one_of(*choices: str):
+    """The reader of a word that must be one of choices."""
+    # index raises a ValueError for any other word
+    return _expect(lambda text: choices[choices.index(text)], "one of " + "/".join(choices))
+
+
+_numbers = _expect(_floats, "comma-separated numbers")
+
+# the reader of each plain kind of value
+_KINDS = {float: _expect(float, "a number"), int: _expect(int, "an integer"),
+          bool: _expect(_bool, "true or false"), str: str}
+
+
+def _expression(text: str) -> expr.Expression:
+    try:
+        return expr.parse(text)
+    except expr.ExprError as err:
+        raise ValueError(f"bad expression: {err}") from None
+
+
+def _waveform(text: str) -> Waveform:
+    return waveform_from_flat(_numbers(text))
+
+
+def _policy(text: str) -> frozenset[SpikePresence]:
+    """A set of presence states, comma-separated."""
+    states = set()
+    for part in text.split(","):
+        try:
+            states.add(SpikePresence(part.strip()))
+        except ValueError:
+            raise ValueError(f"unknown presence state {part.strip()!r}; "
+                             f"allowed: {sorted(p.value for p in SpikePresence)}") from None
+    return frozenset(states)
+
+
+def _pairs(text: str) -> tuple[tuple[int, int], ...]:
+    """Comma-separated `start:end` pairs of integers; none for an empty value."""
+    def pair(part):
+        start, end = part.split(":")  # a ValueError unless there is one colon
+        return int(start), int(end)
+    return tuple(_as(pair, part.strip(), "expected `start:end` pairs, got")
+                 for part in (text.split(",") if text else ()))
+
+
+def _file(base_dir: Path, load=None):
+    """The reader of a file named relative to the config: its path, or what
+    load reads from it (an OSError of load's is filed like its ValueError)."""
+    def named(text):
+        path = base_dir / text
+        if not path.exists():
+            raise ValueError(f"file not found: {path}")
+        if load is None:
+            return path
+        try:
+            return load(path)
+        except OSError as err:
+            raise ValueError(str(err)) from None
+    return named
+
+
+_INIT_RE = re.compile(
+    r"^(uniform|constant|from_file)\s*\(\s*([^)]*)\s*\)$")
+_INIT_ARGS = {"uniform": ("lo", "hi"), "constant": ("value",), "from_file": ("path",)}
+
+
+def _weight_init(base_dir: Path):
+    """The reader of init_weights: uniform(lo, hi), constant(g) or from_file(path)."""
+    def read(text):
+        m = _INIT_RE.match(text)
+        if m is None:
+            raise ValueError("expected uniform(lo, hi), constant(g) or from_file(path)")
+        kind, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+        names = _INIT_ARGS[kind]
+        try:
+            if len(args) != len(names) or not args[0]:
+                raise ValueError
+            values = args if kind == "from_file" else [float(a) for a in args]
+        except ValueError:
+            raise ValueError(f"bad init_weights arguments {args}") from None
+        if kind == "from_file":
+            values = [str(_file(base_dir)(args[0]))]
+        return WeightInit(kind, **dict(zip(names, values)))
+    return read
+
+
+def _param_range(text: str) -> ParamRange:
+    """One `param` line of [tune]."""
+    bits = [b.strip() for b in text.split(",")]
+    if len(bits) != 5:
+        raise ValueError("expected `key.path, lo, hi, linear|log, real|integer`")
+    return ParamRange(bits[0], float(bits[1]), float(bits[2]), scale=bits[3], kind=bits[4])
 
 
 class ConfigError(ValueError):
@@ -122,134 +229,56 @@ class _Section:
     def line(self, key: str) -> int | None:
         return self.entries[key][0][1] if key in self.entries else None
 
-    def build(self, make, *args, at: tuple[str, int | None] | None = None, **kwargs):
+    def build(self, make, *args, **kwargs):
         """make(*args, **kwargs), or None when it raises a SpecError. That
-        is filed under `at`, the (key, line) of the one entry the object
-        was read from, or else under the key that gave the parameter it
-        names: a ladder or table read from a file under its *_path key, a
-        circuit constant under its const_ key."""
+        is filed under the key that gave the parameter it names: a ladder or
+        table read from a file under its *_path key, a circuit constant
+        under its const_ key."""
         try:
             return make(*args, **kwargs)
         except SpecError as err:
-            if at is None:
-                given = (err.key, f"{err.key}_path", f"table_{err.key}_path",
-                         f"const_{err.key}")
-                key = next((k for k in given if self.has(k)), err.key)
-                at = key, self.line(key)
-            self.complain(*at, str(err))
+            given = (err.key, f"{err.key}_path", f"table_{err.key}_path", f"const_{err.key}")
+            key = next((k for k in given if self.has(k)), err.key)
+            self.complain(key, self.line(key), str(err))
             return None
 
     def has(self, key: str) -> bool:
         return key in self.entries
 
-    def raw(self, key: str, required: bool = False):
-        """The (value, line) the file gives for key, else (None, None),
-        reported when the key is required."""
-        self.consumed.add(key)
-        values = self.entries.get(key)
-        if not values:
-            if required:
-                self.complain(key, None, "required key is missing")
-            return None, None
-        if len(values) > 1:
-            self.complain(key, values[1][1], "key given more than once")
-        return values[0]
+    def read(self, kinds: dict, required=()) -> dict:
+        """{key: value} for each key of kinds that the section gives, read by
+        its kind: float, int, bool or str, or a reader, a function from the
+        value's text to the value that raises a ValueError (a SpecError
+        included) whose message is the problem. A kind [reader] reads each
+        line the key is given on, into a tuple (empty when there is none).
 
-    def raw_all(self, key: str):
-        self.consumed.add(key)
-        return self.entries.get(key, [])
-
-    def _typed(self, key, required, default, convert, describe):
-        value, lineno = self.raw(key, required)
-        if value is None:
-            return default
-        try:
-            return convert(value)
-        except ValueError:
-            self.complain(key, lineno, f"expected {describe}, got {value!r}")
-            return default
-
-    def read(self, kinds: dict[str, type], required=()) -> dict:
-        """{key: value} for each key of kinds that the section gives, read as
-        its kind (float, int, bool or str). A missing required key or a
-        malformed key is reported and left out, so the spec's own default
-        stands in while the rest of the file is checked."""
+        This is the one place that files a fault of a key's value, under the
+        key and its line. A missing required key, a key given twice and a
+        value its reader rejects are reported; a rejected value is left out,
+        so the spec's own default stands in while the rest of the file is
+        checked."""
         got = {}
         for key, kind in kinds.items():
-            value = self._typed(key, key in required, None, *_KINDS[kind])
-            if value is not None:
-                got[key] = value
+            self.consumed.add(key)
+            entries = self.entries.get(key, [])
+            if not entries and key in required:
+                self.complain(key, None, "required key is missing")
+            repeated = isinstance(kind, list)
+            if repeated:
+                reader, lines = kind[0], entries
+            else:
+                reader, lines = _KINDS.get(kind, kind), entries[:1]
+                if len(entries) > 1:
+                    self.complain(key, entries[1][1], "key given more than once")
+            values = []
+            for text, lineno in lines:
+                try:
+                    values.append(reader(text))
+                except ValueError as err:
+                    self.complain(key, lineno, str(err))
+            if len(values) == len(lines) and (repeated or values):
+                got[key] = tuple(values) if repeated else values[0]
         return got
-
-    def get_choice(self, key, choices, required=False, default=None):
-        def convert(v):
-            if v not in choices:
-                raise ValueError(v)
-            return v
-        return self._typed(key, required, default, convert, "one of " + "/".join(choices))
-
-    def get_floats(self, key, required=False):
-        return self._typed(key, required, None, _floats, "comma-separated numbers")
-
-    def get_expr(self, key, required=False):
-        value, lineno = self.raw(key, required)
-        if value is None:
-            return None
-        try:
-            return expr.parse(value)
-        except expr.ExprError as err:
-            self.complain(key, lineno, f"bad expression: {err}")
-            return None
-
-    def get_path(self, key, required=False):
-        value, lineno = self.raw(key, required)
-        if value is None:
-            return None
-        path = self.base_dir / value
-        if not path.exists():
-            self.complain(key, lineno, f"file not found: {path}")
-            return None
-        return path
-
-    def get_policy(self, key):
-        value, lineno = self.raw(key)
-        if value is None:
-            return None
-        states = set()
-        for part in value.split(","):
-            try:
-                states.add(SpikePresence(part.strip()))
-            except ValueError:
-                self.complain(key, lineno, f"unknown presence state {part.strip()!r}; "
-                              f"allowed: {sorted(p.value for p in SpikePresence)}")
-                return None
-        return frozenset(states)
-
-    def get_pairs(self, key):
-        value, lineno = self.raw(key)
-        if not value:
-            return None if value is None else ()
-        pairs = []
-        for part in value.split(","):
-            bits = part.strip().split(":")
-            try:
-                if len(bits) != 2:
-                    raise ValueError(part)
-                pairs.append((int(bits[0]), int(bits[1])))
-            except ValueError:
-                self.complain(key, lineno,
-                              f"expected `start:end` pairs, got {part.strip()!r}")
-                return None
-        return tuple(pairs)
-
-    def constants(self):
-        """The const_<name> entries as (name, value) pairs; None when one of
-        them is not a number (reported)."""
-        keys = [key for key in self.entries if key.startswith("const_")]
-        got = self.read(dict.fromkeys(keys, float))
-        if len(got) < len(keys):
-            return None
-        return tuple((key[len("const_"):], value) for key, value in got.items())
 
     def reject_unknown(self):
         for key in self.entries:
@@ -285,143 +314,90 @@ class LoadedConfig:
         return self.encoding
 
 
-_INIT_RE = re.compile(
-    r"^(uniform|constant|from_file)\s*\(\s*([^)]*)\s*\)$")
-
-
-def _parse_init_weights(section: _Section) -> WeightInit | None:
-    value, lineno = section.raw("init_weights")
-    if value is None:
-        return None
-    m = _INIT_RE.match(value)
-    if m is None:
-        section.complain("init_weights", lineno,
-                         "expected uniform(lo, hi), constant(g) or from_file(path)")
-        return None
-    kind, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
-    names = {"uniform": ("lo", "hi"), "constant": ("value",), "from_file": ("path",)}[kind]
-    try:
-        if len(args) != len(names) or not args[0]:
-            raise ValueError
-        values = [str(section.base_dir / args[0])] if kind == "from_file" else [
-            float(a) for a in args]
-    except ValueError:
-        section.complain("init_weights", lineno, f"bad init_weights arguments {args}")
-        return None
-    if kind == "from_file" and not Path(values[0]).exists():
-        section.complain("init_weights", lineno, f"file not found: {values[0]}")
-        return None
-    return section.build(WeightInit, kind, **dict(zip(names, values)),
-                         at=("init_weights", lineno))
-
-
-def _load(section: _Section, key: str, loader):
-    """What loader reads from the file that `key` names; None when the key is
-    missing or the file unreadable (reported under key, with its line)."""
-    path = section.get_path(key, required=True)
-    if path is None:
-        return None
-    try:
-        return loader(path)
-    except (OSError, ValueError) as err:
-        section.complain(key, section.line(key), str(err))
-        return None
-
-
 def _ladder(section: _Section, key: str):
     """An identical-pulse ladder, given inline as `key` or in the file that
     `key_path` names; None when it is missing or unreadable (and reported)."""
     path_key = f"{key}_path"
     if section.has(key) and section.has(path_key):
-        _, lineno = section.raw(key)
-        _, path_lineno = section.raw(path_key)
-        section.complain(path_key, path_lineno,
-                         f"conflicts with {key} (line {lineno}); give the ladder "
+        section.read({key: str, path_key: str})  # a key given twice is still reported
+        section.complain(path_key, section.line(path_key),
+                         f"conflicts with {key} (line {section.line(key)}); give the ladder "
                          "inline or as a file, not both")
         return None
-    if section.has(path_key):
-        return _load(section, path_key, load_identical_levels)
-    if not section.has(key):
+    if not section.has(key) and not section.has(path_key):
         section.complain(key, None, f"identical device needs {key} or {path_key}")
-    return section.get_floats(key)
+    got = section.read({key: _numbers,
+                        path_key: _file(section.base_dir, load_identical_levels)})
+    return got.get(key, got.get(path_key))
 
 
 def _build_device(section: _Section):
-    kind = section.get_choice("kind", ("identical", "family"), required=True)
-    args = section.read({"g_min": float, "g_max": float}, required=("g_min", "g_max"))
+    args = section.read({"kind": _one_of("identical", "family"), "g_min": float,
+                         "g_max": float}, required=("kind", "g_min", "g_max"))
+    kind = args.pop("kind", None)
     if kind is None:  # the kind decides which keys apply; flag none as unknown
-        for key in ("levels_ltp", "levels_ltd", "levels_ltp_path", "levels_ltd_path",
-                    "table_ltp_path", "table_ltd_path", "family_axis"):
-            section.raw(key)
+        section.read(dict.fromkeys(("levels_ltp", "levels_ltd", "levels_ltp_path",
+                                    "levels_ltd_path", "table_ltp_path", "table_ltd_path",
+                                    "family_axis"), str))
         return None
     if kind == "identical":
         make = PulseFamilyDevice.identical
         tables = _ladder(section, "levels_ltp"), _ladder(section, "levels_ltd")
     else:
         make = PulseFamilyDevice
-        tables = (_load(section, "table_ltp_path", lambda p: load_family_table(p, True)),
-                  _load(section, "table_ltd_path", lambda p: load_family_table(p, False)))
-        axis = section.get_choice("family_axis", ("amplitude", "width"))
-        if axis is not None:
-            args["family_axis"] = axis
+        got = section.read({
+            "table_ltp_path": _file(section.base_dir, lambda p: load_family_table(p, True)),
+            "table_ltd_path": _file(section.base_dir, lambda p: load_family_table(p, False)),
+            "family_axis": _one_of("amplitude", "width")},
+            required=("table_ltp_path", "table_ltd_path"))
+        tables = got.pop("table_ltp_path", None), got.pop("table_ltd_path", None)
+        args |= got
     if None in tables or not {"g_min", "g_max"} <= args.keys():
         return None
     return section.build(make, *tables, **args)
 
 
 def _build_circuit(section: _Section):
-    v_app = section.get_expr("v_app", required=True)
-    ex_eqs = section.get_expr("ex_eqs")
-    args = section.read({"v_th_pos": float, "v_th_neg": float},
-                        required=("v_th_pos", "v_th_neg"))
-    for key in ("transmit_policy", "plasticity_policy"):
-        policy = section.get_policy(key)
-        if policy is not None:
-            args[key] = policy
-    args |= section.read({"conduct_during_plasticity": bool})
-    rest = section.read(dict.fromkeys(("rest_V_pre", "rest_V_post1", "rest_V_post2"), float))
-    args |= {key.lower(): value for key, value in rest.items()}  # the field is rest_v_pre
-    constants = section.constants()
-    if None in (v_app, constants) or not {"v_th_pos", "v_th_neg"} <= args.keys():
+    names = [key for key in section.entries if key.startswith("const_")]
+    args = section.read(
+        {"v_app": _expression, "ex_eqs": _expression, "v_th_pos": float, "v_th_neg": float,
+         "transmit_policy": _policy, "plasticity_policy": _policy,
+         "conduct_during_plasticity": bool,
+         "rest_V_pre": float, "rest_V_post1": float, "rest_V_post2": float}
+        | dict.fromkeys(names, float), required=("v_app", "v_th_pos", "v_th_neg"))
+    constants = tuple((key.removeprefix("const_"), args.pop(key))
+                      for key in names if key in args)
+    args = {key.lower(): value for key, value in args.items()}  # rest_V_pre fills rest_v_pre
+    if len(constants) < len(names) or not {"v_app", "v_th_pos", "v_th_neg"} <= args.keys():
         return None
-    return section.build(CircuitModel, v_app=v_app, ex_eqs=ex_eqs, constants=constants, **args)
-
-
-def _waveform(section: _Section, key: str) -> Waveform | None:
-    values = section.get_floats(key)
-    if values is None:
-        return None
-    return section.build(waveform_from_flat, values, at=(key, section.line(key)))
+    return section.build(CircuitModel, constants=constants, **args)
 
 
 def _build_neuron(section: _Section):
     has_calib = section.has("calib_path")
     args = section.read(
-        {"tau": float, "thres": float, "v_reset": float, "t_refrac": float, "r_mem": float},
+        {"tau": float, "thres": float, "v_reset": float, "t_refrac": float, "r_mem": float,
+         "state_eqs": _expression, "power_expr": _expression},
         required=() if has_calib else ("tau", "thres"))
-    state_eqs = section.get_expr("state_eqs")
-    power_expr = section.get_expr("power_expr")
-    waveforms = SpikeWaveforms(
-        pre=_waveform(section, "pre_volt"),
-        post1=_waveform(section, "post1_volt"),
-        post2=_waveform(section, "post2_volt"),
-        inhib=_waveform(section, "inhib_volt"),
-    )
+    volts = section.read({f"{name}_volt": _waveform for name in ("pre", "post1", "post2",
+                                                                 "inhib")})
+    waveforms = SpikeWaveforms(**{key.removesuffix("_volt"): w for key, w in volts.items()})
     if has_calib:
         # measured frequency-vs-width data fills in whatever tau/thres the
         # user left out; explicit keys win
-        p = section.get_path("calib_path")
-        pulses = section.read({"calib_pulse_amplitude": float, "calib_pulse_rate": float},
-                              required=("calib_pulse_amplitude",))
-        if p is not None and "calib_pulse_amplitude" in pulses:
+        calib = section.read({"calib_path": _file(section.base_dir),
+                              "calib_pulse_amplitude": float, "calib_pulse_rate": float},
+                             required=("calib_pulse_amplitude",))
+        p = calib.pop("calib_path", None)
+        if p is not None and "calib_pulse_amplitude" in calib:
             try:
                 fit = calibrate_from_frequency(load_calibration_csv(p), **{
-                    key[len("calib_"):]: value for key, value in pulses.items()})
+                    key[len("calib_"):]: value for key, value in calib.items()})
             except ValueError as err:
                 section.complain("calib_path", section.line("calib_path"), str(err))
                 return None
             args = {"tau": fit.tau, "thres": fit.thres} | args
-            if math.isinf(args["tau"]) and state_eqs is None:
+            if math.isinf(args["tau"]) and "state_eqs" not in args:
                 section.complain(
                     "calib_path", section.line("calib_path"),
                     "calibration found a pure integrate-and-fire device "
@@ -429,8 +405,7 @@ def _build_neuron(section: _Section):
                 return None
     if not {"tau", "thres"} <= args.keys():
         return None
-    return section.build(NeuronModel, **args, state_eqs=state_eqs, power_expr=power_expr,
-                         waveforms=waveforms)
+    return section.build(NeuronModel, **args, waveforms=waveforms)
 
 
 # what a layer's reference key names: the LayerSpec field it fills and the
@@ -440,62 +415,53 @@ _REFERENCES = {"neuron": ("neuron_model", "neuron type"),
                "circuit": ("circuit_model", "circuit")}
 
 
+def _reference(word: str, defined: dict):
+    """The reader of a name that must be defined: the object it names."""
+    def resolve(name):
+        if name not in defined:
+            raise ValueError(f"unknown {word} {name!r}; defined: {sorted(defined)}")
+        return defined[name]
+    return resolve
+
+
+def _inapplicable(text: str):
+    raise ValueError("not applicable to the input layer (layer 0)")
+
+
 def _build_layer(section: _Section, idx: int, defined: dict[str, dict]):
     """The LayerSpec of [layers.idx], whose neuron, device and circuit
     references are resolved in defined; None when any part is missing."""
-    args = section.read({"neurons": int}, required=("neurons",))
-    complete = "neurons" in args
-    for ref in ("neuron",) if idx == 0 else _REFERENCES:
-        field_name, word = _REFERENCES[ref]
-        name = section.read({ref: str}, required=(ref,)).get(ref)
-        if name is not None and name not in defined[ref]:
-            section.complain(ref, section.line(ref),
-                             f"unknown {word} {name!r}; defined: {sorted(defined[ref])}")
-        args[field_name] = defined[ref].get(name)
-        complete = complete and args[field_name] is not None
+    refs = ("neuron",) if idx == 0 else tuple(_REFERENCES)
+    args = section.read({"neurons": int} | {
+        ref: _reference(_REFERENCES[ref][1], defined[ref]) for ref in refs},
+        required=("neurons", *refs))
+    models = {_REFERENCES[ref][0]: args.pop(ref, None) for ref in refs}
     if idx == 0:
-        for forbidden in ("device", "circuit", "conn_type", "sparse_p", "plastic", "label"):
-            if section.has(forbidden):
-                section.complain(forbidden, section.raw(forbidden)[1],
-                                 "not applicable to the input layer (layer 0)")
+        section.read(dict.fromkeys(
+            ("device", "circuit", "conn_type", "sparse_p", "plastic", "label"), _inapplicable))
     else:
-        args |= section.read({"plastic": bool, "label": bool})
-        conn_type = section.get_choice("conn_type", ("all_to_all", "one_to_one", "sparse"))
-        if conn_type is not None:
-            args["conn_type"] = conn_type
-        args |= section.read({"sparse_p": float})
-        if conn_type == "sparse" and not section.has("sparse_p"):
+        args |= section.read({"plastic": bool, "label": bool,
+                              "conn_type": _one_of("all_to_all", "one_to_one", "sparse"),
+                              "sparse_p": float})
+        if args.get("conn_type") == "sparse" and not section.has("sparse_p"):
             section.complain("sparse_p", None, "sparse connectivity needs sparse_p")
     section.reject_unknown()
-    return section.build(LayerSpec, **args) if complete else None
+    if "neurons" not in args or None in models.values():
+        return None
+    return section.build(LayerSpec, **args, **models)
 
 
 def _build_tune(section: _Section):
-    space = []
-    for value, lineno in section.raw_all("param"):
-        bits = [b.strip() for b in value.split(",")]
-        if len(bits) != 5:
-            section.complain("param", lineno,
-                             "expected `key.path, lo, hi, linear|log, real|integer`")
-            continue
-        try:
-            lo, hi = float(bits[1]), float(bits[2])
-        except ValueError as err:
-            section.complain("param", lineno, str(err))
-            continue
-        param = section.build(ParamRange, bits[0], lo, hi, scale=bits[3], kind=bits[4],
-                              at=("param", lineno))
-        if param is not None:
-            space.append(param)
+    space = section.read({"param": [_param_range]}).get("param")
     ga_args = section.read({
         "population": int, "generations": int, "crossover_rate": float,
         "mutation_rate": float, "mutation_sigma": float, "elitism": int,
         "tournament_size": int, "seed": int})
     args = section.read({"val_fraction": float})
     ga = section.build(GAConfig, **ga_args)
-    if ga is None or len(space) < len(section.raw_all("param")):
+    if ga is None or space is None:
         return None  # each bad param line is reported already
-    return section.build(TuneConfig, tuple(space), ga, **args)
+    return section.build(TuneConfig, space, ga, **args)
 
 
 # the builder of each named-object section kind, `[kind.name]`
@@ -532,10 +498,9 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
             sim = sim_s.build(SimConfig, **args)
 
     enc_s = section("encoding")
-    etype = enc_s.get_choice("type", tuple(_ENCODERS), default="poisson")
-    rates = enc_s.read({"r_min": float, "r_max": float})
+    args = enc_s.read({"type": _one_of(*_ENCODERS), "r_min": float, "r_max": float})
     enc_s.reject_unknown()
-    encoding = enc_s.build(_ENCODERS[etype], **rates)
+    encoding = enc_s.build(_ENCODERS[args.pop("type", "poisson")], **args)
 
     defined: dict[str, dict] = {kind: {} for kind in _BUILDERS}
     layer_indices = []
@@ -546,8 +511,10 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
             defined[kind][label] = _BUILDERS[kind](s)
             s.reject_unknown()
         elif dot and kind == "layers":
-            if label.isdigit():
+            if label.isdigit() and str(int(label)) == label:
                 layer_indices.append(int(label))
+            else:
+                problems.append(f"[{name}]: {label!r} is not a layer index (0, 1, 2, ...)")
         elif name not in ("sim", "encoding", "data", "network", "tune"):
             problems.append(f"[{name}]: unknown section")
     layer_indices.sort()
@@ -559,14 +526,12 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
                    for idx in layer_indices)
 
     net_s = section("network")
-    net_args = {"inh_conn": net_s.get_pairs("inh_conn"),
-                **net_s.read({"inh_g": float, "seed": int}),
-                "init_weights": _parse_init_weights(net_s)}
+    net_args = net_s.read({"inh_conn": _pairs, "inh_g": float, "seed": int,
+                           "init_weights": _weight_init(path.parent)})
     net_s.reject_unknown()
 
     data_s = section("data")
-    train_path = data_s.get_path("train_path")
-    test_path = data_s.get_path("test_path")
+    data = data_s.read({"train_path": _file(path.parent), "test_path": _file(path.parent)})
     data_s.reject_unknown()
 
     tune = None
@@ -577,12 +542,12 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
 
     network = None
     if not problems:  # so every layer was built
-        network = net_s.build(NetworkSpec, layers=layers, **{
-            key: value for key, value in net_args.items() if value is not None})
+        network = net_s.build(NetworkSpec, layers=layers, **net_args)
 
     if problems:
         raise ConfigError(problems)
-    return LoadedConfig(path, sim, network, encoding, train_path, test_path, tune)
+    return LoadedConfig(path, sim, network, encoding, data.get("train_path"),
+                        data.get("test_path"), tune)
 
 
 def _apply_overrides(raw: dict, overrides: dict[str, float]) -> None:
@@ -618,14 +583,6 @@ def _rows(path, parse) -> list:
                 except ValueError as err:
                     raise ValueError(f"{path}:{lineno}: {err}") from None
     return rows
-
-
-def _as(convert, line: str, fault: str):
-    """convert(line); else ValueError(`fault 'line'`)."""
-    try:
-        return convert(line)
-    except ValueError:
-        raise ValueError(f"{fault} {line!r}") from None
 
 
 def load_identical_levels(path) -> tuple[float, ...]:

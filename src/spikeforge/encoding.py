@@ -35,10 +35,6 @@ class SpikeTrain:
         if self.steps and self.steps[0] < 0:
             raise ValueError("spike steps must be non-negative")
 
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(k * self.dt for k in self.steps)
-
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -70,10 +70,6 @@ class Waveform:
         alpha = (tau - times[i]) / (times[i + 1] - times[i])
         return (1.0 - alpha) * volts[i] + alpha * volts[i + 1]
 
-    def scaled(self, factor: float) -> "Waveform":
-        """New waveform with every voltage multiplied by factor."""
-        return Waveform(tuple((t, factor * v) for t, v in self.breakpoints))
-
 
 def waveform_from_flat(values) -> Waveform:
     """Build a waveform from a flat [t0, v0, t1, v1, ...] array (config form)."""

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from spikeforge.config import (
@@ -397,10 +399,15 @@ def test_aer_keys_are_unknown(tmp_path, key):
 
 TUNE = "\n[tune]\nparam = neuron.out.tau, 0.005, 0.05, log, real\n"
 
-# calibration files the error table's cases may name, written next to the config
-CALIB_FILES = {"bad.csv": "0.001,x\n", "one.csv": "0.001,5\n",
-               "linear.csv": "0.001,5\n0.002,10\n"}
+# side files the error table's cases may name, written next to the config
+SIDE_FILES = {"bad.csv": "0.001,x\n", "one.csv": "0.001,5\n",
+              "linear.csv": "0.001,5\n0.002,10\n", "ltp.csv": GOOD_LTP, "ltd.csv": GOOD_LTD,
+              "ladder.csv": "1e-6\n2e-6\n3e-6\n", "badladder.csv": "3e-6\nx\n"}
 OUT_CALIB = "calib_path = {}\ncalib_pulse_amplitude = 1.0\n"
+DEVICE = ("kind = identical\ng_min = 1e-6\ng_max = 3e-6\nlevels_ltp = 1e-6, 2e-6, 3e-6\n"
+          "levels_ltd = 3e-6, 2e-6, 1e-6\n")
+FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
+          "table_ltd_path = ltd.csv\n")
 
 
 # one edit of MINIMAL per case and the exact problems it must give; {line} is
@@ -455,14 +462,71 @@ OUT_CALIB = "calib_path = {}\ncalib_pulse_amplitude = 1.0\n"
     ("tau = 0.01\nthres = 0.2\n", OUT_CALIB.format("linear.csv"), "calib_path",
      "[neuron.out] calib_path (line {line}): calibration found a pure integrate-and-fire "
      "device (infinite tau); provide state_eqs or an explicit tau"),
+    ("kind = identical", "kind = memristor", "kind",
+     "[device.ladder] kind (line {line}): expected one of identical/family, got 'memristor'"),
+    (DEVICE, FAMILY.format("ltp.csv") + "family_axis = depth\n", "family_axis",
+     "[device.ladder] family_axis (line {line}): expected one of amplitude/width, "
+     "got 'depth'"),
+    ("circuit = gate\n", "circuit = gate\nconn_type = ring\n", "conn_type",
+     "[layers.1] conn_type (line {line}): expected one of all_to_all/one_to_one/sparse, "
+     "got 'ring'"),
+    ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 0.5, 0.002, high", "pre_volt",
+     "[neuron.input] pre_volt (line {line}): expected comma-separated numbers, "
+     "got '0, 0.5, 0.002, high'"),
+    ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 0.5, 0.002", "pre_volt",
+     "[neuron.input] pre_volt (line {line}): flat waveform array needs an even, non-zero "
+     "number of values"),
+    ("v_app = V_post1 - V_node1", "v_app = V_post1 -", "v_app",
+     "[circuit.gate] v_app (line {line}): bad expression: unexpected end of expression "
+     "at position 9"),
+    ("v_th_neg = 1.5", "v_th_neg = 1.5\ntransmit_policy = pre_only, never", "transmit_policy",
+     "[circuit.gate] transmit_policy (line {line}): unknown presence state 'never'; "
+     "allowed: ['both', 'none', 'post_only', 'pre_only']"),
+    ("inh_conn = 1:1", "inh_conn = 1:1, 2", "inh_conn",
+     "[network] inh_conn (line {line}): expected `start:end` pairs, got '2'"),
+    ("seed = 11\n", "seed = 11\ninit_weights = normal(0, 1)\n", "init_weights",
+     "[network] init_weights (line {line}): expected uniform(lo, hi), constant(g) or "
+     "from_file(path)"),
+    ("seed = 11\n", "seed = 11\ninit_weights = uniform(0.1)\n", "init_weights",
+     "[network] init_weights (line {line}): bad init_weights arguments ['0.1']"),
+    ("seed = 11\n", "seed = 11\ninit_weights = from_file(w.npy)\n", "init_weights",
+     "[network] init_weights (line {line}): file not found: {dir}/w.npy"),
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace(", real", ""), "param",
+     "[tune] param (line {line}): expected `key.path, lo, hi, linear|log, real|integer`"),
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace("0.005", "low"), "param",
+     "[tune] param (line {line}): could not convert string to float: 'low'"),
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp_path = nope.csv", "levels_ltp_path",
+     "[device.ladder] levels_ltp_path (line {line}): file not found: {dir}/nope.csv"),
+    (DEVICE, FAMILY.format("nope.csv"), "table_ltp_path",
+     "[device.ladder] table_ltp_path (line {line}): file not found: {dir}/nope.csv"),
+    ("seed = 11\n", "seed = 11\n\n[data]\ntrain_path = nope.csv\n", "train_path",
+     "[data] train_path (line {line}): file not found: {dir}/nope.csv"),
+    ("levels_ltd = 3e-6, 2e-6, 1e-6", "levels_ltd_path = badladder.csv", "levels_ltd_path",
+     "[device.ladder] levels_ltd_path (line {line}): {dir}/badladder.csv:2: "
+     "not a conductance: 'x'"),
+    ("levels_ltd = 3e-6, 2e-6, 1e-6",
+     "levels_ltd = 3e-6, 2e-6, 1e-6\nlevels_ltd_path = ladder.csv", "levels_ltd_path",
+     "[device.ladder] levels_ltd_path (line {line}): conflicts with levels_ltd (line 13); "
+     "give the ladder inline or as a file, not both"),
+    ("T = 0.2\n", "T = 0.2\nT = 0.4\n", "T = 0.4",
+     "[sim] T (line {line}): key given more than once"),
+    ("[network]", "[layers.two]\nneurons = 3\nbogus = 1\n\n[network]", None,
+     "[layers.two]: 'two' is not a layer index (0, 1, 2, ...)"),
+    ("[layers.1]", "[layers.01]", None,
+     "[layers.01]: '01' is not a layer index (0, 1, 2, ...)"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "inh_conn-input", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
-        "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak"])
+        "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak",
+        "unknown-kind", "unknown-family_axis", "unknown-conn_type", "bad-numbers",
+        "odd-waveform", "bad-expression", "unknown-presence", "bad-pair", "init-form",
+        "init-args", "init-no-file", "param-fields", "param-number", "no-ladder-file",
+        "no-table-file", "no-train-file", "ladder-file-line", "ladder-conflict",
+        "key-twice", "layers-name", "layers-leading-zero"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)
-    for name, content in CALIB_FILES.items():
+    for name, content in SIDE_FILES.items():
         write(tmp_path, content, name)
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
@@ -488,3 +552,59 @@ def test_side_file_fault_texts(tmp_path, read, text, message):
     with pytest.raises(ValueError) as err:
         read(path)
     assert str(err.value) == message.format(path=path)
+
+
+def one_line_edits(text):
+    """text with one line deleted, duplicated, its value set to x, 0, -1 or
+    nothing, or its section renamed (given a suffix or, for a layer, a
+    leading zero): each such edit once."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if not line.strip() or line.startswith("#"):
+            continue
+        before, after = lines[:i], lines[i + 1:]
+        yield before + after
+        yield before + [line, line] + after
+        if line.startswith("["):
+            name = line.strip()[1:-1]
+            renames = [f"{name}_x"]
+            if name.startswith("layers."):
+                renames.append("layers.0" + name.removeprefix("layers."))
+            for new in renames:
+                yield before + [f"[{new}]\n"] + after
+        else:
+            key = line.split("=")[0].strip()
+            for value in ("x", "0", "-1", ""):
+                yield before + [f"{key} = {value}\n"] + after
+
+
+PROBLEM_RE = re.compile(r"\[([\w.*]+)\](?: (\w+))?(?: \(line (\d+)\))?: ")
+
+
+def test_every_problem_points_into_the_file(tmp_path):
+    """Each problem names a section the file has (or one that spans the file)
+    and, with a line, a line of that section that holds its key."""
+    for edited in one_line_edits(MINIMAL):
+        text = "".join(edited)
+        try:
+            load_config(write(tmp_path, text))
+            continue
+        except ConfigError as err:
+            problems = err.problems
+        holds = {}  # (section, key) -> the lines that give key in section
+        section = None
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.split("#")[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+                holds.setdefault((section, None), set())
+            elif "=" in line:
+                holds.setdefault((section, line.split("=")[0].strip()), set()).add(lineno)
+        for problem in problems:
+            m = PROBLEM_RE.match(problem)
+            if m is None:  # a fault of the file's layout, filed by line alone
+                assert 1 <= int(re.match(r"line (\d+): ", problem)[1]) <= len(edited)
+                continue
+            name, key, lineno = m.groups()
+            assert (name, None) in holds or name in ("sim", "network", "layers.*"), problem
+            assert lineno is None or int(lineno) in holds.get((name, key), ()), problem

@@ -71,12 +71,6 @@ def test_from_flat():
         waveform_from_flat([])
 
 
-def test_scaled_negates():
-    w = BIPHASIC.scaled(-1.0)
-    assert w.sample(0.5) == -0.5
-    assert w.sample(1.0) == 1.0
-
-
 @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-5.0, 5.0)),
                 min_size=1, max_size=8),
        st.floats(-1.0, 12.0))
