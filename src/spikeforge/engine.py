@@ -25,6 +25,8 @@ benchmark's trace hooks count: mode_from_voltage, transmit_current,
 step_device and the neuron calls, looked up as module globals
 (`TestTracedNames`), until the engine keeps its own run statistics. Set-up
 (a matrix's synapse list, saving and loading a network) runs on whole arrays.
+The frozen passes of `assign_labels` and `infer` share one driver
+(`_frozen_counts`) whose rows are samples and whose columns are label neurons.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class NetworkSpec:
             if 0 in (a, b):
                 raise SpecError("inh_conn", f"inh_conn pair ({a}, {b}) names the input "
                                 "layer, which neither fires nor integrates inhibition")
-        if self.inh_conn and self.inh_g <= 0:
+        if self.inh_conn and not self.inh_g > 0:
             raise SpecError("inh_g", "inh_conn configured but inh_g is not positive")
         for a, _ in self.inh_conn:
             if self.layers[a].neuron_model.waveforms.inhib is None:
@@ -167,24 +169,25 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise SpecError("dt", f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise SpecError("dt", f"dt must be positive and finite, got {self.dt}")
         for key in ("T", "T_sample"):
-            ratio = getattr(self, key) / self.dt
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            try:
+                num_steps(getattr(self, key), self.dt)
+            except ValueError:
                 raise SpecError(key, f"{key}={getattr(self, key)} must be a positive "
-                                f"multiple of dt={self.dt}")
+                                f"multiple of dt={self.dt}") from None
 
 
 def num_steps(T: float, dt: float) -> int:
-    """Total timesteps N = T/dt; T must sit on the dt grid."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    """Total timesteps N = T/dt, at least 1; T must sit on the dt grid."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     ratio = T / dt
-    n = round(ratio)
-    if abs(ratio - n) > 1e-9:
-        raise ValueError(f"T={T} is not a multiple of dt={dt} (T/dt={ratio})")
-    return int(n)
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9:
+        raise ValueError(f"T={T} is not a positive multiple of dt={dt} (T/dt={ratio})")
+    return n
 
 
 def _support_steps(duration: float, dt: float) -> int:
@@ -580,26 +583,27 @@ class TrainResult:
     training_accuracy: float
 
 
-def _label_counts(net: Network) -> list[int]:
-    return [len(s.spike_times) for s in net.layers[net.label_layer].states]
-
-
 def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> None:
     schedule_input(net, trains, at_step)
     for k in range(at_step, at_step + steps):
         run_timestep(net, k, learn=learn)
 
 
-def _frozen_pass_counts(net: Network, sample, sim: SimConfig, encoder,
-                        phase: int, index: int) -> list[int]:
-    """Present one sample with plasticity off; return label-layer spike counts."""
-    rng = np.random.default_rng([sim.seed, phase, index])
-    trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
-    net.reset_transient()
-    before = _label_counts(net)
-    _present(net, trains, num_steps(sim.T_sample, sim.dt), 0, learn=False)
-    after = _label_counts(net)
-    return [b - a for b, a in zip(after, before)]
+def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -> np.ndarray:
+    """The frozen pass: row i holds the label-layer spike counts of sample i,
+    presented alone with plasticity off, from reset_transient, on its own
+    default_rng([sim.seed, phase, i])."""
+    states = net.layers[net.label_layer].states
+    counts = np.zeros((len(dataset), len(states)), dtype=int)
+    steps = num_steps(sim.T_sample, sim.dt)
+    for idx, sample in enumerate(dataset):
+        rng = np.random.default_rng([sim.seed, phase, idx])
+        trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
+        net.reset_transient()
+        before = [len(s.spike_times) for s in states]
+        _present(net, trains, steps, 0, learn=False)
+        counts[idx] = [len(s.spike_times) - b for s, b in zip(states, before)]
+    return counts
 
 
 def train(net: Network, dataset, sim: SimConfig, encoder) -> TrainResult:
@@ -634,28 +638,16 @@ def train(net: Network, dataset, sim: SimConfig, encoder) -> TrainResult:
 
 
 def assign_labels(net: Network, dataset, sim: SimConfig, encoder) -> list[int | None]:
-    """Give each label-layer neuron the class it spikes most for.
-
-    Ties go to the lower class index; neurons that never spike stay
-    unlabeled (None).
-    """
-    n_label = len(net.labels)
+    """Give each label-layer neuron the class it spikes most for: ties go to
+    the lower class, and a neuron that never spikes stays unlabeled (None)."""
+    counts = _frozen_counts(net, dataset, sim, encoder, phase=1)
     classes = sorted({s.label for s in dataset if s.label is not None})
-    counts = {c: np.zeros(n_label, dtype=int) for c in classes}
-    for idx, sample in enumerate(dataset):
-        got = _frozen_pass_counts(net, sample, sim, encoder, phase=1, index=idx)
-        if sample.label is not None:
-            counts[sample.label] += got
-    labels: list[int | None] = []
-    for n in range(n_label):
-        per_class = [(counts[c][n], c) for c in classes]
-        best_count = max((cnt for cnt, _ in per_class), default=0)
-        if best_count == 0:
-            labels.append(None)
-        else:
-            labels.append(min(c for cnt, c in per_class if cnt == best_count))
-    net.labels = labels
-    return labels
+    # row 0 stays zero, so a neuron whose best class count is 0 takes None
+    member = np.array([[0] * len(dataset)] + [[s.label == c for s in dataset]
+                                               for c in classes], dtype=int)
+    choices = [None, *classes]
+    net.labels = [choices[k] for k in (member @ counts).argmax(axis=0).tolist()]
+    return net.labels
 
 
 @dataclass
@@ -668,26 +660,17 @@ class InferResult:
 def infer(net: Network, dataset, sim: SimConfig, encoder) -> InferResult:
     """Frozen inference: per sample, predict the label of the most active
     label-layer neuron (ties to the lowest index; silence predicts nothing)."""
-    predictions: list[int | None] = []
+    counts = _frozen_counts(net, dataset, sim, encoder, phase=2)
+    # a leading zero column wins only when the sample left every neuron silent
+    choices = [None, *net.labels]
+    winners = np.pad(counts, ((0, 0), (1, 0))).argmax(axis=1)
+    predictions = [choices[k] for k in winners.tolist()]
     confusion: dict[tuple[int, int | None], int] = {}
-    correct = 0
-    for idx, sample in enumerate(dataset):
-        got = _frozen_pass_counts(net, sample, sim, encoder, phase=2, index=idx)
-        best = max(got)
-        if best == 0:
-            pred = None
-        else:
-            winner = got.index(best)  # first occurrence = lowest neuron index
-            pred = net.labels[winner]
-        predictions.append(pred)
-        if sample.label is not None:
-            key = (sample.label, pred)
-            confusion[key] = confusion.get(key, 0) + 1
-            if pred == sample.label:
-                correct += 1
-    total = sum(1 for s in dataset if s.label is not None)
-    accuracy = correct / total if total else 0.0
-    return InferResult(accuracy, predictions, confusion)
+    for key in [(s.label, pred) for s, pred in zip(dataset, predictions) if s.label is not None]:
+        confusion[key] = confusion.get(key, 0) + 1
+    total = sum(confusion.values())
+    correct = sum(n for (label, pred), n in confusion.items() if pred == label)
+    return InferResult(correct / total if total else 0.0, predictions, confusion)
 
 
 def save_network(net: Network, path) -> None:

@@ -59,8 +59,10 @@ class NeuronModel:
         if not self.thres > self.v_reset:
             raise SpecError(
                 "thres", f"thres must exceed v_reset, got {self.thres} <= {self.v_reset}")
-        if self.t_refrac < 0:
+        if not self.t_refrac >= 0:
             raise SpecError("t_refrac", f"t_refrac must be >= 0, got {self.t_refrac}")
+        if not math.isfinite(self.r_mem):
+            raise SpecError("r_mem", f"r_mem must be finite, got {self.r_mem}")
         expr.check_names("state_eqs", self.state_eqs, NEURON_VOCABULARY)
         expr.check_names("power_expr", self.power_expr, NEURON_VOCABULARY)
 

@@ -14,6 +14,7 @@ rules to whole matrices.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -61,6 +62,9 @@ PRESENCE_BY_CODE = (SpikePresence.NONE, SpikePresence.POST_ONLY,
 
 
 def _check_range(g_min, g_max):
+    for key, g in (("g_min", g_min), ("g_max", g_max)):
+        if not math.isfinite(g):
+            raise SpecError(key, f"{key} must be finite, got {g}")
     if g_min >= g_max:
         raise SpecError("g_max", f"need g_min < g_max, got {g_min}, {g_max}")
 
@@ -168,15 +172,17 @@ class CircuitModel:
     constants: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
-        for name, _ in self.constants:
+        for name, value in self.constants:
             if name in KERNEL_BOUND:
                 raise SpecError(name, "the synapse kernel binds this name at every step, "
                                 "so it cannot be a constant")
+            if not math.isfinite(value):
+                raise SpecError(name, f"constant {name} must be finite, got {value}")
         names = {name for name, _ in self.constants}
         expr.check_names("v_app", self.v_app, CIRCUIT_VOCABULARY | names)
         expr.check_names("ex_eqs", self.ex_eqs, TRANSMIT_VOCABULARY | names)
         for key in ("v_th_pos", "v_th_neg"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise SpecError(key, "thresholds must be positive")
 
     def base_env(self, dt: float) -> dict[str, float]:

@@ -30,6 +30,8 @@ class ParamRange:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise SpecError("lo", f"{self.name}: need lo < hi, got {self.lo}, {self.hi}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise SpecError("lo", f"{self.name}: need finite bounds, got {self.lo}, {self.hi}")
         if self.scale not in ("linear", "log"):
             raise SpecError("scale", f"{self.name}: unknown scale {self.scale!r}")
         if self.kind not in ("real", "integer"):
@@ -77,6 +79,9 @@ class GAConfig:
         for name in ("generations", "elitism"):
             if getattr(self, name) < 0:
                 raise SpecError(name, "generations and elitism must be non-negative")
+        if not 0 <= self.mutation_sigma < math.inf:
+            raise SpecError("mutation_sigma", "mutation_sigma must be finite and >= 0, "
+                            f"got {self.mutation_sigma}")
 
 
 @dataclass

@@ -1,4 +1,6 @@
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from spikeforge.config import (
     load_family_table, load_identical_levels,
 )
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
-from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig
+from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, build_network
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
@@ -514,6 +516,30 @@ FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
      "[layers.two]: 'two' is not a layer index (0, 1, 2, ...)"),
     ("[layers.1]", "[layers.01]", None,
      "[layers.01]: '01' is not a layer index (0, 1, 2, ...)"),
+    ("T = 0.2\n", "T = nan\n", "T = ",
+     "[sim] T (line {line}): T=nan must be a positive multiple of dt=0.001"),
+    ("dt = 0.001", "dt = nan", "dt = ",
+     "[sim] dt (line {line}): dt must be positive and finite, got nan"),
+    ("T_sample = 0.1", "T_sample = inf", "T_sample",
+     "[sim] T_sample (line {line}): T_sample=inf must be a positive multiple of dt=0.001"),
+    ("v_th_pos = 1.5", "v_th_pos = nan", "v_th_pos",
+     "[circuit.gate] v_th_pos (line {line}): thresholds must be positive"),
+    ("thres = 0.2\n", "thres = 0.2\nt_refrac = nan\n", "t_refrac",
+     "[neuron.out] t_refrac (line {line}): t_refrac must be >= 0, got nan"),
+    ("thres = 0.2\n", "thres = 0.2\nr_mem = nan\n", "r_mem",
+     "[neuron.out] r_mem (line {line}): r_mem must be finite, got nan"),
+    ("inh_g = 2e-6", "inh_g = nan", "inh_g",
+     "[network] inh_g (line {line}): inh_conn configured but inh_g is not positive"),
+    ("v_th_neg = 1.5", "v_th_neg = 1.5\nconst_k = nan", "const_k",
+     "[circuit.gate] const_k (line {line}): constant k must be finite, got nan"),
+    ("g_max = 3e-6", "g_max = inf", "g_max",
+     "[device.ladder] g_max (line {line}): g_max must be finite, got inf"),
+    ("g_min = 1e-6", "g_min = -inf", "g_min",
+     "[device.ladder] g_min (line {line}): g_min must be finite, got -inf"),
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace("0.05, log", "inf, log"), "param",
+     "[tune] param (line {line}): neuron.out.tau: need finite bounds, got 0.005, inf"),
+    ("seed = 11\n", "seed = 11\n" + TUNE + "mutation_sigma = nan\n", "mutation_sigma",
+     "[tune] mutation_sigma (line {line}): mutation_sigma must be finite and >= 0, got nan"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "inh_conn-input", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
@@ -522,7 +548,9 @@ FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
         "odd-waveform", "bad-expression", "unknown-presence", "bad-pair", "init-form",
         "init-args", "init-no-file", "param-fields", "param-number", "no-ladder-file",
         "no-table-file", "no-train-file", "ladder-file-line", "ladder-conflict",
-        "key-twice", "layers-name", "layers-leading-zero"])
+        "key-twice", "layers-name", "layers-leading-zero", "T-nan", "dt-nan",
+        "T_sample-inf", "v_th_pos-nan", "t_refrac-nan", "r_mem-nan", "inh_g-nan",
+        "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)
@@ -608,3 +636,40 @@ def test_every_problem_points_into_the_file(tmp_path):
             name, key, lineno = m.groups()
             assert (name, None) in holds or name in ("sim", "network", "layers.*"), problem
             assert lineno is None or int(lineno) in holds.get((name, key), ()), problem
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+NUMBER_LINE = re.compile(r"^(\w+)\s*=\s*[-+]?[\d.]+(e[-+]?\d+)?\s*$")
+
+
+def non_finite_edits(text):
+    """(key, value, edited text): each `key = <one number>` line of text
+    set to nan, inf and -inf in turn."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        m = NUMBER_LINE.match(line)
+        if m is None:
+            continue
+        for value in ("nan", "inf", "-inf"):
+            yield m[1], value, "".join(lines[:i] + [f"{m[1]} = {value}\n"] + lines[i + 1:])
+
+
+def test_non_finite_numbers_are_caught_at_load(tmp_path):
+    """A non-finite number gives a ConfigError or a config whose network
+    builds, never a fault at build time or a raw error; nan is always a
+    ConfigError."""
+    configs = sorted(BENCH_CONFIGS.glob("*.cfg"))
+    assert len(configs) == 3
+    for side in BENCH_CONFIGS.glob("*.csv"):
+        shutil.copy(side, tmp_path)
+    edits = 0
+    for text in [MINIMAL] + [path.read_text() for path in configs]:
+        for key, value, edited in non_finite_edits(text):
+            edits += 1
+            try:
+                cfg = load_config(write(tmp_path, edited))
+            except ConfigError:
+                continue
+            assert value != "nan", f"{key} = nan loads"
+            build_network(cfg.network, cfg.sim.dt)
+    assert edits > 200

@@ -245,6 +245,12 @@ class TestNumSteps:
         with pytest.raises(ValueError):
             num_steps(1.0, 0.0)
 
+    @pytest.mark.parametrize("T, dt", [(0.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+                                       (-math.inf, 1e-3), (1.0, math.nan), (1.0, math.inf)])
+    def test_zero_or_non_finite_step_count_rejected(self, T, dt):
+        with pytest.raises(ValueError):
+            num_steps(T, dt)
+
 
 def input_model(width_volts=0.5, duration=2e-3):
     return NeuronModel(tau=1.0, thres=1.0,
@@ -387,6 +393,139 @@ class TestTrainInferLabels:
             train(net, one_hot_dataset(2), sim, self.ENC)
         assert steps == []
         assert not net.layers[0].pre_out.pending
+
+
+# The readout loops as they were before the frozen passes shared one
+# samples x neurons count matrix, kept word for word as the reference.
+def _label_counts(net: Network) -> list[int]:
+    return [len(s.spike_times) for s in net.layers[net.label_layer].states]
+
+
+def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> None:
+    schedule_input(net, trains, at_step)
+    for k in range(at_step, at_step + steps):
+        run_timestep(net, k, learn=learn)
+
+
+def _frozen_pass_counts(net: Network, sample, sim: SimConfig, encoder,
+                        phase: int, index: int) -> list[int]:
+    """Present one sample with plasticity off; return label-layer spike counts."""
+    rng = np.random.default_rng([sim.seed, phase, index])
+    trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
+    net.reset_transient()
+    before = _label_counts(net)
+    _present(net, trains, num_steps(sim.T_sample, sim.dt), 0, learn=False)
+    after = _label_counts(net)
+    return [b - a for b, a in zip(after, before)]
+
+
+def reference_assign_labels(net: Network, dataset, sim: SimConfig, encoder) -> list[int | None]:
+    n_label = len(net.labels)
+    classes = sorted({s.label for s in dataset if s.label is not None})
+    counts = {c: np.zeros(n_label, dtype=int) for c in classes}
+    for idx, sample in enumerate(dataset):
+        got = _frozen_pass_counts(net, sample, sim, encoder, phase=1, index=idx)
+        if sample.label is not None:
+            counts[sample.label] += got
+    labels: list[int | None] = []
+    for n in range(n_label):
+        per_class = [(counts[c][n], c) for c in classes]
+        best_count = max((cnt for cnt, _ in per_class), default=0)
+        if best_count == 0:
+            labels.append(None)
+        else:
+            labels.append(min(c for cnt, c in per_class if cnt == best_count))
+    net.labels = labels
+    return labels
+
+
+def reference_infer(net: Network, dataset, sim: SimConfig, encoder):
+    predictions: list[int | None] = []
+    confusion: dict[tuple[int, int | None], int] = {}
+    correct = 0
+    for idx, sample in enumerate(dataset):
+        got = _frozen_pass_counts(net, sample, sim, encoder, phase=2, index=idx)
+        best = max(got)
+        if best == 0:
+            pred = None
+        else:
+            winner = got.index(best)  # first occurrence = lowest neuron index
+            pred = net.labels[winner]
+        predictions.append(pred)
+        if sample.label is not None:
+            key = (sample.label, pred)
+            confusion[key] = confusion.get(key, 0) + 1
+            if pred == sample.label:
+                correct += 1
+    total = sum(1 for s in dataset if s.label is not None)
+    accuracy = correct / total if total else 0.0
+    return accuracy, predictions, confusion
+
+
+def typed(values):
+    """Each value with its type, so 1 and 1.0 or np.int64(1) tell apart."""
+    return [(type(v), v) for v in values]
+
+
+class TestReadoutMatchesReference:
+    """assign_labels and infer, read off one samples x neurons count matrix,
+    give what the per-sample loops gave: the same labels, predictions,
+    confusion and accuracy, of the same types, and leave the net the same."""
+
+    SIM = SimConfig(T=0.2, dt=1e-3, T_sample=0.03, seed=4)
+
+    def compare(self, spec, encoder, label_set, infer_set, sim=SIM):
+        ref_net, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+        ref_labels = reference_assign_labels(ref_net, label_set, sim, encoder)
+        labels = assign_labels(net, label_set, sim, encoder)
+        assert typed(labels) == typed(ref_labels) and net.labels is labels
+        accuracy, predictions, confusion = reference_infer(ref_net, infer_set, sim, encoder)
+        got = infer(net, infer_set, sim, encoder)
+        assert typed(got.predictions) == typed(predictions)
+        assert [(typed(key), type(n), n) for key, n in got.confusion.items()] == [
+            (typed(key), type(n), n) for key, n in confusion.items()]
+        assert type(got.accuracy) is type(accuracy) and got.accuracy == accuracy
+        assert _label_counts(net) == _label_counts(ref_net)
+        return labels, got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_random_nets(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = two_layer_spec(6, 4, seed=seed, conn_type="sparse", sparse_p=0.3)
+        dataset = [Sample(tuple((rng.random(6) < 0.3).astype(float).tolist()),
+                          label=[0, 1, 2, None][int(rng.integers(4))]) for _ in range(10)]
+        labels, got = self.compare(spec, PoissonEncoder(0.0, 100.0), dataset, dataset[::-1])
+        assert len(set(got.predictions)) > 1  # not one class (or silence) for all
+
+    def one_to_one(self):
+        return two_layer_spec(2, 2, conn_type="one_to_one")
+
+    def test_tied_classes_and_a_silent_neuron(self):
+        # neuron 0 spikes equally for classes 7 and 3; neuron 1 never spikes
+        dataset = [Sample((1.0, 0.0), label=7), Sample((1.0, 0.0), label=3)]
+        labels, _ = self.compare(self.one_to_one(), FixedRateEncoder(0.0, 100.0),
+                                 dataset, dataset)
+        assert labels == [3, None]
+
+    def test_tied_neurons_and_a_silent_sample(self):
+        label_set = [Sample((1.0, 0.0), label=1), Sample((0.0, 1.0), label=0)]
+        infer_set = [Sample((1.0, 1.0), label=0), Sample((0.0, 0.0), label=1),
+                     Sample((0.0, 1.0), label=None), Sample((1.0, 1.0), label=None)]
+        labels, got = self.compare(self.one_to_one(), FixedRateEncoder(0.0, 100.0),
+                                   label_set, infer_set)
+        assert labels == [1, 0]
+        # both neurons tie on (1, 1): the lower neuron's label wins
+        assert got.predictions == [1, None, 0, 1]
+        assert got.confusion == {(0, 1): 1, (1, None): 1} and got.accuracy == 0.0
+
+    def test_unlabelled_and_empty_datasets(self):
+        enc = FixedRateEncoder(0.0, 100.0)
+        unlabelled = [Sample((1.0, 0.0)), Sample((0.0, 1.0))]
+        labels, got = self.compare(self.one_to_one(), enc, unlabelled, unlabelled)
+        assert labels == [None, None] and got.predictions == [None, None]
+        labels, got = self.compare(self.one_to_one(), enc, [], [])
+        assert labels == [None, None]
+        assert (got.predictions, got.confusion, got.accuracy) == ([], {}, 0.0)
 
 
 class TestSaveLoad:

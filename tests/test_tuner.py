@@ -71,6 +71,11 @@ class TestParamRange:
         with pytest.raises(ValueError):
             ParamRange("x", 0.0, 1.0, kind="complex")
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (1.0, math.inf)])
+    def test_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            ParamRange("x", lo, hi, scale="log" if lo > 0 else "linear")
+
 
 class TestGAConfig:
     def test_population_must_exceed_elitism(self):
@@ -84,6 +89,11 @@ class TestGAConfig:
     def test_rates_must_be_probabilities(self):
         with pytest.raises(ValueError):
             GAConfig(crossover_rate=1.5)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_mutation_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="mutation_sigma"):
+            GAConfig(mutation_sigma=sigma)
 
 
 class TestGAOptimize:
