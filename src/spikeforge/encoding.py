@@ -61,6 +61,8 @@ class _RateMap:
     r_max: float = 60.0
 
     def __post_init__(self):
+        if not np.isfinite(self.r_max):
+            raise SpecError("r_max", f"r_max must be finite, got {self.r_max}")
         if not 0 <= self.r_min <= self.r_max:
             raise SpecError(
                 "r_min", f"need 0 <= r_min <= r_max, got {self.r_min}, {self.r_max}")

@@ -11,9 +11,10 @@ network's only feedback latency.
 Spike delivery is integer-step throughout: each layer samples its waveforms
 once on the dt grid (`_samples`), and a waveform triggered at step m is
 active for ceil(duration/dt) steps and worth its i-th sample at step m + i.
-Each spike line (`_Line`) holds only the steps still to run, summed per
-neuron, which keeps presence windows exact, state bounded by the longest
-waveform, and runs reproducible bit for bit.
+Input spikes wait in `Network.inputs` until their step; each spike line
+(`_Line`) holds only the steps still to run, summed per neuron, which keeps
+presence windows exact, state bounded by the longest waveform, and runs
+reproducible bit for bit.
 
 A step's array work follows spike activity, not matrix size: a matrix whose
 circuit engages no synapse without a pre spike scans only the rows of active
@@ -26,11 +27,13 @@ step_device and the neuron calls, looked up as module globals
 (`TestTracedNames`), until the engine keeps its own run statistics. Set-up
 (a matrix's synapse list, saving and loading a network) runs on whole arrays.
 The frozen passes of `assign_labels` and `infer` share one driver
-(`_frozen_counts`) whose rows are samples and whose columns are label neurons.
-"""
+(`_frozen_counts`) that steps up to FROZEN_BATCH samples at once, on a
+runtime whose states and lines have a leading sample axis (sample b's
+neuron j at b * n + j) and whose matrices are the network's."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import logging
@@ -53,7 +56,7 @@ logger = logging.getLogger(__name__)
 
 NET_FORMAT = "spikeforge-net v1"
 
-MODE_CODES = {mode: mode.code for mode in SynapseMode}
+FROZEN_BATCH = 8  # samples a frozen pass steps at once
 
 
 class SimulationError(RuntimeError):
@@ -270,7 +273,7 @@ class _LayerRuntime:
 
 class _Matrix:
     __slots__ = ("circuit", "device", "plastic", "mask", "g", "pairs", "engaged_lut",
-                 "plastic_lut", "pre_gated", "all_rows", "needs_post2", "ex_lines", "base_env")
+                 "plastic_lut", "pre_gated", "needs_post2", "ex_lines", "base_env")
 
     def __init__(self, circuit: CircuitModel, device: PulseFamilyDevice, plastic: bool,
                  mask: np.ndarray, dt: float):
@@ -284,7 +287,6 @@ class _Matrix:
         self.engaged_lut = self.plastic_lut | [p in circuit.transmit_policy for p in PRESENCE_BY_CODE]
         # no synapse engages without a pre spike: codes 0 and 1 (none, post_only) are off
         self.pre_gated = not self.engaged_lut[:2].any()
-        self.all_rows = np.arange(mask.shape[0])
         ex_reads = set() if circuit.ex_eqs is None else expr.free_vars(circuit.ex_eqs)
         self.needs_post2 = "V_post2" in expr.free_vars(circuit.v_app) | ex_reads
         # the line voltages the engaged loop binds for ex_eqs
@@ -311,6 +313,7 @@ class Network:
         self.layers = [_LayerRuntime(ls, k == 0, dt) for k, ls in enumerate(spec.layers)]
         self.matrices: list[_Matrix] = []
         self.labels: list[int | None] = [None] * spec.layers[spec.label_layer].neurons
+        self.inputs: dict[int, list[int]] = {}  # step: the input channels spiking then
         self.saturation_events = 0
 
     @property
@@ -332,6 +335,7 @@ class Network:
                 state.refractory_until = 0.0
             for line in layer.lines:
                 line.pending.clear()
+        self.inputs.clear()
 
 
 def build_network(spec: NetworkSpec, dt: float) -> Network:
@@ -381,48 +385,51 @@ def _initial_conductances(init: WeightInit, count: int, rng) -> np.ndarray:
 
 
 def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> None:
-    """Trigger encoded input spikes on layer 0's outgoing line; every train
-    must be on the network's dt grid."""
-    layer0 = net.layers[0]
-    if len(trains) != layer0.spec.neurons:
-        raise ValueError(
-            f"{len(trains)} input trains for {layer0.spec.neurons} input neurons")
+    """Queue encoded input spikes for layer 0's outgoing line, where each step
+    triggers its own; every train must be on the network's dt grid."""
+    if len(trains) != net.layers[0].pre_out.n:
+        raise ValueError(f"{len(trains)} input trains for {net.layers[0].pre_out.n} input neurons")
     off_grid = next((c for c, train in enumerate(trains) if train.dt != net.dt), None)
     if off_grid is not None:
         raise ValueError(f"input channel {off_grid} has dt={trains[off_grid].dt}, "
                          f"but the network's dt is {net.dt}")
     for chan, train in enumerate(trains):
         for k in train.steps:
-            layer0.pre_out.trigger(chan, at_step + k, layer0.pre)
+            net.inputs.setdefault(at_step + k, []).append(chan)
 
 
 def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
                   post2_out: _Line, step: int, dt: float):
-    """The synapse kernel: one matrix (layer q) for one timestep.
+    """The synapse kernel: one matrix (layer q) for one timestep, shared by the
+    B samples of lines B times as wide as its layers (sample b's i at b * n + i).
 
-    Only the candidate rows are scanned: those with an active pre line when
-    no circuit policy engages without a pre spike (`_Matrix.pre_gated`),
-    else all. Over them presence is the code 2 * pre_active + post_active
+    The candidate (sample, pre) rows are those with an active pre line when
+    no circuit policy engages without a pre spike (`_Matrix.pre_gated`), else
+    all. Over them presence is the code 2 * pre_active + post_active
     (PRESENCE_BY_CODE), and the engaged synapses, those connected with a
-    presence in a circuit policy, are found by one flat nonzero. They are
-    visited in row-major order, on Python floats, with V_TB evaluated over
-    all of them as one array. Returns (rows, cols, modes, currents, events):
-    each engaged synapse's coordinates, MODE_CODES code and current, and the
-    programming pulses as (i, j, direction, |V_TB|).
-    """
+    presence in a circuit policy, are found by one flat nonzero and visited
+    in sample-major, row-major order, on Python floats, with V_TB evaluated
+    over all of them as one array. Returns (rows, cols, modes, currents, events):
+    each engaged synapse's pre and post line index, mode code and current, and
+    the programming pulses as (i, j, direction, |V_TB|)."""
     circuit = matrix.circuit
+    n_pre, n_post = matrix.mask.shape
     events: list[tuple[int, int, SynapseMode, float]] = []
     pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
     post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
-    candidates = np.flatnonzero(pre_active) if matrix.pre_gated else matrix.all_rows
-    code = (2 * pre_active[candidates, None].astype(np.int8) + post_active).ravel()
-    flat = np.flatnonzero(matrix.engaged_lut[code] & matrix.mask[candidates].ravel())
-    k, cols = np.divmod(flat, len(post_active))
-    rows = candidates[k]
+    batch = len(post_active) // n_post
+    candidates = np.flatnonzero(pre_active) if matrix.pre_gated else np.arange(len(pre_active))
+    sample, pre = np.divmod(candidates, n_pre) if batch > 1 else (0, candidates)
+    code = (2 * pre_active[candidates, None].astype(np.int8)
+            + post_active.reshape(batch, n_post)[sample]).ravel()
+    flat = np.flatnonzero(matrix.engaged_lut[code] & matrix.mask[pre].ravel())
+    k, post = np.divmod(flat, n_post)
+    rows, pre = candidates[k], pre[k]
+    cols = sample[k] * n_post + post if batch > 1 else post
     out, mode_codes = [], []
     if not len(rows):
         return rows, cols, mode_codes, out, events
-    g = matrix.g[rows, cols]
+    g = matrix.g[pre, post]
     columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
     if matrix.needs_post2:
         columns["V_post2"] = post2_out.state(step, circuit.rest_v_post2)[1][cols]
@@ -434,7 +441,7 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     plastic = matrix.plastic_lut.tolist()
     try:
         # zip stops at the first synapse whose V_TB failed
-        for i, j, c, v, gk, volts in zip(rows.tolist(), cols.tolist(), code[flat].tolist(),
+        for i, j, c, v, gk, volts in zip(pre.tolist(), post.tolist(), code[flat].tolist(),
                                          v_tb[:n].tolist(), g.tolist(), ex_volts):
             env["V_TB"] = v
             # for ex_eqs, as the very float transmit_current gets, so it need not copy env
@@ -451,7 +458,7 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
             out.append(transmit_current(circuit, gk, env, mode))
             mode_codes.append(mode.code)
         if n < len(rows):  # the scalar evaluation raises that synapse's own text
-            i, j = int(rows[n]), int(cols[n])
+            i, j = int(pre[n]), int(post[n])
             expr.evaluate(circuit.v_app, {**matrix.base_env, **{
                 name: column[n].item() for name, column in columns.items()}})
     except expr.ExprError as err:
@@ -478,6 +485,8 @@ def run_timestep(net: Network, step: int, learn: bool = True,
     dt = net.dt
     t = step * dt
     trace = StepTrace([], [], [], []) if record else None
+    if step in net.inputs:
+        net.layers[0].pre_out.trigger(np.array(net.inputs.pop(step)), step, net.layers[0].pre)
     for q in range(1, len(net.layers)):
         matrix = net.matrices[q - 1]
         post_layer = net.layers[q]
@@ -515,7 +524,7 @@ def run_timestep(net: Network, step: int, learn: bool = True,
 
 
 def _emit(net: Network, q: int, j: int, step: int) -> None:
-    """Trigger a firing neuron's outputs, visible from the next step."""
+    """Trigger a firing neuron's outputs, visible from the next step, in its sample."""
     layer = net.layers[q]
     origin = step + 1
     if layer.post1 is not None:
@@ -525,7 +534,8 @@ def _emit(net: Network, q: int, j: int, step: int) -> None:
     # NetworkSpec checked that every inhibiting layer has an inhib waveform
     for a, b in net.spec.inh_conn:
         if a == q:
-            peers = np.arange(net.layers[b].spec.neurons)
+            n = net.layers[b].spec.neurons
+            peers = np.arange(n) + j // layer.spec.neurons * n
             net.layers[b].inhib_in.trigger(peers[peers != j] if a == b else peers,
                                            origin, layer.inhib, net.spec.inh_g)
 
@@ -589,20 +599,71 @@ def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> Non
         run_timestep(net, k, learn=learn)
 
 
+class _EnergyLog(list):
+    """A batch neuron's energy: integrate's `energy += term` logs the term."""
+
+    def __iadd__(self, term):
+        self.append(term)
+        return self
+
+
+def _present_frozen(net: Network, trains: list, steps: int) -> list[int]:
+    """Step samples (input trains each) together, frozen, each as if alone from
+    reset_transient, on a runtime with all their states and lines and net's matrices
+    once per sample; fold their spike times and energy terms into net's in sample
+    order, leave net as the last sample left it, and return label-layer counts."""
+    net.reset_transient()  # before the batch grows, as each sample alone would
+    batch = copy.copy(net)
+    batch.inputs, batch.layers = {}, [copy.copy(layer) for layer in net.layers]
+    for layer in batch.layers:
+        n = layer.spec.neurons * len(trains)
+        layer.states = [NeuronState(layer.spec.neuron_model.v_reset, energy=_EnergyLog())
+                        for _ in range(n)] if layer.states else []
+        layer.pre_out, layer.post1_in, layer.inhib_in = _Line(n), _Line(n), _Line(n)
+    batch.matrices = net.matrices * len(trains)
+    _present(batch, [train for sample in trains for train in sample], steps, 0, learn=False)
+    for layer, wide in zip(net.layers, batch.layers):
+        n = layer.spec.neurons
+        for k, done in enumerate(wide.states):  # sample-major: the last sample's v stays
+            state = layer.states[k % n]
+            state.spike_times += done.spike_times
+            for term in done.energy:
+                state.energy += term
+            state.v, state.refractory_until = done.v, done.refractory_until
+        for line, wide_line in zip(layer.lines, wide.lines):
+            line.pending.update((step, (active[-n:].copy(), volts[-n:].copy()))
+                                for step, (active, volts) in wide_line.pending.items()
+                                if active[-n:].any())
+    return [len(s.spike_times) for s in batch.layers[net.label_layer].states]
+
+
 def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -> np.ndarray:
     """The frozen pass: row i holds the label-layer spike counts of sample i,
     presented alone with plasticity off, from reset_transient, on its own
-    default_rng([sim.seed, phase, i])."""
+    default_rng([sim.seed, phase, i]).
+
+    Chunks of up to FROZEN_BATCH samples step together (`_present_frozen`); every
+    sum runs in its one-sample order and energy is added per neuron in sample, then
+    step order, so counts and net end bit for bit as when samples step one at a time."""
     states = net.layers[net.label_layer].states
     counts = np.zeros((len(dataset), len(states)), dtype=int)
     steps = num_steps(sim.T_sample, sim.dt)
-    for idx, sample in enumerate(dataset):
+
+    def encode(idx):
         rng = np.random.default_rng([sim.seed, phase, idx])
-        trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
-        net.reset_transient()
-        before = [len(s.spike_times) for s in states]
-        _present(net, trains, steps, 0, learn=False)
-        counts[idx] = [len(s.spike_times) - b for s, b in zip(states, before)]
+        return encoder.encode(dataset[idx].features, sim.T_sample, sim.dt, rng)
+
+    for start in range(0, len(dataset), FROZEN_BATCH):
+        chunk = range(start, min(start + FROZEN_BATCH, len(dataset)))
+        try:
+            counts[start:chunk.stop].flat = _present_frozen(net, list(map(encode, chunk)), steps)
+        except Exception:  # any fault: replayed one at a time, for that pass's error and state
+            for idx in chunk:
+                trains = encode(idx)
+                net.reset_transient()
+                before = [len(s.spike_times) for s in states]
+                _present(net, trains, steps, 0, learn=False)
+                counts[idx] = [len(s.spike_times) - b for s, b in zip(states, before)]
     return counts
 
 
@@ -619,9 +680,8 @@ def train(net: Network, dataset, sim: SimConfig, encoder) -> TrainResult:
     n_total = num_steps(sim.T, sim.dt)
     per_sample = num_steps(sim.T_sample, sim.dt)
     rng = np.random.default_rng([sim.seed, 0])
-    k = 0
     order: list[int] = []
-    while k < n_total:
+    for k in range(0, n_total, per_sample):
         if not order:
             order = list(range(len(dataset)))
             if sim.shuffle:
@@ -630,9 +690,7 @@ def train(net: Network, dataset, sim: SimConfig, encoder) -> TrainResult:
         if sim.reset_between_samples:
             net.reset_transient()
         trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
-        steps = min(per_sample, n_total - k)
-        _present(net, trains, steps, k, learn=True)
-        k += steps
+        _present(net, trains, min(per_sample, n_total - k), k, learn=True)
     assign_labels(net, dataset, sim, encoder)
     return TrainResult(infer(net, dataset, sim, encoder).accuracy)
 

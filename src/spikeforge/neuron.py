@@ -61,8 +61,9 @@ class NeuronModel:
                 "thres", f"thres must exceed v_reset, got {self.thres} <= {self.v_reset}")
         if not self.t_refrac >= 0:
             raise SpecError("t_refrac", f"t_refrac must be >= 0, got {self.t_refrac}")
-        if not math.isfinite(self.r_mem):
-            raise SpecError("r_mem", f"r_mem must be finite, got {self.r_mem}")
+        for key in ("v_reset", "r_mem"):
+            if not math.isfinite(getattr(self, key)):
+                raise SpecError(key, f"{key} must be finite, got {getattr(self, key)}")
         expr.check_names("state_eqs", self.state_eqs, NEURON_VOCABULARY)
         expr.check_names("power_expr", self.power_expr, NEURON_VOCABULARY)
 
@@ -75,10 +76,6 @@ class NeuronState:
     refractory_until: float = 0.0
     spike_times: list[float] = field(default_factory=list)
     energy: float = 0.0
-
-    def copy(self) -> "NeuronState":
-        return NeuronState(self.v, self.refractory_until,
-                           list(self.spike_times), self.energy)
 
 
 def integrate(model: NeuronModel, state: NeuronState, current: float,

@@ -184,6 +184,9 @@ class CircuitModel:
         for key in ("v_th_pos", "v_th_neg"):
             if not getattr(self, key) > 0:
                 raise SpecError(key, "thresholds must be positive")
+        for key in ("rest_V_pre", "rest_V_post1", "rest_V_post2"):
+            if not math.isfinite(getattr(self, key.lower())):
+                raise SpecError(key, f"{key} must be finite, got {getattr(self, key.lower())}")
 
     def base_env(self, dt: float) -> dict[str, float]:
         """Static bindings: node voltages (one value for both unless the user

@@ -540,6 +540,12 @@ FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
      "[tune] param (line {line}): neuron.out.tau: need finite bounds, got 0.005, inf"),
     ("seed = 11\n", "seed = 11\n" + TUNE + "mutation_sigma = nan\n", "mutation_sigma",
      "[tune] mutation_sigma (line {line}): mutation_sigma must be finite and >= 0, got nan"),
+    ("v_th_neg = 1.5", "v_th_neg = 1.5\nrest_V_pre = nan", "rest_V_pre",
+     "[circuit.gate] rest_V_pre (line {line}): rest_V_pre must be finite, got nan"),
+    ("[network]", "[encoding]\nr_max = inf\n\n[network]", "r_max",
+     "[encoding] r_max (line {line}): r_max must be finite, got inf"),
+    ("thres = 0.2\n", "thres = 0.2\nv_reset = -inf\n", "v_reset",
+     "[neuron.out] v_reset (line {line}): v_reset must be finite, got -inf"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "inh_conn-input", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
@@ -550,7 +556,8 @@ FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
         "no-table-file", "no-train-file", "ladder-file-line", "ladder-conflict",
         "key-twice", "layers-name", "layers-leading-zero", "T-nan", "dt-nan",
         "T_sample-inf", "v_th_pos-nan", "t_refrac-nan", "r_mem-nan", "inh_g-nan",
-        "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan"])
+        "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan",
+        "rest_V_pre-nan", "r_max-inf", "v_reset-inf"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)

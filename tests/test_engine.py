@@ -528,6 +528,139 @@ class TestReadoutMatchesReference:
         assert (got.predictions, got.confusion, got.accuracy) == ([], {}, 0.0)
 
 
+def snapshot(net: Network):
+    """Every neuron's spike times, energy, membrane and refractory window, and
+    every line's pending steps, each float as float.hex."""
+    return [([(list(map(float.hex, s.spike_times)), float(s.energy).hex(), float(s.v).hex(),
+               float(s.refractory_until).hex()) for s in layer.states],
+             [sorted((k, active.tolist(), [x.hex() for x in volts.tolist()])
+                     for k, (active, volts) in line.pending.items()) for line in layer.lines])
+            for layer in net.layers]
+
+
+class TestBatchedFrozenPass:
+    """The frozen passes step up to engine.FROZEN_BATCH samples at once. With
+    a batch of 1, of 3 (chunks of 3, 3 and 1 over 7 samples) and of the whole
+    dataset they must give the per-sample reference driver's counts, labels
+    and predictions, in one run_timestep per chunk and step, and leave every
+    neuron's spike times, energy, membrane and refractory window and every
+    pending line as the driver leaves them, bit for bit; that state then
+    seeds a training stream without resets the same way."""
+
+    SIM = SimConfig(T=0.06, dt=1e-3, T_sample=0.02, seed=4)
+    ENC = PoissonEncoder(0.0, 90.0)
+
+    @staticmethod
+    def eqs_model():
+        return dataclasses.replace(
+            out_model(inhib=rect(1.0, 5e-3)), state_eqs=parse("(r_mem * I - V) / tau"),
+            power_expr=parse("V * V + r_mem * I * I"))
+
+    @staticmethod
+    def plastic_circuit(v_app):
+        # post-only synapses engage, so every row is scanned
+        return CircuitModel(
+            v_app=parse(v_app), v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset({SpikePresence.PRE_ONLY, SpikePresence.BOTH}),
+            plasticity_policy=frozenset({SpikePresence.BOTH, SpikePresence.POST_ONLY}))
+
+    def two_layer(self):
+        return NetworkSpec(layers=(
+            input_layer(6),
+            LayerSpec(neurons=4, neuron_model=self.eqs_model(), plastic=True, label=True,
+                      conn_type="sparse", sparse_p=0.5, device_model=small_device(),
+                      circuit_model=self.plastic_circuit("V_pre - V_post1 + 0.5 * V_post2"))),
+            inh_conn=((1, 1),), inh_g=1 * US, seed=2)
+
+    def three_layer(self):
+        return NetworkSpec(layers=(
+            input_layer(5),
+            LayerSpec(neurons=5, neuron_model=self.eqs_model(), conn_type="one_to_one",
+                      circuit_model=transmit_circuit(), device_model=small_device()),
+            LayerSpec(neurons=3, neuron_model=out_model(inhib=rect(1.0, 5e-3)), plastic=True,
+                      label=True, conn_type="sparse", sparse_p=0.6,
+                      device_model=small_device(),
+                      circuit_model=self.plastic_circuit("V_pre - V_post1"))),
+            inh_conn=((1, 1), (2, 2), (2, 1)), inh_g=1 * US, seed=3)
+
+    def hidden_label(self):
+        input_, hidden, output = self.three_layer().layers
+        return dataclasses.replace(self.three_layer(), layers=(
+            input_, dataclasses.replace(hidden, label=True),
+            dataclasses.replace(output, label=False)))
+
+    @pytest.mark.parametrize("batch", [1, 3, 7])
+    @pytest.mark.parametrize("make", ["two_layer", "three_layer", "hidden_label"])
+    def test_matches_the_per_sample_driver(self, make, batch, monkeypatch):
+        spec = getattr(self, make)()
+        rng = np.random.default_rng(batch)
+        width = spec.layers[0].neurons
+        dataset = [Sample(tuple(rng.random(width).round(2).tolist()), label=int(rng.integers(3)))
+                   for _ in range(7)]
+        sim, enc = self.SIM, self.ENC
+        ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+        monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+        steps = []
+        step_once = engine.run_timestep
+
+        def run_timestep(net, step, **kw):
+            steps.append(step)
+            return step_once(net, step, **kw)
+
+        monkeypatch.setattr(engine, "run_timestep", run_timestep)
+        counts = engine._frozen_counts(net, dataset, sim, enc, phase=1)
+        assert len(steps) == -(-7 // batch) * num_steps(sim.T_sample, sim.dt)
+        monkeypatch.setattr(engine, "run_timestep", step_once)
+        assert counts.tolist() == [_frozen_pass_counts(ref, s, sim, enc, 1, i)
+                                   for i, s in enumerate(dataset)]
+        assert snapshot(net) == snapshot(ref)
+        assert assign_labels(net, dataset, sim, enc) == reference_assign_labels(
+            ref, dataset, sim, enc)
+        got = infer(net, dataset[::-1], sim, enc)
+        assert (got.accuracy, got.predictions, got.confusion) == reference_infer(
+            ref, dataset[::-1], sim, enc)
+        assert snapshot(net) == snapshot(ref)
+        # the run spiked, drew energy and left pending spikes behind
+        states = [s for layer in net.layers for s in layer.states]
+        assert counts.any() and all(s.energy for s in states[:3])
+        assert any(line.pending for layer in net.layers for line in layer.lines)
+        g0 = net.conductances()
+        stream = dataclasses.replace(sim, reset_between_samples=False)
+        for n in (net, ref):
+            train(n, dataset, stream, enc)
+        assert [g.tobytes() for g in net.conductances()] == [
+            g.tobytes() for g in ref.conductances()]
+        assert any((a != b).any() for a, b in zip(g0, net.conductances()))
+
+    @pytest.mark.parametrize("batch", [1, 3, 5])
+    def test_a_failing_sample_raises_the_driver_error_and_leaves_its_state(
+            self, batch, monkeypatch):
+        # state_eqs takes sqrt(5e-6 - I): one input at 2 uA makes a neuron
+        # fire, and it fails once three inputs drive it, in samples 2 and 4
+        model = NeuronModel(tau=10e-3, thres=0.2, r_mem=1e6, waveforms=SpikeWaveforms(),
+                            state_eqs=parse("(r_mem * I - V) / tau + 0 * sqrt(5e-6 - I)"))
+        spec = NetworkSpec(
+            layers=(input_layer(4), LayerSpec(neurons=2, neuron_model=model, label=True,
+                                              circuit_model=transmit_circuit(),
+                                              device_model=small_device())),
+            init_weights=WeightInit("constant", value=4 * US))
+        dataset = [Sample(features, label=0) for features in (
+            (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0))]
+        sim, enc = self.SIM, FixedRateEncoder(0.0, 100.0)
+        ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+        with pytest.raises(SimulationError) as expected:
+            reference_assign_labels(ref, dataset, sim, enc)
+        monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+        with pytest.raises(SimulationError) as got:
+            assign_labels(net, dataset, sim, enc)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("neuron (layer 1, index 0) at t=0.0: sqrt")
+        assert snapshot(net) == snapshot(ref)
+        # samples 0 and 1 fired at steps 0, 1, 10 and 11; sample 2 failed at step 0
+        assert [s.spike_times for s in net.layers[1].states] == [[0.0, 0.001, 0.01, 0.011] * 2] * 2
+
+
 class TestSaveLoad:
     def test_round_trip_bit_identical(self, tmp_path):
         spec = two_layer_spec(5, 3, conn_type="sparse", sparse_p=0.6, seed=9)
@@ -813,6 +946,27 @@ class TestBoundedState:
         long, spikes = longest_pending(1.0)
         assert spikes > 10 * bound
         assert 0 < short <= bound and 0 < long <= bound
+
+    def test_input_spikes_reach_the_line_only_at_their_step(self):
+        # a presentation's input spikes wait in Network.inputs: the input
+        # line holds at most the steps of the pre waveforms already started
+        net = build_network(two_layer_spec(6, 2), 1e-3)
+        trains = PoissonEncoder(0.0, 90.0).encode((1.0,) * 6, 0.1, 1e-3,
+                                                  np.random.default_rng(0))
+        schedule_input(net, trains)
+        line = net.layers[0].pre_out
+        assert not line.pending and sum(map(len, net.inputs.values())) == sum(map(len, trains))
+        support = len(net.layers[0].pre)
+        for k in range(100):
+            run_timestep(net, k, learn=False)
+            assert all(k < step <= k + support for step in line.pending)
+        assert not net.inputs
+        # the between-sample reset drops the spikes of a cut-short presentation
+        schedule_input(net, trains, 100)
+        run_timestep(net, 100)
+        assert net.inputs and line.pending
+        net.reset_transient()
+        assert not net.inputs and not line.pending
 
 
 class TestSimulationErrors:

@@ -21,8 +21,8 @@ import pytest
 
 from spikeforge import expr
 from spikeforge.engine import (
-    MODE_CODES, LayerSpec, NetworkSpec, SimulationError, WeightInit, _Line, _Matrix,
-    _samples, _synapse_pass, build_network, run_timestep,
+    LayerSpec, NetworkSpec, SimulationError, WeightInit, _Line, _Matrix, _samples,
+    _synapse_pass, build_network, run_timestep,
 )
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
@@ -85,7 +85,7 @@ def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
             raise SimulationError(
                 f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}"
             ) from err
-        modes[i, j] = MODE_CODES[mode]
+        modes[i, j] = mode.code
     return currents, modes, events, visited
 
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestIntegrate:
             fire_check(model, full, k * dt)
             trace.append(full.v)
             if k == 99:
-                saved = full.copy()
+                saved = copy.deepcopy(full)
         resumed = saved
         for k in range(100, 200):
             integrate(model, resumed, 1.5, k * dt, dt)

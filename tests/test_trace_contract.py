@@ -6,8 +6,10 @@
 same results without those per-element calls would silently zero the
 per-layer metrics, so the traced counts of tiny seeded jobs are pinned
 here, as the per-element kernel made them: a train job, whose circuit
-engages post-only synapses and so scans every row, and an infer job, whose
-circuit engages none without a pre spike and so scans only the active rows.
+engages post-only synapses and so scans every row, an infer job, whose
+circuit engages none without a pre spike and so scans only the active rows,
+and a tune job, the one whose circuits and neurons set ex_eqs, state_eqs and
+power_expr, with its counts recorded before the frozen passes were batched.
 """
 
 import json
@@ -38,6 +40,16 @@ PINNED = {
         "synapse.step_device.calls": 0,
         "neuron.integrate.calls": 1280,
     },
+    "tune-36x8-family": {
+        "engine.pair_steps": 201600,
+        "synapse.engaged_steps": 23009,
+        "synapse.mode.idle": 182813,
+        "synapse.mode.transmit": 14621,
+        "synapse.mode.potentiate": 416,
+        "synapse.mode.depress": 3750,
+        "synapse.step_device.calls": 356,
+        "neuron.integrate.calls": 5600,
+    },
 }
 
 
@@ -58,3 +70,7 @@ def test_traced_counts_of_a_tiny_train_job_are_unchanged():
 
 def test_traced_counts_of_a_tiny_infer_job_are_unchanged():
     assert traced_counts("infer-784x16") == PINNED["infer-784x16"]
+
+
+def test_traced_counts_of_a_tiny_tune_job_are_unchanged():
+    assert traced_counts("tune-36x8-family") == PINNED["tune-36x8-family"]
