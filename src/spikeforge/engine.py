@@ -25,11 +25,13 @@ them that remains, on Python floats, makes the per-element calls the
 benchmark's trace hooks count: mode_from_voltage, transmit_current,
 step_device and the neuron calls, looked up as module globals
 (`TestTracedNames`), until the engine keeps its own run statistics. Set-up
-(a matrix's synapse list, saving and loading a network) runs on whole arrays.
-The frozen passes of `assign_labels` and `infer` share one driver
-(`_frozen_counts`) that steps up to FROZEN_BATCH samples at once, on a
-runtime whose states and lines have a leading sample axis (sample b's
-neuron j at b * n + j) and whose matrices are the network's."""
+runs on whole arrays, but the network file is written and checked a block of
+NETFILE_BLOCK lines at a time, holding the text, its bytes, one offset per
+line and one block's fields; other layouts take the per-line read, whose
+memory grows with the file. The frozen passes of `assign_labels` and
+`infer` share one driver (`_frozen_counts`) that steps up to FROZEN_BATCH
+samples at once, on a runtime whose states and lines have a leading sample
+axis (sample b's neuron j at b * n + j) and whose matrices are the network's."""
 
 from __future__ import annotations
 
@@ -57,6 +59,7 @@ logger = logging.getLogger(__name__)
 NET_FORMAT = "spikeforge-net v1"
 
 FROZEN_BATCH = 8  # samples a frozen pass steps at once
+NETFILE_BLOCK = 1024  # network file lines made, or split and checked, at once
 
 
 class SimulationError(RuntimeError):
@@ -735,16 +738,17 @@ def save_network(net: Network, path) -> None:
     """Write format v1: the line `spikeforge-net v1`, a `q,i,j,g` line per
     synapse (matrix q from 1, pre i, post j, in `matrix.pairs` order, g as
     repr(float)), then `label,n,c|none` per label-layer neuron n. load_network
-    takes the lines in any order, and of two lines with one key the last."""
-    lines = [NET_FORMAT]
-    for q, matrix in enumerate(net.matrices, start=1):
-        rows, cols = matrix.pairs.T
-        lines += (f"{q},{i},{j},{g!r}" for i, j, g in
-                  zip(rows.tolist(), cols.tolist(), matrix.g[rows, cols].tolist()))
-    for n, label in enumerate(net.labels):
-        lines.append(f"label,{n},{'none' if label is None else label}")
+    takes the lines in any order, and of two lines with one key the last.
+    The lines are made and written one block of NETFILE_BLOCK at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(NET_FORMAT + "\n")
+        for q, matrix in enumerate(net.matrices, start=1):
+            for lo in range(0, len(matrix.pairs), NETFILE_BLOCK):
+                rows, cols = matrix.pairs[lo:lo + NETFILE_BLOCK].T
+                fh.write("".join([f"{q},{i},{j},{g!r}\n" for i, j, g in zip(
+                    rows.tolist(), cols.tolist(), matrix.g[rows, cols].tolist())]))
+        fh.writelines(f"label,{n},{'none' if label is None else label}\n"
+                      for n, label in enumerate(net.labels))
 
 
 def load_network(path, spec: NetworkSpec, dt: float) -> Network:
@@ -752,8 +756,10 @@ def load_network(path, spec: NetworkSpec, dt: float) -> Network:
     a save_network file: `spikeforge-net v1`, then `q,i,j,g` and
     `label,n,c|none` lines in any order, blank lines skipped, the last of two
     lines with one key winning. The synapse set must exactly match the spec's
-    (deterministic) topology and the labels cover the label layer; anything
-    missing or extra reads as corruption."""
+    (deterministic) topology, the labels cover the label layer and each g
+    lie in its device's range; anything else reads as corruption. Files laid
+    out as save_network writes them are checked one block of lines at a time
+    (see the module docstring); any other layout is read line by line."""
     net = build_network(spec, dt)
     _load_conductances(net, path)
     return net
@@ -804,31 +810,55 @@ def _load_conductances(net: Network, path) -> None:
                 f"({len(by_neuron)} entries, expected {len(net.labels)})") from None
         g = np.array([synapses[key] for key in expected])
         labels = [by_neuron[n] for n in range(len(net.labels))]
-    for matrix in net.matrices:
-        matrix.g[matrix.mask], g = g[:len(matrix.pairs)], g[len(matrix.pairs):]
+    for q, matrix in enumerate(net.matrices, start=1):
+        part, g = g[:len(matrix.pairs)], g[len(matrix.pairs):]
+        lo, hi = matrix.device.g_min, matrix.device.g_max
+        outside = np.flatnonzero(~((part >= lo) & (part <= hi)))  # nan is outside
+        if outside.size:
+            (i, j), value = matrix.pairs[outside[0]].tolist(), part[outside[0]].item()
+            raise NetworkFileError(
+                f"{path}: synapse (layer {q}, pre {i}, post {j}) has conductance {value!r}, "
+                f"outside its device range [{lo!r}, {hi!r}]")
+        matrix.g[matrix.mask] = part
     net.labels = labels
 
 
 def _saved_lines(net: Network, text: str) -> tuple[np.ndarray, list[int | None]]:
     """The conductances, in `matrix.pairs` order, and the labels of a file
     laid out exactly as save_network writes it; ValueError for other text."""
-    keys = np.concatenate([np.insert(matrix.pairs, 0, q, axis=1)
-                           for q, matrix in enumerate(net.matrices, start=1)])
-    n, m = len(keys), len(net.labels)
-    body = text[len(NET_FORMAT) + 1:]
-    raw = np.frombuffer(body.encode(), np.uint8)
-    # 4 fields on a synapse line, 3 on a label line, and every line ends in a newline
-    if (not body.endswith("\n") or raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes()
-            != b",,,\n" * n + b",,\n" * m):
+    raw = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))  # ends[k] closes line k, the header's first
+    n, m = sum(len(matrix.pairs) for matrix in net.matrices), len(net.labels)
+    # byte offsets must be character offsets, and every line must end in a newline
+    if not text.isascii() or len(ends) != 1 + n + m or ends[-1] != len(raw) - 1:
         raise ValueError("not the layout save_network writes")
-    fields = body[:-1].replace("\n", ",").split(",")
-    synapses, labels = fields[:4 * n], fields[4 * n:]
-    g = synapses[3::4]
-    del synapses[3::4]
     # each index must read str(k), the one text of k that save_network writes
-    names = np.array(list(map(str, range(max(keys.max(), m) + 1))), dtype=object)
-    if (synapses != names[keys].ravel().tolist() or labels[0::3] != ["label"] * m
-            or labels[1::3] != names[:m].tolist()):
-        raise ValueError("not the network's synapses and label neurons in order")
-    return (np.fromiter(map(float, g), float, n),
-            [None if c == "none" else int(c) for c in labels[2::3]])
+    names = np.array(list(map(str, range(max(len(net.layers), *(
+        layer.spec.neurons for layer in net.layers))))), dtype=object)
+
+    def fields(first: int, count: int, seps: bytes) -> list[str]:
+        # lines first..first + count - 1, whose commas and newlines read seps each
+        start, stop = ends[first - 1] + 1, ends[first + count - 1]
+        chunk = raw[start:stop + 1]
+        if chunk[(chunk == ord(",")) | (chunk == ord("\n"))].tobytes() != seps * count:
+            raise ValueError("not the layout save_network writes")
+        return text[start:stop].replace("\n", ",").split(",")
+
+    g, labels, line = np.empty(n), [], 1
+    for q, matrix in enumerate(net.matrices, start=1):
+        for lo in range(0, len(matrix.pairs), NETFILE_BLOCK):
+            keys = matrix.pairs[lo:lo + NETFILE_BLOCK]
+            block = fields(line, len(keys), b",,,\n")
+            g[line - 1:line - 1 + len(keys)] = list(map(float, block[3::4]))
+            del block[3::4]
+            if block != names[np.insert(keys, 0, q, axis=1)].ravel().tolist():
+                raise ValueError("not the network's synapses in order")
+            line += len(keys)
+    for lo in range(0, m, NETFILE_BLOCK):
+        count = min(NETFILE_BLOCK, m - lo)
+        block = fields(line, count, b",,\n")
+        if block[0::3] != ["label"] * count or block[1::3] != names[lo:lo + count].tolist():
+            raise ValueError("not the network's label neurons in order")
+        labels += [None if c == "none" else int(c) for c in block[2::3]]
+        line += count
+    return g, labels

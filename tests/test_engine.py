@@ -719,8 +719,34 @@ class TestSaveLoad:
         assert str(err.value) == (
             f"{path}:988: corrupt line: could not convert string to float: '1.0.0'")
 
+    @pytest.mark.parametrize("text, value", [
+        ("nan", "nan"), ("inf", "inf"),
+        ("9.999999999999997e-07", "9.999999999999997e-07"),  # one ulp below g_min
+        ("9.000000000000002e-06", "9.000000000000002e-06"),  # one ulp above g_max
+    ])
+    @pytest.mark.parametrize("reorder", [False, True])  # the array path, the per-line read
+    def test_conductance_outside_the_device_range_is_a_file_fault(self, tmp_path, text, value,
+                                                                  reorder):
+        spec = two_layer_spec(3, 2)
+        path = tmp_path / "net.weights"
+        save_network(build_network(spec, 1e-3), path)
+        lines = path.read_text().splitlines()
+        # two faults: the first in matrix.pairs order is named, whatever the line order
+        lines[4], lines[6] = f"1,1,1,{text}", "1,2,1,0.5"
+        if reorder:
+            lines[4], lines[5] = lines[5], lines[4]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NetworkFileError) as err:
+            load_network(path, spec, 1e-3)
+        assert str(err.value) == (f"{path}: synapse (layer 1, pre 1, post 1) has conductance "
+                                  f"{value}, outside its device range [1e-06, 9e-06]")
+
     def test_round_trip_keeps_every_bit(self, tmp_path):
         spec = two_layer_spec(30, 7)
+        # a device range that holds every conductance drawn below
+        wide = PulseFamilyDevice.identical((1 * US,), (1 * US,), -1.0, 1e10)
+        spec = dataclasses.replace(spec, layers=(
+            spec.layers[0], dataclasses.replace(spec.layers[1], device_model=wide)))
         net = build_network(spec, 1e-3)
         rng = np.random.default_rng(5)
         g = rng.uniform(0.0, 1.0, size=210) * 10.0 ** rng.integers(-320, 10, size=210)

@@ -7,10 +7,12 @@ loader parses one line at a time into dicts, then compares Python sets.
 The engine's writer must give the same bytes. Its loader must agree with
 this one on saved files that are mutated in every way the tests below
 draw: both raise a NetworkFileError with the same text, or both restore
-bit-identical conductances and the same labels.
+bit-identical conductances and the same labels. The reference loader's one
+addition is the device-range check on every loaded conductance.
 """
 
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +85,13 @@ def load_conductances_by_line(net: Network, path) -> None:
         raise NetworkFileError(
             f"{path}: label lines do not cover the label layer "
             f"({len(labels)} entries, expected {len(net.labels)})")
+    for q, matrix in enumerate(net.matrices, start=1):
+        lo, hi = matrix.device.g_min, matrix.device.g_max
+        for i, j in matrix.pairs.tolist():
+            if not lo <= synapses[(q, i, j)] <= hi:
+                raise NetworkFileError(
+                    f"{path}: synapse (layer {q}, pre {i}, post {j}) has conductance "
+                    f"{synapses[(q, i, j)]!r}, outside its device range [{lo!r}, {hi!r}]")
     for (q, i, j), g in synapses.items():
         net.matrices[q - 1].g[i, j] = g
     net.labels = [labels[n] for n in range(len(net.labels))]
@@ -94,7 +103,8 @@ def layer(n, conn_type="all_to_all", sparse_p=1.0, label=False):
     circuit = CircuitModel(
         v_app=parse("V_pre"), v_th_pos=10.0, v_th_neg=10.0,
         transmit_policy=frozenset({SpikePresence.PRE_ONLY}), plasticity_policy=frozenset())
-    device = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
+    # a range that holds every finite conductance the tests draw
+    device = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), -1e3, 1e3)
     return LayerSpec(neurons=n, neuron_model=model, label=label, conn_type=conn_type,
                      sparse_p=sparse_p, circuit_model=circuit, device_model=device)
 
@@ -193,6 +203,10 @@ def mutate(lines: list[str], kind: str, rng) -> list[str]:
             del lines[n]
         elif choice == 1:
             lines.append(f"label,{len(labels) + int(rng.integers(2))},{rng.integers(-1, 3)}")
+        elif choice == 2:  # the tag or the neuron index: another, or not as written
+            field, values = ((0, ["Label", "label ", "1"]),
+                             (1, ["0", "1", "01", " 1", "x", "-1"]))[rng.integers(2)]
+            set_field(lines, rng, n, field, str(rng.choice(values)))
         else:
             set_field(lines, rng, n, 2, str(rng.choice(["none", "2", "x", "2.0", "", " 3"])))
     elif kind == "header":
@@ -232,23 +246,32 @@ def net_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("netfile")
 
 
-@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+# blocks of 1 and 3 lines put block boundaries beside the mutations and cut
+# both the synapse lines and the label lines into several blocks
+BLOCKS = (1, 3, engine.NETFILE_BLOCK)
+
+
+@settings(derandomize=True, database=None, max_examples=375, deadline=None)
 @given(spec=st.sampled_from(SPECS), seed=st.integers(0, 2**32 - 1),
        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
-       ending=st.sampled_from(["\n", "", "\n\n"]))
-def test_loader_matches_the_line_by_line_loader(net_dir, spec, seed, kinds, ending):
+       ending=st.sampled_from(["\n", "", "\n\n"]), block=st.sampled_from(BLOCKS))
+def test_loader_matches_the_line_by_line_loader(net_dir, spec, seed, kinds, ending, block):
     rng = np.random.default_rng(seed)
-    lines = saved_lines(spec, rng)
-    for kind in kinds:
-        lines = mutate(lines, kind, rng)
-    compare(net_dir, spec, lines, ending)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "NETFILE_BLOCK", block)
+        lines = saved_lines(spec, rng)
+        for kind in kinds:
+            lines = mutate(lines, kind, rng)
+        compare(net_dir, spec, lines, ending)
 
 
+@pytest.mark.parametrize("block", BLOCKS)
 def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array_path(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, block):
     """Each mutation kind on its own, over a few seeds: the loaders agree, the
     corrupting kinds do fail and the harmless ones do load; and every file as
     save_network writes it is read by `_saved_lines` alone."""
+    monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
     read_fast = []
     saved = engine._saved_lines
 
@@ -275,3 +298,42 @@ def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array
     for kind in ("duplicate", "duplicate_changed", "reorder", "blank", "bad_int", "bad_float",
                  "label"):
         assert "loaded" in seen[kind], kind
+
+
+@pytest.mark.parametrize("block", [3, engine.NETFILE_BLOCK])
+def test_corrupt_conductance_in_the_last_block_reports_its_own_line(tmp_path, monkeypatch,
+                                                                     block):
+    monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
+    spec = NetworkSpec(layers=(layer(40), layer(30, label=True)), seed=5)
+    lines = render(save_network, build_network(spec, DT)).splitlines()
+    assert len(lines) == 1 + 1200 + 30 and 1200 > engine.NETFILE_BLOCK
+    lines[1200] = lines[1200].rpartition(",")[0] + ",1.0.0"  # the last synapse line
+    assert compare(tmp_path, spec, lines) == "error"
+    with pytest.raises(NetworkFileError) as err:
+        load_network(tmp_path / "net.weights", spec, DT)
+    assert str(err.value) == (f"{tmp_path / 'net.weights'}:1201: corrupt line: "
+                              "could not convert string to float: '1.0.0'")
+
+
+def test_save_and_load_stay_bounded_at_784x100(tmp_path):
+    """The north star's 784 x 100 all-to-all net: a 2 MB file is written and
+    read back in bounded traced memory, bit for bit."""
+    spec = NetworkSpec(layers=(layer(784), layer(100, label=True)), seed=6)
+    net = build_network(spec, DT)
+    net.matrices[0].g[:] = np.random.default_rng(6).uniform(-1e3, 1e3, size=(784, 100))
+    net.labels = [n % 10 for n in range(100)]
+    path = tmp_path / "net.weights"
+
+    def traced_peak_mb(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    _, save_mb = traced_peak_mb(lambda: save_network(net, path))
+    loaded, load_mb = traced_peak_mb(lambda: load_network(path, spec, DT))
+    assert path.stat().st_size > 2e6
+    assert save_mb <= 1.0 and load_mb <= 10.0, (save_mb, load_mb)
+    assert loaded.matrices[0].g.tobytes() == net.matrices[0].g.tobytes()
+    assert loaded.labels == net.labels
