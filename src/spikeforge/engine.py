@@ -28,14 +28,13 @@ step_device and the neuron calls, looked up as module globals
 runs on whole arrays, but the network file is written and checked a block of
 NETFILE_BLOCK lines at a time, holding the text, its bytes, one offset per
 line and one block's fields; other layouts take the per-line read, whose
-memory grows with the file. The frozen passes of `assign_labels` and
-`infer` share one driver (`_frozen_counts`) that steps up to FROZEN_BATCH
-samples at once, on a runtime whose states and lines have a leading sample
-axis (sample b's neuron j at b * n + j) and whose matrices are the network's."""
+memory grows with the file. The frozen passes of `assign_labels` and `infer` run
+chunks of up to FROZEN_BATCH samples through one driver, `_present_frozen`: one
+sample on the network, more on a Network built for that many `samples` (sample b's
+neuron j at b * n + j) with its matrices; a failing chunk reruns as chunks of one."""
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import logging
@@ -217,7 +216,8 @@ class _Line:
 
     A trigger adds its sign-scaled samples (sign is inh_g on inhibition
     lines, 1.0 elsewhere) into each step its waveform covers, so a step's
-    sum runs in trigger order; a step leaves the line once it has run.
+    sum runs in trigger order; a step leaves the line once it has run. The
+    engine never triggers an empty set: every pending cell holds an active neuron.
     """
 
     __slots__ = ("n", "pending")
@@ -254,15 +254,24 @@ def _idle_state(n: int, rest: float, sign: float) -> tuple[np.ndarray, np.ndarra
     return active, volts
 
 
+class _EnergyLog(list):
+    """A chunk neuron's energy: integrate's `energy += term` logs the term."""
+
+    def __iadd__(self, term):
+        self.append(term)
+        return self
+
+
 class _LayerRuntime:
     __slots__ = ("spec", "states", "pre_out", "post1_in", "inhib_in",
                  "pre", "post1", "post2", "inhib")
 
-    def __init__(self, spec: LayerSpec, is_input: bool, dt: float):
+    def __init__(self, spec: LayerSpec, is_input: bool, dt: float, samples: int = 1):
         self.spec = spec
-        n = spec.neurons
-        self.states = [] if is_input else [
-            NeuronState(v=spec.neuron_model.v_reset) for _ in range(n)]
+        n = spec.neurons * samples
+        self.states = [] if is_input else [NeuronState(
+            v=spec.neuron_model.v_reset, energy=_EnergyLog() if samples > 1 else 0.0)
+            for _ in range(n)]
         self.pre_out, self.post1_in, self.inhib_in = _Line(n), _Line(n), _Line(n)
         wf = spec.neuron_model.waveforms
         self.pre, self.post1, self.post2, self.inhib = (
@@ -310,10 +319,10 @@ class StepTrace:
 class Network:
     """Built network: synapse matrices, neuron states, pending spike lines."""
 
-    def __init__(self, spec: NetworkSpec, dt: float):
+    def __init__(self, spec: NetworkSpec, dt: float, samples: int = 1):
         self.spec = spec
         self.dt = dt
-        self.layers = [_LayerRuntime(ls, k == 0, dt) for k, ls in enumerate(spec.layers)]
+        self.layers = [_LayerRuntime(ls, k == 0, dt, samples) for k, ls in enumerate(spec.layers)]
         self.matrices: list[_Matrix] = []
         self.labels: list[int | None] = [None] * spec.layers[spec.label_layer].neurons
         self.inputs: dict[int, list[int]] = {}  # step: the input channels spiking then
@@ -351,10 +360,8 @@ def build_network(spec: NetworkSpec, dt: float) -> Network:
         matrix = _Matrix(post.circuit_model, post.device_model, post.plastic, mask, dt)
         init = spec.init_weights or middle_band_init(
             post.device_model.g_min, post.device_model.g_max)
-        matrix.g[mask] = _initial_conductances(init, int(mask.sum()), rng)
-        np.clip(matrix.g, post.device_model.g_min, post.device_model.g_max,
-                out=matrix.g)
-        matrix.g[~mask] = 0.0
+        matrix.g[mask] = np.clip(_initial_conductances(init, len(matrix.pairs), rng),
+                                 post.device_model.g_min, post.device_model.g_max)
         net.matrices.append(matrix)
     if spec.init_weights is not None and spec.init_weights.kind == "from_file":
         _load_conductances(net, spec.init_weights.path)
@@ -536,7 +543,7 @@ def _emit(net: Network, q: int, j: int, step: int) -> None:
         layer.pre_out.trigger(j, origin, layer.post2)
     # NetworkSpec checked that every inhibiting layer has an inhib waveform
     for a, b in net.spec.inh_conn:
-        if a == q:
+        if a == q and (a != b or layer.spec.neurons > 1):  # a lone neuron has no peer
             n = net.layers[b].spec.neurons
             peers = np.arange(n) + j // layer.spec.neurons * n
             net.layers[b].inhib_in.trigger(peers[peers != j] if a == b else peers,
@@ -602,27 +609,18 @@ def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> Non
         run_timestep(net, k, learn=learn)
 
 
-class _EnergyLog(list):
-    """A batch neuron's energy: integrate's `energy += term` logs the term."""
-
-    def __iadd__(self, term):
-        self.append(term)
-        return self
-
-
 def _present_frozen(net: Network, trains: list, steps: int) -> list[int]:
-    """Step samples (input trains each) together, frozen, each as if alone from
-    reset_transient, on a runtime with all their states and lines and net's matrices
-    once per sample; fold their spike times and energy terms into net's in sample
-    order, leave net as the last sample left it, and return label-layer counts."""
-    net.reset_transient()  # before the batch grows, as each sample alone would
-    batch = copy.copy(net)
-    batch.inputs, batch.layers = {}, [copy.copy(layer) for layer in net.layers]
-    for layer in batch.layers:
-        n = layer.spec.neurons * len(trains)
-        layer.states = [NeuronState(layer.spec.neuron_model.v_reset, energy=_EnergyLog())
-                        for _ in range(n)] if layer.states else []
-        layer.pre_out, layer.post1_in, layer.inhib_in = _Line(n), _Line(n), _Line(n)
+    """Present samples (input trains each) frozen, each as if alone from reset_transient,
+    and return their label-layer counts, leaving net as the last sample left it. One
+    sample runs on net itself; more step together on a runtime built from net.spec, with
+    net's matrices once per sample, and fold their spike times and energy into net's."""
+    net.reset_transient()
+    if len(trains) == 1:
+        label = net.layers[net.label_layer].states
+        before = [len(s.spike_times) for s in label]
+        _present(net, trains[0], steps, 0, learn=False)
+        return [len(s.spike_times) - b for s, b in zip(label, before)]
+    batch = Network(net.spec, net.dt, len(trains))
     batch.matrices = net.matrices * len(trains)
     _present(batch, [train for sample in trains for train in sample], steps, 0, learn=False)
     for layer, wide in zip(net.layers, batch.layers):
@@ -645,11 +643,10 @@ def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -
     presented alone with plasticity off, from reset_transient, on its own
     default_rng([sim.seed, phase, i]).
 
-    Chunks of up to FROZEN_BATCH samples step together (`_present_frozen`); every
-    sum runs in its one-sample order and energy is added per neuron in sample, then
-    step order, so counts and net end bit for bit as when samples step one at a time."""
-    states = net.layers[net.label_layer].states
-    counts = np.zeros((len(dataset), len(states)), dtype=int)
+    Chunks of up to FROZEN_BATCH samples run through `_present_frozen`, a failing one again
+    as chunks of one; sums run in one-sample order and energy is added per neuron in sample,
+    then step order, so counts and net end bit for bit as with chunks of one."""
+    counts = np.zeros((len(dataset), net.spec.layers[net.label_layer].neurons), dtype=int)
     steps = num_steps(sim.T_sample, sim.dt)
 
     def encode(idx):
@@ -660,13 +657,11 @@ def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -
         chunk = range(start, min(start + FROZEN_BATCH, len(dataset)))
         try:
             counts[start:chunk.stop].flat = _present_frozen(net, list(map(encode, chunk)), steps)
-        except Exception:  # any fault: replayed one at a time, for that pass's error and state
+        except Exception:
+            if len(chunk) == 1:  # it failed on net itself
+                raise
             for idx in chunk:
-                trains = encode(idx)
-                net.reset_transient()
-                before = [len(s.spike_times) for s in states]
-                _present(net, trains, steps, 0, learn=False)
-                counts[idx] = [len(s.spike_times) - b for s, b in zip(states, before)]
+                counts[idx] = _present_frozen(net, [encode(idx)], steps)
     return counts
 
 

@@ -410,6 +410,7 @@ DEVICE = ("kind = identical\ng_min = 1e-6\ng_max = 3e-6\nlevels_ltp = 1e-6, 2e-6
           "levels_ltd = 3e-6, 2e-6, 1e-6\n")
 FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
           "table_ltd_path = ltd.csv\n")
+LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
 
 
 # one edit of MINIMAL per case and the exact problems it must give; {line} is
@@ -546,6 +547,15 @@ FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
      "[encoding] r_max (line {line}): r_max must be finite, got inf"),
     ("thres = 0.2\n", "thres = 0.2\nv_reset = -inf\n", "v_reset",
      "[neuron.out] v_reset (line {line}): v_reset must be finite, got -inf"),
+    ("seed = 11\n", "seed = 11\njust words\n", "just words",
+     "line {line}: expected `key = value` or `[section]`, got 'just words'"),
+    ("seed = 11\n", "seed = 11\n\n[tune]\npopulation = 4\n", None,
+     "[tune] param: at least one param range is required"),
+    ("circuit = gate\n", "circuit = gate\nconn_type = sparse\n", None,
+     "[layers.1] sparse_p: sparse connectivity needs sparse_p"),
+    (LAYERS, "", None, "[layers.*]: no layer sections found"),
+    ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp_path = .", "levels_ltp_path",
+     "[device.ladder] levels_ltp_path (line {line}): [Errno 21] Is a directory: '{dir}'"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "inh_conn-input", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
@@ -557,7 +567,8 @@ FAMILY = ("kind = family\ng_min = 1e-6\ng_max = 3e-6\ntable_ltp_path = {}\n"
         "key-twice", "layers-name", "layers-leading-zero", "T-nan", "dt-nan",
         "T_sample-inf", "v_th_pos-nan", "t_refrac-nan", "r_mem-nan", "inh_g-nan",
         "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan",
-        "rest_V_pre-nan", "r_max-inf", "v_reset-inf"])
+        "rest_V_pre-nan", "r_max-inf", "v_reset-inf", "not-a-key-line", "tune-no-param",
+        "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)

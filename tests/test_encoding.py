@@ -219,6 +219,20 @@ class TestSpikeTrainInvariants:
         with pytest.raises(ValueError):
             SpikeTrain((3, 2), 1e-3)
 
+    @pytest.mark.parametrize("steps, dt, message", [
+        ((1,), 0.0, "dt must be positive, got 0.0"),
+        ((-1, 2), 1e-3, "spike steps must be non-negative")])
+    def test_rejected_train_texts(self, steps, dt, message):
+        with pytest.raises(ValueError) as err:
+            SpikeTrain(steps, dt)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("encoder", [PoissonEncoder(0.0, 50.0), FixedRateEncoder(0.0, 50.0)])
+    def test_horizon_shorter_than_dt_is_rejected(self, encoder):
+        with pytest.raises(ValueError) as err:
+            encoder.encode([0.5], 1e-4, 1e-3, np.random.default_rng(0))
+        assert str(err.value) == "T must be at least dt, got T=0.0001, dt=0.001"
+
 
 class TestDataset:
     def test_load(self, tmp_path):

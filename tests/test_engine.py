@@ -145,6 +145,13 @@ class TestMicroNetTrace:
             schedule_input(net, [SpikeTrain((0,), 1e-3), SpikeTrain((10,), 1e-4)])
         assert not net.layers[0].pre_out.pending
 
+    def test_wrong_number_of_trains_is_rejected(self):
+        net = build_network(micro_spec(), dt=1e-3)
+        with pytest.raises(ValueError) as err:
+            schedule_input(net, [SpikeTrain((0,), 1e-3)])
+        assert str(err.value) == "1 input trains for 2 input neurons"
+        assert not net.inputs
+
 
 class TestOutputPost2:
     def test_output_neurons_post2_reaches_its_own_synapses(self):
@@ -213,6 +220,23 @@ class TestBuildNetwork:
     def test_inhibition_requires_waveform_and_conductance(self):
         with pytest.raises(ValueError, match="inh_g"):
             two_layer_spec(2, 2, inh_conn=((1, 1),), inh_g=0.0)
+
+    @pytest.mark.parametrize("make, key, message", [
+        (lambda: LayerSpec(neurons=2, neuron_model=input_model(), conn_type="ring"),
+         "conn_type", "unknown conn_type 'ring'"),
+        (lambda: WeightInit("normal"), "kind", "unknown init kind 'normal'"),
+        (lambda: NetworkSpec(layers=(input_layer(2),)), None,
+         "a network needs an input layer and at least one more"),
+        (lambda: NetworkSpec(layers=(input_layer(2), LayerSpec(
+            neurons=2, neuron_model=out_model(), label=True, device_model=small_device()))),
+         None, "layer 1 needs circuit_model and device_model"),
+        (lambda: two_layer_spec(2, 2, inh_conn=((1, 2),), inh_g=1 * US), "inh_conn",
+         "inh_conn pair (1, 2) out of range"),
+    ], ids=["conn_type", "init-kind", "one-layer", "no-circuit", "inh_conn-range"])
+    def test_rejected_spec_texts(self, make, key, message):
+        with pytest.raises(SpecError) as err:
+            make()
+        assert (err.value.key, str(err.value)) == (key, message)
 
     def test_peak_memory_of_the_largest_build_is_bounded(self):
         # 784 x 100 all-to-all, the largest net the benchmarks aim at: its
@@ -589,8 +613,18 @@ class TestBatchedFrozenPass:
             input_, dataclasses.replace(hidden, label=True),
             dataclasses.replace(output, label=False)))
 
+    def lone_inhibitor(self):
+        # inh_conn q:q on a one-neuron layer: the neuron has no peer to inhibit
+        return NetworkSpec(layers=(
+            input_layer(4),
+            LayerSpec(neurons=1, neuron_model=self.eqs_model(), plastic=True, label=True,
+                      device_model=small_device(),
+                      circuit_model=self.plastic_circuit("V_pre - V_post1"))),
+            inh_conn=((1, 1),), inh_g=1 * US, seed=5)
+
     @pytest.mark.parametrize("batch", [1, 3, 7])
-    @pytest.mark.parametrize("make", ["two_layer", "three_layer", "hidden_label"])
+    @pytest.mark.parametrize("make", ["two_layer", "three_layer", "hidden_label",
+                                      "lone_inhibitor"])
     def test_matches_the_per_sample_driver(self, make, batch, monkeypatch):
         spec = getattr(self, make)()
         rng = np.random.default_rng(batch)
@@ -661,6 +695,81 @@ class TestBatchedFrozenPass:
         assert [s.spike_times for s in net.layers[1].states] == [[0.0, 0.001, 0.01, 0.011] * 2] * 2
 
 
+def random_frozen_spec(seed: int) -> NetworkSpec:
+    """A small random net for the frozen-driver differential test: 2-3 layers
+    up to 12 wide (one-neuron layers included), all_to_all, sparse or
+    one_to_one matrices, self and cross inhibition, state_eqs and power_expr
+    each set or not (a state_eqs with sqrt(c - I) fails under strong drive),
+    and in three-layer nets sometimes a hidden label layer."""
+    rng = np.random.default_rng([7, seed])
+    depth = int(rng.integers(2, 4))
+    layers = [LayerSpec(neurons=int(rng.integers(1, 13)), neuron_model=input_model())]
+    label = 1 if depth == 3 and rng.random() < 0.4 else depth - 1
+    for q in range(1, depth):
+        conn = ["all_to_all", "sparse", "one_to_one"][int(rng.integers(3))]
+        width = layers[-1].neurons if conn == "one_to_one" else int(rng.choice([1, 1, 2, 5, 12]))
+        state_eqs = [None, parse("(r_mem * I - V) / tau"), parse(
+            f"(r_mem * I - V) / tau + 0 * sqrt({rng.uniform(3, 9):.1f}e-6 - I)")]
+        model = dataclasses.replace(
+            out_model(inhib=rect(1.0, 12e-3)), state_eqs=state_eqs[int(rng.integers(3))],
+            power_expr=parse("V * V + r_mem * I * I") if rng.random() < 0.5 else None)
+        # None: a transmit-only circuit that scans only active pre rows
+        v_app = [None, "V_pre - V_post1", "V_pre - V_post1 + 0.5 * V_post2"][
+            int(rng.integers(3))]
+        layers.append(LayerSpec(
+            neurons=width, neuron_model=model, plastic=rng.random() < 0.5,
+            label=q == label, conn_type=conn, sparse_p=0.5, device_model=small_device(),
+            circuit_model=transmit_circuit() if v_app is None
+            else TestBatchedFrozenPass.plastic_circuit(v_app)))
+    pairs = [(a, b) for a in range(1, depth) for b in range(1, depth)]
+    inh_conn = tuple(pair for pair in pairs if rng.random() < 0.5)
+    return NetworkSpec(layers=tuple(layers), inh_conn=inh_conn, inh_g=1 * US,
+                       seed=int(rng.integers(100)))
+
+
+class TestFrozenDriverDifferential:
+    """Seeded random small nets: with FROZEN_BATCH 1, 2, 3 and 8, the frozen
+    passes give the per-sample reference driver's phase-1 counts, labels and
+    predictions, or its error when a state_eqs sample fails, and after each
+    pass leave the net's state as the reference leaves it, bit for bit."""
+
+    SIM = SimConfig(T=0.03, dt=1e-3, T_sample=0.015, seed=6)
+    ENC = PoissonEncoder(0.0, 100.0)
+
+    @staticmethod
+    def run(net, passes):
+        """Each pass's result and the state it leaves, up to the first error's text."""
+        out = []
+        for frozen_pass in passes:
+            try:
+                out.append(frozen_pass(net))
+            except SimulationError as err:
+                return out + [str(err), snapshot(net)]
+            out.append(snapshot(net))
+        return out
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_per_sample_driver(self, seed, monkeypatch):
+        spec = random_frozen_spec(seed)
+        rng = np.random.default_rng(seed)
+        width = spec.layers[0].neurons
+        dataset = [Sample(tuple(rng.random(width).round(2).tolist()), label=int(rng.integers(3)))
+                   for _ in range(5)]
+        sim, enc = self.SIM, self.ENC
+        expected = self.run(build_network(spec, sim.dt), [
+            lambda net: [_frozen_pass_counts(net, s, sim, enc, 1, i)
+                         for i, s in enumerate(dataset)],
+            lambda net: reference_assign_labels(net, dataset, sim, enc),
+            lambda net: reference_infer(net, dataset[::-1], sim, enc)[1]])
+        for batch in (1, 2, 3, 8):
+            monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+            got = self.run(build_network(spec, sim.dt), [
+                lambda net: engine._frozen_counts(net, dataset, sim, enc, phase=1).tolist(),
+                lambda net: assign_labels(net, dataset, sim, enc),
+                lambda net: infer(net, dataset[::-1], sim, enc).predictions])
+            assert got == expected, f"FROZEN_BATCH={batch}"
+
+
 class TestSaveLoad:
     def test_round_trip_bit_identical(self, tmp_path):
         spec = two_layer_spec(5, 3, conn_type="sparse", sparse_p=0.6, seed=9)
@@ -689,6 +798,13 @@ class TestSaveLoad:
         with pytest.raises(NetworkFileError, match="v2") as err:
             load_network(path, two_layer_spec(2, 2), 1e-3)
         assert "v1" in str(err.value)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "net.weights"
+        path.write_text("")
+        with pytest.raises(NetworkFileError) as err:
+            load_network(path, two_layer_spec(2, 2), 1e-3)
+        assert str(err.value) == f"{path}: empty file"
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "net.weights"

@@ -51,6 +51,9 @@ class TestParse:
         with pytest.raises(ExprError, match="position"):
             parse("1 2")
 
+    def test_trailing_whitespace_ends_the_expression(self):
+        assert parse("x ") == parse("x") == Var("x")
+
     def test_bad_character(self):
         with pytest.raises(ExprError):
             parse("1 $ 2")

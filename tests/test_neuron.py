@@ -150,6 +150,20 @@ class TestCalibration:
         assert result.thres == pytest.approx(2.0, rel=1e-12)
         assert result.residual == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("data, message", [
+        ([(0.0, 1.0), (1e-3, 2.0)], "pulse widths must be positive"),
+        ([(1e-3, 0.0), (2e-3, 2.0)], "measured frequencies must be positive")])
+    def test_rejected_data_texts(self, data, message):
+        with pytest.raises(ValueError) as err:
+            calibrate_from_frequency(data, 1.0)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("tau, amplitude", [
+        (math.inf, 0.0), (math.inf, -1.0),  # no drive, or a negative one
+        (10e-3, 1.0)])  # drive whose fixed point tau * drive stays below thres
+    def test_firing_frequency_is_zero_without_drive_to_reach_threshold(self, tau, amplitude):
+        assert firing_frequency(1e-3, tau, 0.2, amplitude, 1.0) == 0.0
+
     def test_all_zero_frequencies_rejected(self):
         with pytest.raises(ValueError, match="never fires"):
             calibrate_from_frequency([(1e-3, 0.0), (2e-3, 0.0)], 1.0)

@@ -394,6 +394,19 @@ class TestDeviceValidation:
         with pytest.raises(ValueError):
             PulseFamilyTable((0.8,), ((1 * US, 1 * US),), True)
 
+    @pytest.mark.parametrize("make, key, message", [
+        (lambda: PulseFamilyTable((), (), True), "response",
+         "family table must have at least one row"),
+        (lambda: PulseFamilyTable((0.8, 1.0), ((1 * US, 2 * US), ()), True), "response",
+         "row 1 is empty"),
+        (lambda: dataclasses.replace(TestStepFamily.DEVICE, family_axis="depth"),
+         "family_axis", "family_axis must be amplitude or width, got 'depth'"),
+    ], ids=["no-rows", "empty-row", "family_axis"])
+    def test_rejected_table_texts(self, make, key, message):
+        with pytest.raises(SpecError) as err:
+            make()
+        assert (err.value.key, str(err.value)) == (key, message)
+
     def test_family_device_table_directions(self):
         good = TestStepFamily.DEVICE
         with pytest.raises(ValueError):
@@ -419,6 +432,11 @@ class TestCircuitValidation:
         circuit = dataclasses.replace(gate_circuit(), v_app=parse("V_post1 - V_gate"),
                                       constants=(("V_gate", 0.25),))
         assert circuit.base_env(1e-3)["V_gate"] == 0.25
+
+    @pytest.mark.parametrize("name", ["V_node1", "V_node2"])
+    def test_one_node_voltage_sets_both(self, name):
+        circuit = dataclasses.replace(gate_circuit(), constants=((name, 0.25),))
+        assert circuit.base_env(1e-3) == {"V_node1": 0.25, "V_node2": 0.25, "dt": 1e-3}
 
 
 class TestTableLoaders:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spikeforge.errors import SpecError
 from spikeforge.tuner import (
     GAConfig, GAResult, Individual, ParamRange, decode, evaluation_seed,
     ga_optimize,
@@ -85,6 +86,12 @@ class TestGAConfig:
     def test_tournament_minimum(self):
         with pytest.raises(ValueError, match="tournament"):
             GAConfig(tournament_size=1)
+
+    def test_generations_must_be_non_negative(self):
+        with pytest.raises(SpecError) as err:
+            GAConfig(generations=-1)
+        assert (err.value.key, str(err.value)) == (
+            "generations", "generations and elitism must be non-negative")
 
     def test_rates_must_be_probabilities(self):
         with pytest.raises(ValueError):
