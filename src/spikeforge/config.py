@@ -559,12 +559,11 @@ def _apply_overrides(raw: dict, overrides: dict[str, float]) -> None:
             problems.append(f"override {dotted!r}: no such config key")
             continue
         lineno = entries[key][0][1]
+        value = value.item() if hasattr(value, "item") else value  # a numpy scalar's own value
         if isinstance(value, float) and math.isfinite(value) and value == int(value) \
                 and entries[key][0][0].lstrip("+-").isdigit():
-            rendered = repr(int(value))
-        else:
-            rendered = repr(value)
-        entries[key] = [(rendered, lineno)]
+            value = int(value)
+        entries[key] = [(repr(value), lineno)]
     if problems:
         raise ConfigError(problems)
 

@@ -27,8 +27,8 @@ class SpikeTrain:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise ValueError("spike steps must be strictly increasing")
         # increasing, so the first step is the least
@@ -69,8 +69,8 @@ class _RateMap:
 
     def _rates(self, features, T: float, dt: float) -> list[float]:
         """Each feature's rate, once T, dt and the intensities are checked."""
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if T < dt:
             raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
         bad = next((x for x in features if not 0.0 <= x <= 1.0), None)
@@ -112,9 +112,10 @@ class FixedRateEncoder(_RateMap):
                rng: np.random.Generator | None = None) -> list[SpikeTrain]:
         """One train per feature with period 1/rate, phase 0, times floored
         to the grid."""
+        rates = self._rates(features, T, dt)  # checks dt before T / dt is rounded
         n = int(round(T / dt))
         trains = []
-        for rate in self._rates(features, T, dt):
+        for rate in rates:
             steps: list[int] = []
             k = 0
             while rate and k / rate < T:

@@ -25,16 +25,16 @@ them that remains, on Python floats, makes the per-element calls the
 benchmark's trace hooks count: mode_from_voltage, transmit_current,
 step_device and the neuron calls, looked up as module globals
 (`TestTracedNames`), until the engine keeps its own run statistics. Set-up
-runs on whole arrays, but the network file is written and checked a block of
-NETFILE_BLOCK lines at a time, holding the text, its bytes, one offset per
-line and one block's fields; other layouts take the per-line read, whose
-memory grows with the file. The frozen passes of `assign_labels` and `infer` run
+runs on whole arrays, and the network file is written and read one block of
+NETFILE_BLOCK lines at a time in any layout, holding the file's bytes, one
+offset per line and one block. The frozen passes of `assign_labels` and `infer` run
 chunks of up to FROZEN_BATCH samples through one driver, `_present_frozen`: one
 sample on the network, more on a Network built for that many `samples` (sample b's
 neuron j at b * n + j) with its matrices; a failing chunk reruns as chunks of one."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import logging
@@ -59,6 +59,7 @@ NET_FORMAT = "spikeforge-net v1"
 
 FROZEN_BATCH = 8  # samples a frozen pass steps at once
 NETFILE_BLOCK = 1024  # network file lines made, or split and checked, at once
+_NOT_SEPS = bytes(sorted(set(range(256)) - set(b",\n")))  # all but a line's field separators
 
 
 class SimulationError(RuntimeError):
@@ -152,6 +153,8 @@ class NetworkSpec:
             if 0 in (a, b):
                 raise SpecError("inh_conn", f"inh_conn pair ({a}, {b}) names the input "
                                 "layer, which neither fires nor integrates inhibition")
+            if self.inh_conn.count((a, b)) > 1:  # its inhibition would run twice per spike
+                raise SpecError("inh_conn", f"inh_conn pair ({a}, {b}) given twice")
         if self.inh_conn and not self.inh_g > 0:
             raise SpecError("inh_g", "inh_conn configured but inh_g is not positive")
         for a, _ in self.inh_conn:
@@ -747,14 +750,12 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path, spec: NetworkSpec, dt: float) -> Network:
-    """Rebuild a network from its spec and restore the weights and labels of
-    a save_network file: `spikeforge-net v1`, then `q,i,j,g` and
-    `label,n,c|none` lines in any order, blank lines skipped, the last of two
-    lines with one key winning. The synapse set must exactly match the spec's
-    (deterministic) topology, the labels cover the label layer and each g
-    lie in its device's range; anything else reads as corruption. Files laid
-    out as save_network writes them are checked one block of lines at a time
-    (see the module docstring); any other layout is read line by line."""
+    """Rebuild a network from its spec and restore the weights and labels of a
+    save_network file: `spikeforge-net v1`, then `q,i,j,g` and `label,n,c|none`
+    lines in any order, read a block at a time, blank lines skipped, the last of
+    two lines with one key winning. The synapse set must exactly match the spec's
+    (deterministic) topology, the labels cover the label layer and each g lie in
+    its device's range; anything else reads as corruption."""
     net = build_network(spec, dt)
     _load_conductances(net, path)
     return net
@@ -772,39 +773,54 @@ def _load_conductances(net: Network, path) -> None:
                 f"{path}: file format {header!r} not supported; this build reads "
                 f"{NET_FORMAT!r}")
         raise NetworkFileError(f"{path}: not a spikeforge network file")
-    try:
-        g, labels = _saved_lines(net, text)
-    except ValueError:  # another layout, or a corrupt line: read line by line
-        synapses: dict[tuple[int, int, int], float] = {}
-        by_neuron: dict[int, int | None] = {}
-        for lineno, line in enumerate(text.split("\n")[1:], start=2):
-            if not line.strip():
+    raw = (text if text.endswith("\n") else text + "\n").encode()  # cut on byte offsets
+    del text
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))  # ends[k] closes line k
+    # each index must read str(k), the one text of k that save_network writes
+    N = max(len(net.layers), *(layer.spec.neurons for layer in net.layers))
+    names = np.array(list(map(str, range(N))), dtype=object)
+    # each synapse's code (q * N + i) * N + j, in matrix.pairs order, then a stop
+    codes = np.concatenate([(q * N + matrix.pairs[:, 0]) * N + matrix.pairs[:, 1]
+                            for q, matrix in enumerate(net.matrices, start=1)] + [[N ** 3]])
+    n, m = len(codes) - 1, len(net.labels)
+    g, seen, extra, by_neuron = np.empty(n), np.zeros(n, bool), set(), {}
+    # blocks of synapse lines end where save_network's synapse lines end
+    starts = [*range(1, min(n + 1, len(ends)), NETFILE_BLOCK),
+              *range(n + 1, len(ends), NETFILE_BLOCK)]
+    for line, end in zip(starts, starts[1:] + [len(ends)]):
+        start, stop = ends[line - 1] + 1, ends[end - 1]
+        block, seps = raw[start:stop].decode(), raw[start:stop + 1].translate(None, _NOT_SEPS)
+        fields, count, lo = block.replace("\n", ",").split(","), end - line, line - 1 - n
+        # a block that reads exactly as save_network writes it is taken whole
+        with contextlib.suppress(ValueError):  # a conductance or label that does not convert
+            if end <= n + 1 and seps == b",,,\n" * count and all(
+                    fields[c::4] == names[key].tolist()
+                    for c, key in enumerate(np.unravel_index(codes[line - 1:end - 1], (N,) * 3))):
+                g[line - 1:end - 1], seen[line - 1:end - 1] = list(map(float, fields[3::4])), True
                 continue
-            parts = line.split(",")
-            try:
-                if parts[0] == "label":
-                    if len(parts) != 3:
-                        raise ValueError("label line needs 3 fields")
-                    by_neuron[int(parts[1])] = None if parts[2] == "none" else int(parts[2])
-                else:
-                    if len(parts) != 4:
-                        raise ValueError("synapse line needs 4 fields")
-                    synapses[(int(parts[0]), int(parts[1]), int(parts[2]))] = float(parts[3])
-            except ValueError as err:
-                raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None
-        expected = [(q, i, j) for q, matrix in enumerate(net.matrices, start=1)
-                    for i, j in matrix.pairs.tolist()]  # pairs are row-major: sorted
-        if sorted(synapses) != expected:
-            raise NetworkFileError(
-                f"{path}: synapse set does not match the network topology "
-                f"({len(synapses)} entries, expected {len(expected)}); file truncated "
-                "or from a different network") from None
-        if set(by_neuron) != set(range(len(net.labels))):
-            raise NetworkFileError(
-                f"{path}: label lines do not cover the label layer "
-                f"({len(by_neuron)} entries, expected {len(net.labels)})") from None
-        g = np.array([synapses[key] for key in expected])
-        labels = [by_neuron[n] for n in range(len(net.labels))]
+            if lo >= 0 and seps == b",,\n" * count and fields[0::3] == ["label"] * count \
+                    and fields[1::3] == names[lo:lo + count].tolist():
+                by_neuron.update(zip(range(lo, lo + count), [
+                    None if c == "none" else int(c) for c in fields[2::3]]))
+                continue
+        rows = []
+        _read_lines(path, block.split("\n"), line + 1, rows, by_neuron)
+        k = np.array(rows, dtype=object).reshape(-1, 4)  # Python numbers: an index may pass int64
+        code = np.where(((k[:, :3] >= 0) & (k[:, :3] < N)).all(axis=1),
+                        (k[:, 0] * N + k[:, 1]) * N + k[:, 2], -1).astype(np.int64)
+        pos = np.searchsorted(codes, code)
+        hit = codes[pos] == code  # a key outside the topology is counted in extra
+        extra.update(map(tuple, k[~hit, :3].tolist()))
+        pos, last = np.unique(pos[hit][::-1], return_index=True)  # a key's last line wins
+        g[pos], seen[pos] = k[hit, 3][::-1][last], True
+    if extra or not seen.all():
+        raise NetworkFileError(
+            f"{path}: synapse set does not match the network topology "
+            f"({int(seen.sum()) + len(extra)} entries, expected {n}); file truncated "
+            "or from a different network")
+    if set(by_neuron) != set(range(m)):
+        raise NetworkFileError(f"{path}: label lines do not cover the label layer "
+                               f"({len(by_neuron)} entries, expected {m})")
     for q, matrix in enumerate(net.matrices, start=1):
         part, g = g[:len(matrix.pairs)], g[len(matrix.pairs):]
         lo, hi = matrix.device.g_min, matrix.device.g_max
@@ -815,45 +831,24 @@ def _load_conductances(net: Network, path) -> None:
                 f"{path}: synapse (layer {q}, pre {i}, post {j}) has conductance {value!r}, "
                 f"outside its device range [{lo!r}, {hi!r}]")
         matrix.g[matrix.mask] = part
-    net.labels = labels
+    net.labels = [by_neuron[k] for k in range(m)]
 
 
-def _saved_lines(net: Network, text: str) -> tuple[np.ndarray, list[int | None]]:
-    """The conductances, in `matrix.pairs` order, and the labels of a file
-    laid out exactly as save_network writes it; ValueError for other text."""
-    raw = np.frombuffer(text.encode(), np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))  # ends[k] closes line k, the header's first
-    n, m = sum(len(matrix.pairs) for matrix in net.matrices), len(net.labels)
-    # byte offsets must be character offsets, and every line must end in a newline
-    if not text.isascii() or len(ends) != 1 + n + m or ends[-1] != len(raw) - 1:
-        raise ValueError("not the layout save_network writes")
-    # each index must read str(k), the one text of k that save_network writes
-    names = np.array(list(map(str, range(max(len(net.layers), *(
-        layer.spec.neurons for layer in net.layers))))), dtype=object)
-
-    def fields(first: int, count: int, seps: bytes) -> list[str]:
-        # lines first..first + count - 1, whose commas and newlines read seps each
-        start, stop = ends[first - 1] + 1, ends[first + count - 1]
-        chunk = raw[start:stop + 1]
-        if chunk[(chunk == ord(",")) | (chunk == ord("\n"))].tobytes() != seps * count:
-            raise ValueError("not the layout save_network writes")
-        return text[start:stop].replace("\n", ",").split(",")
-
-    g, labels, line = np.empty(n), [], 1
-    for q, matrix in enumerate(net.matrices, start=1):
-        for lo in range(0, len(matrix.pairs), NETFILE_BLOCK):
-            keys = matrix.pairs[lo:lo + NETFILE_BLOCK]
-            block = fields(line, len(keys), b",,,\n")
-            g[line - 1:line - 1 + len(keys)] = list(map(float, block[3::4]))
-            del block[3::4]
-            if block != names[np.insert(keys, 0, q, axis=1)].ravel().tolist():
-                raise ValueError("not the network's synapses in order")
-            line += len(keys)
-    for lo in range(0, m, NETFILE_BLOCK):
-        count = min(NETFILE_BLOCK, m - lo)
-        block = fields(line, count, b",,\n")
-        if block[0::3] != ["label"] * count or block[1::3] != names[lo:lo + count].tolist():
-            raise ValueError("not the network's label neurons in order")
-        labels += [None if c == "none" else int(c) for c in block[2::3]]
-        line += count
-    return g, labels
+def _read_lines(path, lines: list[str], lineno: int, rows: list, labels: dict) -> None:
+    """Read lines numbered from lineno one at a time: each synapse line's q,
+    i, j and g go onto rows, flat and in line order, and label lines into labels."""
+    for lineno, line in enumerate(lines, start=lineno):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            if parts[0] == "label":
+                if len(parts) != 3:
+                    raise ValueError("label line needs 3 fields")
+                labels[int(parts[1])] = None if parts[2] == "none" else int(parts[2])
+            else:
+                if len(parts) != 4:
+                    raise ValueError("synapse line needs 4 fields")
+                rows += int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as err:
+            raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None

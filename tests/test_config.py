@@ -2,6 +2,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spikeforge.config import (
@@ -126,6 +127,17 @@ def test_override_renders_integers_and_reals(tmp_path):
     assert out.neurons == 3
     assert out.neuron_model.tau == 1.0
     assert cfg.sim.seed == 8
+
+
+# a GA that draws its parameters from arrays hands over numpy scalars
+@pytest.mark.parametrize("dotted, value, read", [
+    ("neuron.out.thres", np.float64(0.5), lambda cfg: cfg.network.layers[1].neuron_model.thres),
+    ("tune.population", np.int64(3), lambda cfg: cfg.tune.ga.population),
+    ("sim.shuffle", np.False_, lambda cfg: cfg.sim.shuffle),
+], ids=["float64", "int64", "bool_"])
+def test_override_takes_numpy_scalars(dotted, value, read):
+    cfg = load_config(BENCH_CONFIGS / "tune-36x8-family.cfg", overrides={dotted: value})
+    assert read(cfg) == value.item() and type(read(cfg)) is type(value.item())
 
 
 @pytest.mark.parametrize("dotted", ["neuron.out.nope", "nowhere.tau", "sim.dt.x"])
@@ -434,6 +446,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     ("inh_conn = 1:1", "inh_conn = 1:0", "inh_conn",
      "[network] inh_conn (line {line}): inh_conn pair (1, 0) names the input layer, "
      "which neither fires nor integrates inhibition"),
+    ("inh_conn = 1:1", "inh_conn = 1:1, 1:1", "inh_conn",
+     "[network] inh_conn (line {line}): inh_conn pair (1, 1) given twice"),
     ("inhib_volt = 0, 1.0, 0.005, 1.0\n", "", "inh_conn",
      "[network] inh_conn (line {line}): layer 1 drives inhibition but its neuron model "
      "has no inhib waveform"),
@@ -557,7 +571,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp_path = .", "levels_ltp_path",
      "[device.ladder] levels_ltp_path (line {line}): [Errno 21] Is a directory: '{dir}'"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
-        "inh_g", "inh_conn-input", "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
+        "inh_g", "inh_conn-input", "inh_conn-twice",
+        "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
         "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak",
         "unknown-kind", "unknown-family_axis", "unknown-conn_type", "bad-numbers",

@@ -220,12 +220,21 @@ class TestSpikeTrainInvariants:
             SpikeTrain((3, 2), 1e-3)
 
     @pytest.mark.parametrize("steps, dt, message", [
-        ((1,), 0.0, "dt must be positive, got 0.0"),
-        ((-1, 2), 1e-3, "spike steps must be non-negative")])
+        ((1,), 0.0, "dt must be positive and finite, got 0.0"),
+        ((-1, 2), 1e-3, "spike steps must be non-negative"),
+        ((1,), float("nan"), "dt must be positive and finite, got nan"),
+        ((1,), float("inf"), "dt must be positive and finite, got inf")])
     def test_rejected_train_texts(self, steps, dt, message):
         with pytest.raises(ValueError) as err:
             SpikeTrain(steps, dt)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("encoder", [PoissonEncoder(0.0, 50.0), FixedRateEncoder(0.0, 50.0)])
+    def test_encoders_reject_a_dt_that_is_not_positive_and_finite(self, encoder, dt):
+        with pytest.raises(ValueError) as err:
+            encoder.encode([0.5], 0.1, dt, np.random.default_rng(0))
+        assert str(err.value) == f"dt must be positive and finite, got {dt}"
 
     @pytest.mark.parametrize("encoder", [PoissonEncoder(0.0, 50.0), FixedRateEncoder(0.0, 50.0)])
     def test_horizon_shorter_than_dt_is_rejected(self, encoder):

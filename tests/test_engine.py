@@ -232,7 +232,11 @@ class TestBuildNetwork:
          None, "layer 1 needs circuit_model and device_model"),
         (lambda: two_layer_spec(2, 2, inh_conn=((1, 2),), inh_g=1 * US), "inh_conn",
          "inh_conn pair (1, 2) out of range"),
-    ], ids=["conn_type", "init-kind", "one-layer", "no-circuit", "inh_conn-range"])
+        # given twice, the pair would trigger its inhibition twice per spike
+        (lambda: two_layer_spec(2, 2, inh_conn=((1, 1), (1, 1)), inh_g=1 * US), "inh_conn",
+         "inh_conn pair (1, 1) given twice"),
+    ], ids=["conn_type", "init-kind", "one-layer", "no-circuit", "inh_conn-range",
+            "inh_conn-twice"])
     def test_rejected_spec_texts(self, make, key, message):
         with pytest.raises(SpecError) as err:
             make()

@@ -269,29 +269,30 @@ def test_loader_matches_the_line_by_line_loader(net_dir, spec, seed, kinds, endi
 def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array_path(
         tmp_path, monkeypatch, block):
     """Each mutation kind on its own, over a few seeds: the loaders agree, the
-    corrupting kinds do fail and the harmless ones do load; and every file as
-    save_network writes it is read by `_saved_lines` alone."""
+    corrupting kinds do fail and the harmless ones do load; and no file as
+    save_network writes it reaches the per-line read, `_read_lines`: each of
+    its blocks is taken whole."""
     monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
-    read_fast = []
-    saved = engine._saved_lines
+    read_by_line = []
+    read_lines = engine._read_lines
 
-    def counted(net, text):
-        result = saved(net, text)
-        read_fast.append(1)
-        return result
+    def counted(*args):
+        read_by_line.append(1)
+        return read_lines(*args)
 
-    monkeypatch.setattr(engine, "_saved_lines", counted)
+    monkeypatch.setattr(engine, "_read_lines", counted)
     seen = {kind: set() for kind in KINDS}
     for kind in KINDS:
         for seed in range(8):
             for spec in SPECS:
                 rng = np.random.default_rng([seed, SPECS.index(spec)])
                 lines = saved_lines(spec, rng)
-                before = len(read_fast)
+                before = len(read_by_line)
                 got = compare(tmp_path, spec, mutate(lines, kind, rng))
                 seen[kind].add(got)
                 if kind == "none":
-                    assert got == "loaded" and len(read_fast) == before + 1
+                    assert got == "loaded" and len(read_by_line) == before
+    assert read_by_line  # the mutated files do reach it
     for kind in ("drop", "field_count", "shift_field", "bad_int", "bad_float",
                  "out_of_range", "label", "header"):
         assert "error" in seen[kind], kind
@@ -315,25 +316,60 @@ def test_corrupt_conductance_in_the_last_block_reports_its_own_line(tmp_path, mo
                               "could not convert string to float: '1.0.0'")
 
 
-def test_save_and_load_stay_bounded_at_784x100(tmp_path):
-    """The north star's 784 x 100 all-to-all net: a 2 MB file is written and
-    read back in bounded traced memory, bit for bit."""
+@pytest.mark.parametrize("block", BLOCKS)
+def test_a_label_line_among_the_synapse_lines_names_its_own_neuron(tmp_path, monkeypatch,
+                                                                   block):
+    """At block 1, line 11 of the one-to-one net comes two lines before its
+    label lines, where a label taken by position would be neuron -2: the
+    line `label,10,...` moved there must still set neuron 10's label."""
+    monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
+    spec = SPECS[2]  # 12 synapse lines, then 12 label lines
+    lines = saved_lines(spec, np.random.default_rng(0))
+    assert lines[23].startswith("label,10,")
+    lines[11], lines[23] = lines[23], lines[11]
+    assert compare(tmp_path, spec, lines) == "loaded"
+
+
+def traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def net_784x100():
+    """The north star's 784 x 100 all-to-all net, with random conductances."""
     spec = NetworkSpec(layers=(layer(784), layer(100, label=True)), seed=6)
     net = build_network(spec, DT)
     net.matrices[0].g[:] = np.random.default_rng(6).uniform(-1e3, 1e3, size=(784, 100))
     net.labels = [n % 10 for n in range(100)]
+    return spec, net
+
+
+def test_save_and_load_stay_bounded_at_784x100(tmp_path):
+    """A 2 MB file is written and read back in bounded traced memory, bit for bit."""
+    spec, net = net_784x100()
     path = tmp_path / "net.weights"
-
-    def traced_peak_mb(call):
-        tracemalloc.start()
-        try:
-            return call(), tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-
     _, save_mb = traced_peak_mb(lambda: save_network(net, path))
     loaded, load_mb = traced_peak_mb(lambda: load_network(path, spec, DT))
     assert path.stat().st_size > 2e6
     assert save_mb <= 1.0 and load_mb <= 10.0, (save_mb, load_mb)
+    assert loaded.matrices[0].g.tobytes() == net.matrices[0].g.tobytes()
+    assert loaded.labels == net.labels
+
+
+def test_any_layout_loads_in_bounded_memory_at_784x100(tmp_path):
+    """The same file with its label lines first, then a blank line, then its
+    synapse lines reversed: every block is read line by line, and the read
+    still holds one block of parsed lines at a time."""
+    spec, net = net_784x100()
+    path = tmp_path / "net.weights"
+    save_network(net, path)
+    header, *lines = path.read_text().splitlines()
+    synapses, labels = lines[:-100], lines[-100:]
+    path.write_text("\n".join([header, *labels, "", *synapses[::-1]]) + "\n")
+    loaded, load_mb = traced_peak_mb(lambda: load_network(path, spec, DT))
+    assert load_mb <= 10.0, load_mb
     assert loaded.matrices[0].g.tobytes() == net.matrices[0].g.tobytes()
     assert loaded.labels == net.labels
