@@ -36,7 +36,7 @@ from pathlib import Path
 
 from spikeforge import expr
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample
-from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
+from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit, _support_steps
 from spikeforge.errors import SpecError
 from spikeforge.neuron import NeuronModel, SpikeWaveforms, calibrate_from_frequency
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence
@@ -95,8 +95,14 @@ def _expression(text: str) -> expr.Expression:
         raise ValueError(f"bad expression: {err}") from None
 
 
-def _waveform(text: str) -> Waveform:
-    return waveform_from_flat(_numbers(text))
+def _waveform(dt: float | None):
+    """The reader of a waveform, which must last a step of dt (when dt is known)."""
+    def read(text):
+        wf = waveform_from_flat(_numbers(text))
+        if dt is not None and not _support_steps(wf.duration, dt):
+            raise ValueError(f"waveform lasts 0 steps at dt={dt}, so it would never be delivered")
+        return wf
+    return read
 
 
 def _policy(text: str) -> frozenset[SpikePresence]:
@@ -211,11 +217,11 @@ def parse_raw(path) -> dict[str, dict[str, list[tuple[str, int]]]]:
 class _Section:
     """Typed access to one section, collecting problems instead of raising."""
 
-    def __init__(self, name: str, entries: dict, problems: list[str], base_dir: Path):
+    def __init__(self, name: str, entries: dict, problems: list[str], base_dir: Path, dt=None):
         self.name = name
         self.entries = entries
         self.problems = problems
-        self.base_dir = base_dir
+        self.base_dir, self.dt = base_dir, dt  # what readers of files and waveforms need
         self.consumed: set[str] = set()
 
     def complain(self, key: str | None, lineno: int | None, message: str):
@@ -379,8 +385,8 @@ def _build_neuron(section: _Section):
         {"tau": float, "thres": float, "v_reset": float, "t_refrac": float, "r_mem": float,
          "state_eqs": _expression, "power_expr": _expression},
         required=() if has_calib else ("tau", "thres"))
-    volts = section.read({f"{name}_volt": _waveform for name in ("pre", "post1", "post2",
-                                                                 "inhib")})
+    volts = section.read({f"{name}_volt": _waveform(section.dt)
+                          for name in ("pre", "post1", "post2", "inhib")})
     waveforms = SpikeWaveforms(**{key.removesuffix("_volt"): w for key, w in volts.items()})
     if has_calib:
         # measured frequency-vs-width data fills in whatever tau/thres the
@@ -483,7 +489,7 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
 
     def section(name) -> _Section:
         """The named section; a missing one reads as empty."""
-        return _Section(name, raw.get(name, {}), problems, path.parent)
+        return _Section(name, raw.get(name, {}), problems, path.parent, sim and sim.dt)
 
     sim = None
     if "sim" not in raw:

@@ -16,21 +16,20 @@ Input spikes wait in `Network.inputs` until their step; each spike line
 presence windows exact, state bounded by the longest waveform, and runs
 reproducible bit for bit.
 
-A step's array work follows spike activity, not matrix size: a matrix whose
-circuit engages no synapse without a pre spike scans only the rows of active
-pre lines, the kernel returns the engaged synapses alone, and an idle line's
-state is a cached read-only array. V_TB is evaluated once per matrix and step,
-over the engaged synapses as one array (`expr.evaluate_array`). The loop over
-them that remains, on Python floats, makes the per-element calls the
-benchmark's trace hooks count: mode_from_voltage, transmit_current,
-step_device and the neuron calls, looked up as module globals
-(`TestTracedNames`), until the engine keeps its own run statistics. Set-up
-runs on whole arrays, and the network file is written and read one block of
-NETFILE_BLOCK lines at a time in any layout, holding the file's bytes, one
-offset per line and one block. The frozen passes of `assign_labels` and `infer` run
-chunks of up to FROZEN_BATCH samples through one driver, `_present_frozen`: one
-sample on the network, more on a Network built for that many `samples` (sample b's
-neuron j at b * n + j) with its matrices; a failing chunk reruns as chunks of one."""
+A step's array work follows spike activity, not matrix size: a matrix whose circuit engages no
+synapse without a pre spike scans only the rows of active pre lines, a row is one of its
+sample's two column patterns (pre line silent or active) masked by its connections, presence
+codes are made for the engaged synapses alone, which are all the kernel returns, and an idle
+line's state is a cached read-only array. V_TB is evaluated once per matrix and step, over the
+engaged synapses as one array (`expr.evaluate_array`). The loop over them that remains, on
+Python floats, makes the per-element calls the benchmark's trace hooks count: mode_from_voltage,
+transmit_current, step_device and the neuron calls, looked up as module globals
+(`TestTracedNames`), until the engine keeps its own run statistics. Set-up runs on whole arrays,
+and the network file is written and read one block of NETFILE_BLOCK lines at a time in any
+layout, holding the file's bytes, one offset per line and one block. The frozen passes of
+`assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one driver,
+`_present_frozen`: one sample on the network, more on a Network built for that many `samples`
+(sample b's neuron j at b * n + j) with its matrices; a failing chunk reruns as chunks of one."""
 
 from __future__ import annotations
 
@@ -299,9 +298,10 @@ class _Matrix:
         self.g = np.zeros(mask.shape)
         self.pairs = np.argwhere(mask)  # (synapses, 2): row-major (pre, post) indices
         self.plastic_lut = np.array([p in circuit.plasticity_policy for p in PRESENCE_BY_CODE])
-        self.engaged_lut = self.plastic_lut | [p in circuit.transmit_policy for p in PRESENCE_BY_CODE]
-        # no synapse engages without a pre spike: codes 0 and 1 (none, post_only) are off
-        self.pre_gated = not self.engaged_lut[:2].any()
+        self.engaged_lut = (self.plastic_lut | [  # [a, b]: presence code 2 * a + b engages
+            p in circuit.transmit_policy for p in PRESENCE_BY_CODE]).reshape(2, 2)
+        # no synapse engages without a pre spike: row 0 (none, post_only) is off
+        self.pre_gated = not self.engaged_lut[0].any()
         ex_reads = set() if circuit.ex_eqs is None else expr.free_vars(circuit.ex_eqs)
         self.needs_post2 = "V_post2" in expr.free_vars(circuit.v_app) | ex_reads
         # the line voltages the engaged loop binds for ex_eqs
@@ -416,12 +416,12 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     """The synapse kernel: one matrix (layer q) for one timestep, shared by the
     B samples of lines B times as wide as its layers (sample b's i at b * n + i).
 
-    The candidate (sample, pre) rows are those with an active pre line when
-    no circuit policy engages without a pre spike (`_Matrix.pre_gated`), else
-    all. Over them presence is the code 2 * pre_active + post_active
-    (PRESENCE_BY_CODE), and the engaged synapses, those connected with a
-    presence in a circuit policy, are found by one flat nonzero and visited
-    in sample-major, row-major order, on Python floats, with V_TB evaluated
+    The candidate (sample, pre) rows are those with an active pre line when no circuit
+    policy engages without a pre spike (`_Matrix.pre_gated`), else all. Each sample has two
+    column patterns, the columns a row engages with its pre line silent and active; a row
+    takes the one its pre line picks, ANDed with its connections, and one flat nonzero finds
+    the engaged synapses, visited in sample-major, row-major order, on Python floats, with
+    their presence code 2 * pre_active + post_active (PRESENCE_BY_CODE) and V_TB evaluated
     over all of them as one array. Returns (rows, cols, modes, currents, events):
     each engaged synapse's pre and post line index, mode code and current, and
     the programming pulses as (i, j, direction, |V_TB|)."""
@@ -433,15 +433,15 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     batch = len(post_active) // n_post
     candidates = np.flatnonzero(pre_active) if matrix.pre_gated else np.arange(len(pre_active))
     sample, pre = np.divmod(candidates, n_pre) if batch > 1 else (0, candidates)
-    code = (2 * pre_active[candidates, None].astype(np.int8)
-            + post_active.reshape(batch, n_post)[sample]).ravel()
-    flat = np.flatnonzero(matrix.engaged_lut[code] & matrix.mask[pre].ravel())
-    k, post = np.divmod(flat, n_post)
+    patterns = matrix.engaged_lut[:, post_active.view(np.uint8).reshape(batch, n_post)]
+    k, post = np.divmod(np.flatnonzero(
+        patterns[pre_active[candidates].view(np.uint8), sample] & matrix.mask[pre]), n_post)
     rows, pre = candidates[k], pre[k]
     cols = sample[k] * n_post + post if batch > 1 else post
     out, mode_codes = [], []
     if not len(rows):
         return rows, cols, mode_codes, out, events
+    code = 2 * pre_active[rows] + post_active[cols]
     g = matrix.g[pre, post]
     columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
     if matrix.needs_post2:
@@ -453,9 +453,8 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
                 else itertools.repeat(()))
     plastic = matrix.plastic_lut.tolist()
     try:
-        # zip stops at the first synapse whose V_TB failed
-        for i, j, c, v, gk, volts in zip(pre.tolist(), post.tolist(), code[flat].tolist(),
-                                         v_tb[:n].tolist(), g.tolist(), ex_volts):
+        # zip stops at the first synapse whose V_TB failed; synapse len(out) is the current one
+        for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_volts):
             env["V_TB"] = v
             # for ex_eqs, as the very float transmit_current gets, so it need not copy env
             env["G"] = gk
@@ -464,19 +463,18 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
             if plastic[c]:
                 mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
                 if mode in PROGRAMMING:
-                    events.append((i, j, mode, abs(v)))
+                    events.append((int(pre[len(out)]), int(post[len(out)]), mode, abs(v)))
             else:
                 # engaged but not plastic: the presence is in transmit_policy
                 mode = TRANSMIT
             out.append(transmit_current(circuit, gk, env, mode))
             mode_codes.append(mode.code)
         if n < len(rows):  # the scalar evaluation raises that synapse's own text
-            i, j = int(pre[n]), int(post[n])
             expr.evaluate(circuit.v_app, {**matrix.base_env, **{
                 name: column[n].item() for name, column in columns.items()}})
     except expr.ExprError as err:
-        raise SimulationError(
-            f"synapse (layer {q}, pre {i}, post {j}) at t={step * dt}: {err}") from err
+        raise SimulationError(f"synapse (layer {q}, pre {pre[len(out)]}, post "
+                              f"{post[len(out)]}) at t={step * dt}: {err}") from err
     return rows, cols, mode_codes, out, events
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from spikeforge import expr
@@ -242,31 +242,31 @@ def transmit_current(circuit: CircuitModel, g: float, env: dict[str, float],
 def _nearest(values, x) -> int:
     """Index of the value closest to x; ties go to the lower index.
 
-    values is strictly monotone, so the rounded |v - x| never rises before
-    the first value at or past x, index p, nor falls after it: the nearest is
-    p or the first of the run tied with p - 1, found by bisection too."""
+    values is strictly monotone, so the rounded |v - x| never rises before the first value
+    at or past x, index p, nor falls after it (a descending row is bisected as its reverse):
+    the nearest is p or p - 1, or, when p - 2 ties with p - 1, the first of that run."""
     if values[0] <= values[-1]:
         p = bisect_left(values, x)
     else:
-        p = bisect_left(values, -x, key=lambda v: -v)
+        p = len(values) - bisect_right(values[::-1], x)
     if p == 0:
         return 0
     d = abs(values[p - 1] - x)
     if p < len(values) and abs(values[p] - x) < d:
         return p
+    if p < 2 or abs(values[p - 2] - x) > d:
+        return p - 1
     return bisect_left(values, -d, 0, p, key=lambda v: -abs(v - x))
 
 
 def _row(device: PulseFamilyDevice, direction: SynapseMode,
          pulse_amplitude: float) -> tuple[float, ...]:
     """The curve a pulse walks: the direction's table, the row nearest |amplitude|."""
-    if direction is POTENTIATE:
-        table = device.ltp
-    elif direction is DEPRESS:
-        table = device.ltd
-    else:
+    if direction not in PROGRAMMING:
         raise ValueError(f"direction must be POTENTIATE or DEPRESS, got {direction}")
-    return table.response[_nearest(table.amplitudes, abs(pulse_amplitude))]
+    table = device.ltp if direction is POTENTIATE else device.ltd
+    rows = table.response  # every amplitude selects the one row of an identical-pulse device
+    return rows[0] if len(rows) == 1 else rows[_nearest(table.amplitudes, abs(pulse_amplitude))]
 
 
 def step_device(device: PulseFamilyDevice, direction: SynapseMode,

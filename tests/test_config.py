@@ -493,6 +493,9 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 0.5, 0.002", "pre_volt",
      "[neuron.input] pre_volt (line {line}): flat waveform array needs an even, non-zero "
      "number of values"),
+    ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 1.0", "pre_volt",
+     "[neuron.input] pre_volt (line {line}): waveform lasts 0 steps at dt=0.001, so it "
+     "would never be delivered"),
     ("v_app = V_post1 - V_node1", "v_app = V_post1 -", "v_app",
      "[circuit.gate] v_app (line {line}): bad expression: unexpected end of expression "
      "at position 9"),
@@ -576,8 +579,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
         "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak",
         "unknown-kind", "unknown-family_axis", "unknown-conn_type", "bad-numbers",
-        "odd-waveform", "bad-expression", "unknown-presence", "bad-pair", "init-form",
-        "init-args", "init-no-file", "param-fields", "param-number", "no-ladder-file",
+        "odd-waveform", "zero-step-waveform", "bad-expression", "unknown-presence", "bad-pair",
+        "init-form", "init-args", "init-no-file", "param-fields", "param-number", "no-ladder-file",
         "no-table-file", "no-train-file", "ladder-file-line", "ladder-conflict",
         "key-twice", "layers-name", "layers-leading-zero", "T-nan", "dt-nan",
         "T_sample-inf", "v_th_pos-nan", "t_refrac-nan", "r_mem-nan", "inh_g-nan",

@@ -105,7 +105,9 @@ def probe_conductances(rng, ltp, ltd, g_min, g_max):
     midpoints = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
     span = g_max - g_min
     scattered = list(rng.uniform(g_min - 0.1 * span, g_max + 0.1 * span, 20))
-    return exact + midpoints + scattered + [g_min, g_max, 0.0]
+    # g_max is far above an ulp ladder and -g_max far below it: the distances
+    # round equal from either end, so ascending and descending rows meet tied runs
+    return exact + midpoints + scattered + [g_min, g_max, 0.0, -g_max]
 
 
 def probe_amplitudes(rng):

@@ -12,6 +12,10 @@ same programming events in the same order, the same SimulationError when
 the circuit fails, and the same calls to the per-synapse functions, so
 counts traced at those calls hold too. `run_timestep` must then feed each
 neuron the row-order sum of its engaged currents.
+
+The same holds for a batch: B samples share the matrix, on lines B times as
+wide (sample b's neuron i at b * n + i). The kernel must then match the full
+scan run on each sample's own narrow lines, in sample order.
 """
 
 import itertools
@@ -195,6 +199,78 @@ def test_engaged_only_kernel_matches_the_full_scan(plasticity):
     assert errors
     if SpikePresence.NONE not in plasticity and SpikePresence.POST_ONLY not in plasticity:
         # some transmit policies leave the matrix gated by its pre lines
+        assert scanned_fewer
+
+
+def widened(lines):
+    """One line as wide as all of lines together: sample b's neuron i at b * n + i."""
+    n = lines[0].n
+    wide = _Line(len(lines) * n)
+    for step in set().union(*(line.pending for line in lines)):
+        cells = [line.pending.get(step, (np.zeros(n, dtype=bool), np.zeros(n)))
+                 for line in lines]
+        wide.pending[step] = tuple(np.concatenate(part) for part in zip(*cells))
+    return wide
+
+
+def batched_full_scan(matrix, samples):
+    """The full scan of each sample's own lines, in sample order, as one batched
+    result: the visited pairs shifted by the sample offsets, the dense currents
+    and modes placed block-diagonally, the events and the calls one after the
+    other; or the first failing sample's error text and the calls up to it."""
+    (n_pre, n_post), batch = matrix.mask.shape, len(samples)
+    currents = np.zeros((batch * n_pre, batch * n_post))
+    modes = np.zeros(currents.shape, dtype=np.int8)
+    events, visited, calls = [], [], []
+    for b, lines in enumerate(samples):
+        result, made = outcome(full_scan_synapse_pass, matrix, lines)
+        calls += made
+        if isinstance(result, str):
+            return (result, b), calls
+        block = np.s_[b * n_pre:(b + 1) * n_pre, b * n_post:(b + 1) * n_post]
+        currents[block], modes[block] = result[0], result[1]
+        events += result[2]
+        visited += [(i + b * n_pre, j + b * n_post) for i, j in result[3]]
+    return (currents, modes, events, visited), calls
+
+
+@pytest.mark.parametrize("batch", [2, 3])
+@pytest.mark.parametrize("plasticity", POLICIES[::3], ids=lambda p: "+".join(
+    sorted(s.value for s in p)) or "no_plasticity")
+def test_batched_kernel_matches_the_full_scan_per_sample(plasticity, batch):
+    rng = np.random.default_rng([batch, POLICIES.index(plasticity)])
+    seen_modes, failed_in, scanned_fewer = set(), set(), 0
+    for transmit in POLICIES:
+        for _ in range(3):
+            matrix, lines = random_case(rng, transmit, plasticity)
+            n_pre, n_post = matrix.mask.shape
+            samples = [lines] + [(random_line(rng, n_pre), random_line(rng, n_post),
+                                  random_line(rng, n_post)) for _ in range(batch - 1)]
+            # samples whose own scan fails go last, so a batch can fail past its first sample
+            samples.sort(key=lambda sample: isinstance(
+                outcome(full_scan_synapse_pass, matrix, sample)[0], str))
+            expected, expected_calls = batched_full_scan(matrix, samples)
+            wide = tuple(map(widened, zip(*samples)))
+            got, got_calls = outcome(_synapse_pass, matrix, wide)
+            assert got_calls == expected_calls
+            if isinstance(expected[0], str):
+                assert got == expected[0]
+                failed_in.add(expected[1])
+                continue
+            rows, cols, codes, currents, events = got
+            assert list(zip(rows.tolist(), cols.tolist())) == expected[3]
+            dense_currents = np.zeros(expected[0].shape)
+            dense_modes = np.zeros(expected[1].shape, dtype=np.int8)
+            dense_currents[rows, cols], dense_modes[rows, cols] = currents, codes
+            assert dense_currents.tobytes() == expected[0].tobytes()
+            assert np.array_equal(dense_modes, expected[1])
+            assert events == expected[2]
+            seen_modes.update(codes)
+            scanned_fewer += matrix.pre_gated and not wide[0].state(STEP, 0.0)[0].all()
+    # every mode the policies allow, a failure past the first sample, and gated scans
+    assert seen_modes | {0} == {0, 1} | ({2, 3} if plasticity else set())
+    assert failed_in - {0}
+    if SpikePresence.NONE not in plasticity and SpikePresence.POST_ONLY not in plasticity:
         assert scanned_fewer
 
 
