@@ -36,12 +36,12 @@ from pathlib import Path
 
 from spikeforge import expr
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample
-from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit, _support_steps
+from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
 from spikeforge.errors import SpecError
 from spikeforge.neuron import NeuronModel, SpikeWaveforms, calibrate_from_frequency
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence
 from spikeforge.tuner import GAConfig, ParamRange
-from spikeforge.waveform import Waveform, waveform_from_flat
+from spikeforge.waveform import Waveform, support_steps, waveform_from_flat
 
 _ENCODERS = {"poisson": PoissonEncoder, "fixed": FixedRateEncoder}
 
@@ -99,7 +99,7 @@ def _waveform(dt: float | None):
     """The reader of a waveform, which must last a step of dt (when dt is known)."""
     def read(text):
         wf = waveform_from_flat(_numbers(text))
-        if dt is not None and not _support_steps(wf.duration, dt):
+        if dt is not None and not support_steps(wf.duration, dt):
             raise ValueError(f"waveform lasts 0 steps at dt={dt}, so it would never be delivered")
         return wf
     return read

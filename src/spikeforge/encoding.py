@@ -7,12 +7,14 @@ grid; a spike is one unsigned trigger of the input layer's pre waveform.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from spikeforge.errors import SpecError
+from spikeforge.waveform import grid_steps, num_steps
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,13 @@ class _RateMap:
             raise SpecError(
                 "r_min", f"need 0 <= r_min <= r_max, got {self.r_min}, {self.r_max}")
 
-    def _rates(self, features, T: float, dt: float) -> list[float]:
-        """Each feature's rate, once T, dt and the intensities are checked."""
-        if not 0 < dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
-        if T < dt:
-            raise ValueError(f"T must be at least dt, got T={T}, dt={dt}")
+    def _rates(self, features, T: float, dt: float) -> tuple[int, list[float]]:
+        """T in steps, and each feature's rate, once dt, T and the intensities are checked."""
+        n = num_steps(T, dt)
         bad = next((x for x in features if not 0.0 <= x <= 1.0), None)
         if bad is not None:
             raise ValueError(f"intensity {bad} outside [0, 1]")
-        return [self.r_min + x * (self.r_max - self.r_min) for x in features]
+        return n, [self.r_min + x * (self.r_max - self.r_min) for x in features]
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,13 @@ class PoissonEncoder(_RateMap):
         by row, so the trains and the generator's state afterwards are those
         of one T/dt draw per feature in turn. Warns once when the largest
         probability is above 0.1, where dt is too coarse for the rate."""
-        p = [rate * dt for rate in self._rates(features, T, dt)]
+        n, rates = self._rates(features, T, dt)
+        p = [rate * dt for rate in rates]
         top = max(p, default=0.0)
         if top > 0.1:
             warnings.warn(f"spike probability per step is {top:.3f} > 0.1; "
                           "dt is too coarse for this rate", stacklevel=2)
-        hits = rng.random((len(p), int(round(T / dt)))) < np.array(p)[:, None]
+        hits = rng.random((len(p), n)) < np.array(p)[:, None]
         # row-major, so each row's steps are one run, ascending
         steps = np.nonzero(hits)[1].tolist()
         counts = hits.sum(axis=1)
@@ -110,19 +110,13 @@ class FixedRateEncoder(_RateMap):
 
     def encode(self, features, T: float, dt: float,
                rng: np.random.Generator | None = None) -> list[SpikeTrain]:
-        """One train per feature with period 1/rate, phase 0, times floored
-        to the grid."""
-        rates = self._rates(features, T, dt)  # checks dt before T / dt is rounded
-        n = int(round(T / dt))
+        """One train per feature with period 1/rate, phase 0, each time k/rate floored to
+        the grid; the first past the horizon (inf, if k/rate overflows) ends the train."""
+        n, rates = self._rates(features, T, dt)
         trains = []
         for rate in rates:
-            steps: list[int] = []
-            k = 0
-            while rate and k / rate < T:
-                # min() guards division rounding k/rate/dt up to exactly n despite k/rate < T
-                step = min(int(k / rate / dt), n - 1)
-                if not steps or step > steps[-1]:
-                    steps.append(step)
-                k += 1
+            times = (grid_steps(k / rate, dt) for k in itertools.count()) if rate else ()
+            # times never fall, so a step that several share is kept once, in order
+            steps = dict.fromkeys(int(q) for q in itertools.takewhile(lambda q: q < n, times))
             trains.append(SpikeTrain(tuple(steps), dt))
         return trains

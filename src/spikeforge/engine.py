@@ -11,6 +11,8 @@ network's only feedback latency.
 Spike delivery is integer-step throughout: each layer samples its waveforms
 once on the dt grid (`_samples`), and a waveform triggered at step m is
 active for ceil(duration/dt) steps and worth its i-th sample at step m + i.
+Refractory windows and encoders keep the same grid rules (`waveform.py`): a
+neuron fired at step m is pinned at v_reset before step m + ceil(t_refrac/dt).
 Input spikes wait in `Network.inputs` until their step; each spike line
 (`_Line`) holds only the steps still to run, summed per neuron, which keeps
 presence windows exact, state bounded by the longest waveform, and runs
@@ -50,7 +52,7 @@ from spikeforge.synapse import (
     PRESENCE_BY_CODE, PROGRAMMING, TRANSMIT, CircuitModel, PulseFamilyDevice, SynapseMode,
     mode_from_voltage, saturates, step_device, transmit_current,
 )
-from spikeforge.waveform import Waveform
+from spikeforge.waveform import Waveform, num_steps, support_steps
 
 logger = logging.getLogger(__name__)
 
@@ -108,6 +110,9 @@ class WeightInit:
     def __post_init__(self):
         if self.kind not in ("uniform", "constant", "from_file"):
             raise SpecError("kind", f"unknown init kind {self.kind!r}")
+        for key in ("lo", "hi", "value"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise SpecError(key, f"{self.kind} init needs a finite {key}, got {value}")
         if self.kind == "uniform" and not self.lo < self.hi:
             raise SpecError("lo", f"uniform init needs lo < hi, got {self.lo}, {self.hi}")
 
@@ -186,30 +191,9 @@ class SimConfig:
                                 f"multiple of dt={self.dt}") from None
 
 
-def num_steps(T: float, dt: float) -> int:
-    """Total timesteps N = T/dt, at least 1; T must sit on the dt grid."""
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    ratio = T / dt
-    n = round(ratio) if math.isfinite(ratio) else 0
-    if n < 1 or abs(ratio - n) > 1e-9:
-        raise ValueError(f"T={T} is not a positive multiple of dt={dt} (T/dt={ratio})")
-    return n
-
-
-def _support_steps(duration: float, dt: float) -> int:
-    """Number of grid steps a waveform is active: ceil(duration/dt), treating
-    near-integer ratios as exact so half-open windows stay half-open."""
-    q = duration / dt
-    r = round(q)
-    if abs(q - r) < 1e-9:
-        return int(r)
-    return int(q) + 1
-
-
 def _samples(wf: Waveform, dt: float) -> tuple[float, ...]:
     """A waveform's values on the grid, one per step of its support."""
-    return tuple(wf.sample(i * dt) for i in range(_support_steps(wf.duration, dt)))
+    return tuple(wf.sample(i * dt) for i in range(support_steps(wf.duration, dt)))
 
 
 class _Line:
@@ -347,7 +331,7 @@ class Network:
         for layer in self.layers:
             for state in layer.states:
                 state.v = layer.spec.neuron_model.v_reset
-                state.refractory_until = 0.0
+                state.refractory_until = 0
             for line in layer.lines:
                 line.pending.clear()
         self.inputs.clear()
@@ -494,7 +478,6 @@ def run_timestep(net: Network, step: int, learn: bool = True,
                  record: bool = False) -> StepTrace | None:
     """Advance the whole network by one timestep (integer step index)."""
     dt = net.dt
-    t = step * dt
     trace = StepTrace([], [], [], []) if record else None
     if step in net.inputs:
         net.layers[0].pre_out.trigger(np.array(net.inputs.pop(step)), step, net.layers[0].pre)
@@ -508,13 +491,13 @@ def run_timestep(net: Network, step: int, learn: bool = True,
         total = np.bincount(cols, weights=currents, minlength=len(inhib)) - inhib
         for j, (state, current) in enumerate(zip(post_layer.states, total.tolist())):
             try:
-                integrate(post_layer.spec.neuron_model, state, current, t, dt)
+                integrate(post_layer.spec.neuron_model, state, current, step, dt)
             except (expr.ExprError, ValueError) as err:
                 raise SimulationError(
-                    f"neuron (layer {q}, index {j}) at t={t}: {err}") from err
+                    f"neuron (layer {q}, index {j}) at t={step * dt}: {err}") from err
         fired = []
         for j, state in enumerate(post_layer.states):
-            if fire_check(post_layer.spec.neuron_model, state, t):
+            if fire_check(post_layer.spec.neuron_model, state, step, dt):
                 fired.append(j)
                 _emit(net, q, j, step)
 

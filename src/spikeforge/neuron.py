@@ -19,7 +19,7 @@ import numpy as np
 
 from spikeforge import expr
 from spikeforge.errors import SpecError
-from spikeforge.waveform import Waveform
+from spikeforge.waveform import Waveform, support_steps
 
 # the names state_eqs and power_expr may read
 NEURON_VOCABULARY = frozenset({"V", "I", "dt", "tau", "thres", "r_mem"})
@@ -61,7 +61,7 @@ class NeuronModel:
                 "thres", f"thres must exceed v_reset, got {self.thres} <= {self.v_reset}")
         if not self.t_refrac >= 0:
             raise SpecError("t_refrac", f"t_refrac must be >= 0, got {self.t_refrac}")
-        for key in ("v_reset", "r_mem"):
+        for key in ("v_reset", "r_mem", "t_refrac"):
             if not math.isfinite(getattr(self, key)):
                 raise SpecError(key, f"{key} must be finite, got {getattr(self, key)}")
         expr.check_names("state_eqs", self.state_eqs, NEURON_VOCABULARY)
@@ -73,14 +73,14 @@ class NeuronState:
     """Per-neuron mutable state owned by the simulation engine."""
 
     v: float = 0.0
-    refractory_until: float = 0.0
+    refractory_until: int = 0  # the first step the membrane integrates again
     spike_times: list[float] = field(default_factory=list)
     energy: float = 0.0
 
 
 def integrate(model: NeuronModel, state: NeuronState, current: float,
-              t: float, dt: float) -> None:
-    """One Euler step of the membrane equation.
+              step: int, dt: float) -> None:
+    """One Euler step of the membrane equation at a step index.
 
     Inside the refractory window the membrane is pinned at v_reset. Energy
     accumulates as dt * power_expr evaluated on the start-of-step state.
@@ -91,7 +91,7 @@ def integrate(model: NeuronModel, state: NeuronState, current: float,
                "tau": model.tau, "thres": model.thres, "r_mem": model.r_mem}
     if model.power_expr is not None:
         state.energy += dt * expr.evaluate(model.power_expr, env)
-    if t < state.refractory_until:
+    if step < state.refractory_until:
         state.v = model.v_reset
         return
     if model.state_eqs is None:
@@ -100,21 +100,21 @@ def integrate(model: NeuronModel, state: NeuronState, current: float,
         dv = expr.evaluate(model.state_eqs, env)
     v = state.v + dt * dv
     if not math.isfinite(v):
-        raise ValueError(f"membrane potential diverged to {v} at t={t}")
+        raise ValueError(f"membrane potential diverged to {v} at t={step * dt}")
     state.v = v
 
 
-def fire_check(model: NeuronModel, state: NeuronState, t: float) -> bool:
+def fire_check(model: NeuronModel, state: NeuronState, step: int, dt: float) -> bool:
     """Threshold test after integration; fires at V >= thres.
 
-    On a spike the membrane resets, the spike time is logged and the
-    refractory window opens. The caller schedules the emitted waveforms.
+    On a spike the membrane resets, step * dt is logged and the membrane is
+    pinned before step + ceil(t_refrac/dt); the caller schedules the waveforms.
     """
     if state.v < model.thres:
         return False
-    state.spike_times.append(t)
+    state.spike_times.append(step * dt)
     state.v = model.v_reset
-    state.refractory_until = t + model.t_refrac
+    state.refractory_until = step + support_steps(model.t_refrac, dt)
     return True
 
 

@@ -70,11 +70,7 @@ def _check_range(g_min, g_max):
 
 
 def _check_order(levels, ascending, key, label=None):
-    if ascending:
-        bad = any(b <= a for a, b in zip(levels, levels[1:]))
-    else:
-        bad = any(b >= a for a, b in zip(levels, levels[1:]))
-    if bad:
+    if not all(b > a if ascending else b < a for a, b in zip(levels, levels[1:])):
         order = "ascending" if ascending else "descending"
         raise SpecError(key, f"{label or key} must be strictly {order}")
 

@@ -1,13 +1,18 @@
-"""Piecewise-linear spike waveforms.
+"""Piecewise-linear spike waveforms, and the step grid's rules.
 
 A spike shape is a list of (time, voltage) breakpoints relative to its
 trigger. Repeating a time encodes a vertical discontinuity; the later
 voltage wins when sampling exactly at that instant, so the waveform is
 right-continuous and the second point is the start of the next piece.
+The grid rules are the only conversion of seconds to steps: horizons
+(`num_steps`), waveforms and refractory windows (`support_steps`) and
+encoded spike times (`grid_steps`) all take a ratio within 1e-9 of an
+integer as that integer.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -34,15 +39,15 @@ class Waveform:
             raise SpecError("breakpoints", f"first breakpoint time must be 0, got {pts[0][0]}")
         times = [t for t, _ in pts]
         for a, b in zip(times, times[1:]):
-            if b < a:
+            if not b >= a:
                 raise SpecError("breakpoints",
                                 f"breakpoint times must be non-decreasing ({a} then {b})")
         for i in range(len(times) - 2):
             if times[i] == times[i + 1] == times[i + 2]:
                 raise SpecError("breakpoints", f"time {times[i]} repeated more than twice")
         for t, v in pts:
-            if not (abs(v) < float("inf") and v == v):
-                raise SpecError("breakpoints", f"non-finite voltage {v} at t={t}")
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise SpecError("breakpoints", f"non-finite breakpoint ({t}, {v})")
         object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_times", tuple(times))
         object.__setattr__(self, "_volts", tuple(v for _, v in pts))
@@ -79,3 +84,25 @@ def waveform_from_flat(values) -> Waveform:
                         "flat waveform array needs an even, non-zero number of values")
     pairs = tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
     return Waveform(pairs)
+
+
+def grid_steps(t: float, dt: float) -> float:
+    """t/dt in steps, snapped to the integer it lies within 1e-9 of; inf stays inf."""
+    q = t / dt
+    r = round(q) if math.isfinite(q) else q
+    return float(r) if abs(q - r) < 1e-9 else q
+
+
+def num_steps(T: float, dt: float) -> int:
+    """Total timesteps N = T/dt, at least 1; T must sit on the dt grid."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    n = grid_steps(T, dt)
+    if not (n >= 1 and n.is_integer()):
+        raise ValueError(f"T={T} is not a positive multiple of dt={dt} (T/dt={T / dt})")
+    return int(n)
+
+
+def support_steps(duration: float, dt: float) -> int:
+    """Steps a waveform or refractory window lasts: ceil(duration/dt), half-open."""
+    return math.ceil(grid_steps(duration, dt))

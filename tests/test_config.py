@@ -496,6 +496,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 1.0", "pre_volt",
      "[neuron.input] pre_volt (line {line}): waveform lasts 0 steps at dt=0.001, so it "
      "would never be delivered"),
+    ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 0.5, inf, 0.5", "pre_volt",
+     "[neuron.input] pre_volt (line {line}): non-finite breakpoint (inf, 0.5)"),
     ("v_app = V_post1 - V_node1", "v_app = V_post1 -", "v_app",
      "[circuit.gate] v_app (line {line}): bad expression: unexpected end of expression "
      "at position 9"),
@@ -544,6 +546,12 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
      "[circuit.gate] v_th_pos (line {line}): thresholds must be positive"),
     ("thres = 0.2\n", "thres = 0.2\nt_refrac = nan\n", "t_refrac",
      "[neuron.out] t_refrac (line {line}): t_refrac must be >= 0, got nan"),
+    ("thres = 0.2\n", "thres = 0.2\nt_refrac = inf\n", "t_refrac",
+     "[neuron.out] t_refrac (line {line}): t_refrac must be finite, got inf"),
+    ("seed = 11\n", "seed = 11\ninit_weights = constant(nan)\n", "init_weights",
+     "[network] init_weights (line {line}): constant init needs a finite value, got nan"),
+    ("seed = 11\n", "seed = 11\ninit_weights = uniform(0.1, inf)\n", "init_weights",
+     "[network] init_weights (line {line}): uniform init needs a finite hi, got inf"),
     ("thres = 0.2\n", "thres = 0.2\nr_mem = nan\n", "r_mem",
      "[neuron.out] r_mem (line {line}): r_mem must be finite, got nan"),
     ("inh_g = 2e-6", "inh_g = nan", "inh_g",
@@ -579,11 +587,13 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
         "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak",
         "unknown-kind", "unknown-family_axis", "unknown-conn_type", "bad-numbers",
-        "odd-waveform", "zero-step-waveform", "bad-expression", "unknown-presence", "bad-pair",
+        "odd-waveform", "zero-step-waveform", "inf-time-waveform", "bad-expression",
+        "unknown-presence", "bad-pair",
         "init-form", "init-args", "init-no-file", "param-fields", "param-number", "no-ladder-file",
         "no-table-file", "no-train-file", "ladder-file-line", "ladder-conflict",
         "key-twice", "layers-name", "layers-leading-zero", "T-nan", "dt-nan",
-        "T_sample-inf", "v_th_pos-nan", "t_refrac-nan", "r_mem-nan", "inh_g-nan",
+        "T_sample-inf", "v_th_pos-nan", "t_refrac-nan", "t_refrac-inf",
+        "init-constant-nan", "init-uniform-inf", "r_mem-nan", "inh_g-nan",
         "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan",
         "rest_V_pre-nan", "r_max-inf", "v_reset-inf", "not-a-key-line", "tune-no-param",
         "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory"])

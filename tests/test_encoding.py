@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spikeforge.config import load_dataset
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, SpikeTrain
 from spikeforge.errors import SpecError
+from spikeforge.waveform import grid_steps
 
 
 # the per-feature helpers and one-train encoders that the encoders' shared
@@ -54,7 +55,7 @@ def fixed_rate_encode(intensity: float, r_min: float, r_max: float, T: float,
         if t >= T:
             break
         # min() guards division rounding t/dt up to exactly n despite t < T
-        step = min(int(t / dt), n - 1)
+        step = min(int(grid_steps(t, dt)), n - 1)
         if not steps or step > steps[-1]:
             steps.append(step)
         k += 1
@@ -185,6 +186,11 @@ class TestFixedRate:
         assert train.steps == (0, 100, 200, 300, 400)
         assert train.dt == 1e-3
 
+    def test_ten_hz_for_a_second_stays_on_the_period(self):
+        # 7 / 10 / 1e-3 is 699.9999999999999, which snaps to 700, not floors to 699
+        train = FixedRateEncoder(0.0, 10.0).encode([1.0], 1.0, 1e-3)[0]
+        assert train.steps == tuple(range(0, 1000, 100))
+
     def test_zero_intensity_zero_min_rate(self):
         assert len(FixedRateEncoder(0.0, 10.0).encode([0.0], 1.0, 1e-3)[0]) == 0
 
@@ -200,6 +206,8 @@ class TestFixedRate:
 class TestSpikeTrainInvariants:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 80.0), st.floats(80.0, 120.0),
            st.integers(0, 2 ** 31))
+    # a rate so low that k / rate / dt is inf for every k > 0: one spike, at step 0
+    @example(0.0, 1.1125369292536007e-308, 80.0, 0)
     def test_all_times_on_grid_within_horizon(self, intensity, r_min, r_max, seed):
         T, dt = 0.5, 1e-3
         n = round(T / dt)
@@ -240,7 +248,7 @@ class TestSpikeTrainInvariants:
     def test_horizon_shorter_than_dt_is_rejected(self, encoder):
         with pytest.raises(ValueError) as err:
             encoder.encode([0.5], 1e-4, 1e-3, np.random.default_rng(0))
-        assert str(err.value) == "T must be at least dt, got T=0.0001, dt=0.001"
+        assert str(err.value) == "T=0.0001 is not a positive multiple of dt=0.001 (T/dt=0.1)"
 
 
 class TestDataset:

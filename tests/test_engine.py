@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spikeforge import engine
+from spikeforge import engine, waveform
 from spikeforge.config import load_config
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample, SpikeTrain
 from spikeforge.engine import (
@@ -21,7 +21,7 @@ from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
     CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode,
 )
-from spikeforge.waveform import Waveform
+from spikeforge.waveform import Waveform, support_steps
 
 US = 1e-6
 
@@ -278,6 +278,10 @@ class TestNumSteps:
     def test_zero_or_non_finite_step_count_rejected(self, T, dt):
         with pytest.raises(ValueError):
             num_steps(T, dt)
+
+    def test_engine_reads_the_waveform_grid_rules(self):
+        # bench/workloads.py reads engine.num_steps
+        assert engine.num_steps is waveform.num_steps
 
 
 def input_model(width_volts=0.5, duration=2e-3):
@@ -1065,7 +1069,7 @@ class TestBoundedState:
                            inh_g=1 * US, seed=1,
                            init_weights=WeightInit("constant", value=5 * US))
         wf = model.waveforms
-        bound = max(engine._support_steps(w.duration, 1e-3)
+        bound = max(support_steps(w.duration, 1e-3)
                     for w in (wf.pre, wf.post1, wf.post2, wf.inhib))
         assert bound == 20
 
@@ -1207,7 +1211,7 @@ class TestDeterminismGuard:
     on the full-scan synapse kernel (every connected pair visited each step),
     so any change to the engine's arithmetic or its visiting order shows."""
 
-    EXPECTED = "10970791926a8dc5656e5a71475c9e1470084a0c27bdedfc4c91df1e4d9644fe"
+    EXPECTED = "02fee7edf14d9a6fc2f1f53d9e744903f0ba5aed699d5996eb7f9cd7c0d69102"
 
     def test_seeded_run_hash(self):
         circuit = CircuitModel(

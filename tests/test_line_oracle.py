@@ -11,8 +11,8 @@ active neurons and bit-equal voltages.
 import numpy as np
 import pytest
 
-from spikeforge.engine import _Line, _samples, _support_steps
-from spikeforge.waveform import Waveform
+from spikeforge.engine import _Line, _samples
+from spikeforge.waveform import Waveform, support_steps
 
 DT = 1e-3
 HORIZON = 16
@@ -114,7 +114,7 @@ def check_case(seed):
         for idx, origin, wf, sign in triggers.get(after, ()):
             line.trigger(idx, origin, _samples(wf, DT), sign)
             for i in np.atleast_1d(idx).tolist():
-                queues[i].append(_Sched(wf, origin, _support_steps(wf.duration, DT), sign))
+                queues[i].append(_Sched(wf, origin, support_steps(wf.duration, DT), sign))
 
     make(-1)
     for k in range(HORIZON + 8):  # the last origin is HORIZON + 4
@@ -151,7 +151,7 @@ def test_random_cases_reach_every_feature():
         covered = {}
         for group in triggers.values():
             for idx, origin, wf, _ in group:
-                steps = _support_steps(wf.duration, DT)
+                steps = support_steps(wf.duration, DT)
                 shapes.add(steps)
                 times = [t for t, _ in wf.breakpoints]
                 shapes.add("edge" if len(set(times)) < len(times) else "plain")

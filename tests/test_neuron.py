@@ -21,9 +21,8 @@ def run_constant_drive(model, current, T, dt):
     state = NeuronState(v=model.v_reset)
     n = round(T / dt)
     for k in range(n):
-        t = k * dt
-        integrate(model, state, current, t, dt)
-        fire_check(model, state, t)
+        integrate(model, state, current, k, dt)
+        fire_check(model, state, k, dt)
     return state
 
 
@@ -34,7 +33,7 @@ class TestIntegrate:
         model = lif(tau=tau, thres=100.0)
         state = NeuronState(v=1.0)
         for k in range(1000):
-            integrate(model, state, 0.0, k * dt, dt)
+            integrate(model, state, 0.0, k, dt)
             exact = math.exp(-(k + 1) * dt / tau)
             assert abs(state.v - exact) / exact < 0.01
 
@@ -44,31 +43,44 @@ class TestIntegrate:
         assert state.v == pytest.approx(6.0, rel=1e-3)
         assert state.spike_times == []
 
+    def test_refractory_window_lasts_t_refrac_in_steps(self):
+        # 9 * 1e-3 + 5e-3 is 0.014000000000000002 s, past 14 * 1e-3: in float
+        # seconds the pin also covered step 14
+        model = lif(t_refrac=5e-3, v_reset=0.25)
+        state = NeuronState(v=1.0)
+        assert fire_check(model, state, 9, 1e-3)
+        assert state.refractory_until == 14
+        for k in range(10, 14):
+            integrate(model, state, 100.0, k, 1e-3)
+            assert state.v == 0.25, k
+        integrate(model, state, 100.0, 14, 1e-3)
+        assert state.v == 0.25 + 1e-3 * (100.0 - 0.25) / model.tau
+
     def test_refractory_clamps_to_reset(self):
         model = lif(t_refrac=5e-3, v_reset=0.25)
-        state = NeuronState(v=0.9, refractory_until=10e-3)
-        integrate(model, state, 100.0, t=1e-3, dt=1e-3)
+        state = NeuronState(v=0.9, refractory_until=10)
+        integrate(model, state, 100.0, step=1, dt=1e-3)
         assert state.v == 0.25
 
     def test_custom_state_equation(self):
         # pure integrator dV/dt = I
         model = lif(state_eqs=parse("I"))
         state = NeuronState(v=0.0)
-        integrate(model, state, 2.0, 0.0, 1e-3)
+        integrate(model, state, 2.0, 0, 1e-3)
         assert state.v == pytest.approx(2e-3)
 
     def test_divergence_detected(self):
         model = lif(state_eqs=parse("1e308"))
         state = NeuronState(v=1e308)
         with pytest.raises(ValueError, match="diverged"):
-            integrate(model, state, 0.0, 0.0, dt=1.0)
+            integrate(model, state, 0.0, 0, dt=1.0)
 
     def test_energy_accumulates_and_is_monotone(self):
         model = lif(power_expr=parse("V * V / r_mem"))
         state = NeuronState(v=1.0)
         last = 0.0
         for k in range(100):
-            integrate(model, state, 0.5, k * 1e-3, 1e-3)
+            integrate(model, state, 0.5, k, 1e-3)
             assert state.energy >= last
             last = state.energy
         assert last > 0
@@ -79,15 +91,15 @@ class TestIntegrate:
         full = NeuronState()
         trace = []
         for k in range(200):
-            integrate(model, full, 1.5, k * dt, dt)
-            fire_check(model, full, k * dt)
+            integrate(model, full, 1.5, k, dt)
+            fire_check(model, full, k, dt)
             trace.append(full.v)
             if k == 99:
                 saved = copy.deepcopy(full)
         resumed = saved
         for k in range(100, 200):
-            integrate(model, resumed, 1.5, k * dt, dt)
-            fire_check(model, resumed, k * dt)
+            integrate(model, resumed, 1.5, k, dt)
+            fire_check(model, resumed, k, dt)
             assert resumed.v == trace[k]
 
 
@@ -95,20 +107,20 @@ class TestFireCheck:
     def test_fires_at_exact_threshold(self):
         model = lif(thres=1.0)
         state = NeuronState(v=1.0)
-        assert fire_check(model, state, t=0.5) is True
-        assert state.spike_times == [0.5]
+        assert fire_check(model, state, step=500, dt=1e-3) is True
+        assert state.spike_times == [500 * 1e-3]
         assert state.v == model.v_reset
 
     def test_below_threshold_no_emission(self):
         model = lif(thres=1.0)
         state = NeuronState(v=1.0 - 1e-12)
-        assert fire_check(model, state, 0.0) is False
+        assert fire_check(model, state, 0, 1e-3) is False
         assert state.spike_times == []
 
     def test_refractory_blocks_second_spike(self):
         model = lif(tau=1e-3, thres=0.5, t_refrac=20e-3, r_mem=1.0)
         state = run_constant_drive(model, 100.0, T=50e-3, dt=1e-3)
-        assert len(state.spike_times) == 3  # at ~0, 21, 42 ms
+        assert len(state.spike_times) == 3  # at 0, 20, 40 ms
         for a, b in zip(state.spike_times, state.spike_times[1:]):
             assert b - a >= model.t_refrac
 

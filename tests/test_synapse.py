@@ -1,17 +1,18 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from spikeforge.config import load_family_table, load_identical_levels
-from spikeforge.engine import _support_steps, stdp_pairing_sweep
+from spikeforge.engine import stdp_pairing_sweep
 from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.synapse import (
     PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence,
     SynapseMode, mode_from_voltage, saturates, step_device, transmit_current,
 )
-from spikeforge.waveform import Waveform
+from spikeforge.waveform import Waveform, support_steps
 
 US = 1e-6  # microsiemens
 
@@ -366,13 +367,13 @@ class TestPairingSweep:
 
 class TestSupportSteps:
     def test_exact_multiple(self):
-        assert _support_steps(0.025, 1e-3) == 25
+        assert support_steps(0.025, 1e-3) == 25
 
     def test_fractional_rounds_up(self):
-        assert _support_steps(0.0255, 1e-3) == 26
+        assert support_steps(0.0255, 1e-3) == 26
 
     def test_instantaneous(self):
-        assert _support_steps(0.0, 1e-3) == 0
+        assert support_steps(0.0, 1e-3) == 0
 
 
 class TestDeviceValidation:
@@ -401,7 +402,10 @@ class TestDeviceValidation:
          "row 1 is empty"),
         (lambda: dataclasses.replace(TestStepFamily.DEVICE, family_axis="depth"),
          "family_axis", "family_axis must be amplitude or width, got 'depth'"),
-    ], ids=["no-rows", "empty-row", "family_axis"])
+        # nan compares false with everything, so it must not pass as in order
+        (lambda: PulseFamilyTable((1.0, math.nan, 0.5), ((1 * US,),) * 3, True), "amplitudes",
+         "row amplitudes must be strictly ascending"),
+    ], ids=["no-rows", "empty-row", "family_axis", "nan-amplitude"])
     def test_rejected_table_texts(self, make, key, message):
         with pytest.raises(SpecError) as err:
             make()

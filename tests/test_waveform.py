@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from spikeforge.errors import SpecError
 from spikeforge.waveform import Waveform, waveform_from_flat
 
 RAMP = Waveform(((0.0, 0.0), (1.0, 1.0)))
@@ -41,6 +42,14 @@ def test_duration():
 def test_construction_rejects_decreasing_times():
     with pytest.raises(ValueError):
         Waveform(((0.0, 0.0), (2.0, 1.0), (1.0, 0.0)))
+
+
+def test_construction_rejects_a_nan_time():
+    # nan compares false with everything, so it must not pass as non-decreasing
+    with pytest.raises(SpecError) as err:
+        Waveform(((0.0, 0.0), (math.nan, 1.0), (0.002, 0.0)))
+    assert (err.value.key, str(err.value)) == (
+        "breakpoints", "breakpoint times must be non-decreasing (0.0 then nan)")
 
 
 def test_construction_rejects_triple_repeat():
