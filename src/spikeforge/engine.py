@@ -20,14 +20,16 @@ reproducible bit for bit.
 
 A step's array work follows spike activity, not matrix size: a matrix whose circuit engages no
 synapse without a pre spike scans only the rows of active pre lines, a row is one of its
-sample's two column patterns (pre line silent or active) masked by its connections, presence
-codes are made for the engaged synapses alone, which are all the kernel returns, and an idle
-line's state is a cached read-only array. V_TB is evaluated once per matrix and step, over the
-engaged synapses as one array (`expr.evaluate_array`). The loop over them that remains, on
+sample's two column patterns (pre line silent or active) masked by its connections, and an idle
+line's state is a cached read-only array. However many synapses a step engages, it holds BLOCK
+of them at a time (`_engaged`): a slice's presence codes, conductances and V_TB (one
+`expr.evaluate_array`) come from the slice alone, and its currents go into the neuron totals,
+one add at a time in engaged order, before the next slice is made. The loop over a slice, on
 Python floats, makes the per-element calls the benchmark's trace hooks count: mode_from_voltage,
 transmit_current, step_device and the neuron calls, looked up as module globals
-(`TestTracedNames`), until the engine keeps its own run statistics. Set-up runs on whole arrays,
-and the network file is written and read one block of NETFILE_BLOCK lines at a time in any
+(`TestTracedNames`), until the engine keeps its own run statistics; it keeps programming pulses
+only for a step that applies them and mode codes only for a recorded one. Set-up runs on whole
+arrays, and the network file is written and read one block of BLOCK lines at a time in any
 layout, holding the file's bytes, one offset per line and one block. The frozen passes of
 `assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one driver,
 `_present_frozen`: one sample on the network, more on a Network built for that many `samples`
@@ -38,7 +40,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -54,12 +55,10 @@ from spikeforge.synapse import (
 )
 from spikeforge.waveform import Waveform, num_steps, support_steps
 
-logger = logging.getLogger(__name__)
-
 NET_FORMAT = "spikeforge-net v1"
 
 FROZEN_BATCH = 8  # samples a frozen pass steps at once
-NETFILE_BLOCK = 1024  # network file lines made, or split and checked, at once
+BLOCK = 1024  # engaged synapses a step walks, or network file lines made or read, at once
 _NOT_SEPS = bytes(sorted(set(range(256)) - set(b",\n")))  # all but a line's field separators
 
 
@@ -281,8 +280,8 @@ class _Matrix:
         self.mask = mask
         self.g = np.zeros(mask.shape)
         self.pairs = np.argwhere(mask)  # (synapses, 2): row-major (pre, post) indices
-        self.plastic_lut = np.array([p in circuit.plasticity_policy for p in PRESENCE_BY_CODE])
-        self.engaged_lut = (self.plastic_lut | [  # [a, b]: presence code 2 * a + b engages
+        self.plastic_lut = [p in circuit.plasticity_policy for p in PRESENCE_BY_CODE]
+        self.engaged_lut = np.logical_or(self.plastic_lut, [  # [a, b]: code 2 * a + b engages
             p in circuit.transmit_policy for p in PRESENCE_BY_CODE]).reshape(2, 2)
         # no synapse engages without a pre spike: row 0 (none, post_only) is off
         self.pre_gated = not self.engaged_lut[0].any()
@@ -367,8 +366,9 @@ def _make_mask(post: LayerSpec, n_pre: int, n_post: int, rng, q: int) -> np.ndar
             mask[:, j] = rng.random(n_pre) < post.sparse_p
             redraws += 1
         if redraws:
-            logger.info("redrew sparse column %d of layer %d %d time(s) to "
-                        "guarantee an incoming connection", j, q, redraws)
+            import logging  # imported here only: it costs every import of the engine a few ms
+            logging.getLogger(__name__).info("redrew sparse column %d of layer %d %d time(s) "
+                                             "to guarantee an incoming connection", j, q, redraws)
     return mask
 
 
@@ -395,71 +395,79 @@ def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> 
             net.inputs.setdefault(at_step + k, []).append(chan)
 
 
-def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
-                  post2_out: _Line, step: int, dt: float):
-    """The synapse kernel: one matrix (layer q) for one timestep, shared by the
-    B samples of lines B times as wide as its layers (sample b's i at b * n + i).
+def _engaged(matrix: _Matrix, pre_active: np.ndarray, post_active: np.ndarray):
+    """The synapses a matrix engages at one step, for the B samples of lines B times as
+    wide as its layers (sample b's i at b * n + i), BLOCK at a time in sample-major,
+    row-major order; yields each slice's pre and post line indices and matrix indices.
 
     The candidate (sample, pre) rows are those with an active pre line when no circuit
     policy engages without a pre spike (`_Matrix.pre_gated`), else all. Each sample has two
     column patterns, the columns a row engages with its pre line silent and active; a row
-    takes the one its pre line picks, ANDed with its connections, and one flat nonzero finds
-    the engaged synapses, visited in sample-major, row-major order, on Python floats, with
-    their presence code 2 * pre_active + post_active (PRESENCE_BY_CODE) and V_TB evaluated
-    over all of them as one array. Returns (rows, cols, modes, currents, events):
-    each engaged synapse's pre and post line index, mode code and current, and
-    the programming pulses as (i, j, direction, |V_TB|)."""
-    circuit = matrix.circuit
+    takes the one its pre line picks, ANDed with its connections; these flags, a byte per
+    candidate synapse, are searched 64 blocks at a time, so no index array outgrows that."""
     n_pre, n_post = matrix.mask.shape
-    events: list[tuple[int, int, SynapseMode, float]] = []
-    pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
-    post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
     batch = len(post_active) // n_post
-    candidates = np.flatnonzero(pre_active) if matrix.pre_gated else np.arange(len(pre_active))
+    candidates = pre_active.nonzero()[0] if matrix.pre_gated else np.arange(len(pre_active))
     sample, pre = np.divmod(candidates, n_pre) if batch > 1 else (0, candidates)
     patterns = matrix.engaged_lut[:, post_active.view(np.uint8).reshape(batch, n_post)]
-    k, post = np.divmod(np.flatnonzero(
-        patterns[pre_active[candidates].view(np.uint8), sample] & matrix.mask[pre]), n_post)
-    rows, pre = candidates[k], pre[k]
-    cols = sample[k] * n_post + post if batch > 1 else post
-    out, mode_codes = [], []
-    if not len(rows):
-        return rows, cols, mode_codes, out, events
-    code = 2 * pre_active[rows] + post_active[cols]
-    g = matrix.g[pre, post]
-    columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
-    if matrix.needs_post2:
-        columns["V_post2"] = post2_out.state(step, circuit.rest_v_post2)[1][cols]
-    env = dict(matrix.base_env)
-    v_tb, failed = expr.evaluate_array(circuit.v_app, {**env, **columns})
-    n = int(failed.argmax()) if failed.any() else len(rows)
-    ex_volts = (zip(*(columns[name].tolist() for name in matrix.ex_lines)) if matrix.ex_lines
-                else itertools.repeat(()))
-    plastic = matrix.plastic_lut.tolist()
-    try:
-        # zip stops at the first synapse whose V_TB failed; synapse len(out) is the current one
-        for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_volts):
-            env["V_TB"] = v
-            # for ex_eqs, as the very float transmit_current gets, so it need not copy env
-            env["G"] = gk
-            if volts:
-                env.update(zip(matrix.ex_lines, volts))
-            if plastic[c]:
-                mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
-                if mode in PROGRAMMING:
-                    events.append((int(pre[len(out)]), int(post[len(out)]), mode, abs(v)))
-            else:
-                # engaged but not plastic: the presence is in transmit_policy
-                mode = TRANSMIT
-            out.append(transmit_current(circuit, gk, env, mode))
-            mode_codes.append(mode.code)
-        if n < len(rows):  # the scalar evaluation raises that synapse's own text
-            expr.evaluate(circuit.v_app, {**matrix.base_env, **{
-                name: column[n].item() for name, column in columns.items()}})
-    except expr.ExprError as err:
-        raise SimulationError(f"synapse (layer {q}, pre {pre[len(out)]}, post "
-                              f"{post[len(out)]}) at t={step * dt}: {err}") from err
-    return rows, cols, mode_codes, out, events
+    hit = (patterns[pre_active[candidates].view(np.uint8), sample] & matrix.mask[pre]).ravel()
+    for top in range(0, len(hit), 64 * BLOCK):
+        flat = hit[top:top + 64 * BLOCK].nonzero()[0] + top
+        for lo in range(0, len(flat), BLOCK):
+            k, post = np.divmod(flat[lo:lo + BLOCK], n_post)
+            yield candidates[k], sample[k] * n_post + post if batch > 1 else post, pre[k], post
+
+
+def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
+                  post2_out: _Line, step: int, dt: float, program: bool, record: bool):
+    """The synapse kernel: one matrix (layer q) for one timestep, on lines one or more
+    samples wide. Each slice of engaged synapses (`_engaged`) gets its presence codes
+    2 * pre_active + post_active (PRESENCE_BY_CODE), conductances and V_TB (one array
+    evaluation) from the slice alone, and its loop runs on Python floats. Yields, per
+    slice, (rows, cols, modes, currents, events): each engaged synapse's pre and post
+    line index, its mode code when `record` (else modes is empty) and its current, and,
+    when `program`, the programming pulses as (i, j, direction, |V_TB|). The caller takes
+    each slice before the next is made; a V_TB failure raises once those before it are."""
+    circuit, plastic = matrix.circuit, matrix.plastic_lut
+    pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
+    post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
+    for rows, cols, i, post in _engaged(matrix, pre_active, post_active):
+        code = 2 * pre_active[rows] + post_active[cols]
+        g = matrix.g[i, post]
+        columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
+        if matrix.needs_post2:
+            columns["V_post2"] = post2_out.state(step, circuit.rest_v_post2)[1][cols]
+        env = dict(matrix.base_env)
+        v_tb, failed = expr.evaluate_array(circuit.v_app, {**env, **columns})
+        n = int(failed.argmax()) if np.count_nonzero(failed) else len(rows)
+        ex_volts = (zip(*(columns[name].tolist() for name in matrix.ex_lines))
+                    if matrix.ex_lines else itertools.repeat(()))
+        out, mode_codes, events = [], [], []
+        try:
+            # zip stops at the first synapse whose V_TB failed; synapse len(out) is the current one
+            for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_volts):
+                env["V_TB"] = v
+                # for ex_eqs, as the very float transmit_current gets, so it need not copy env
+                env["G"] = gk
+                if volts:
+                    env.update(zip(matrix.ex_lines, volts))
+                if plastic[c]:
+                    mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
+                    if program and mode in PROGRAMMING:
+                        events.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
+                else:
+                    # engaged but not plastic: the presence is in transmit_policy
+                    mode = TRANSMIT
+                out.append(transmit_current(circuit, gk, env, mode))
+                if record:
+                    mode_codes.append(mode.code)
+            if n < len(rows):  # the scalar evaluation raises that synapse's own text
+                expr.evaluate(circuit.v_app, {**matrix.base_env, **{
+                    name: column[n].item() for name, column in columns.items()}})
+        except expr.ExprError as err:
+            raise SimulationError(f"synapse (layer {q}, pre {i[len(out)]}, post "
+                                  f"{post[len(out)]}) at t={step * dt}: {err}") from err
+        yield rows, cols, mode_codes, out, events
 
 
 def _program(matrix: _Matrix, events) -> int:
@@ -484,11 +492,18 @@ def run_timestep(net: Network, step: int, learn: bool = True,
     for q in range(1, len(net.layers)):
         matrix = net.matrices[q - 1]
         post_layer = net.layers[q]
-        rows, cols, modes, currents, events = _synapse_pass(
-            matrix, q, net.layers[q - 1].pre_out, post_layer.post1_in,
-            post_layer.pre_out, step, dt)
+        program = learn and matrix.plastic
         _, inhib = post_layer.inhib_in.state(step, 0.0)
-        total = np.bincount(cols, weights=currents, minlength=len(inhib)) - inhib
+        total, events = np.zeros(len(inhib)), []
+        dense = np.zeros(matrix.g.shape, dtype=np.int8) if record else None
+        for rows, cols, modes, currents, found in _synapse_pass(
+                matrix, q, net.layers[q - 1].pre_out, post_layer.post1_in,
+                post_layer.pre_out, step, dt, program, record):
+            np.add.at(total, cols, np.fromiter(currents, float, len(currents)))  # in engaged order
+            events += found
+            if record:
+                dense[rows, cols] = modes
+        total -= inhib
         for j, (state, current) in enumerate(zip(post_layer.states, total.tolist())):
             try:
                 integrate(post_layer.spec.neuron_model, state, current, step, dt)
@@ -501,12 +516,10 @@ def run_timestep(net: Network, step: int, learn: bool = True,
                 fired.append(j)
                 _emit(net, q, j, step)
 
-        if learn and matrix.plastic:
+        if program:
             net.saturation_events += _program(matrix, events)
 
         if record:
-            dense = np.zeros(matrix.g.shape, dtype=np.int8)
-            dense[rows, cols] = modes
             trace.modes.append(dense)
             trace.currents.append(total)
             trace.v.append(np.array([s.v for s in post_layer.states]))
@@ -572,8 +585,8 @@ def stdp_pairing_sweep(circuit: CircuitModel, device: PulseFamilyDevice,
         ends.append(max(pre_o + len(pre), post_o + len(post)))
     n_pot, n_dep = [0] * len(deltas), [0] * len(deltas)
     for k in range(max(ends, default=0)):
-        *_, events = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt)
-        events = [e for e in events if k < ends[e[0]]]
+        slices = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt, True, False)
+        events = [e for *_, found in slices for e in found if k < ends[e[0]]]
         _program(matrix, events)
         for m, _, mode, _ in events:
             (n_pot if mode is SynapseMode.POTENTIATE else n_dep)[m] += 1
@@ -629,7 +642,9 @@ def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -
 
     Chunks of up to FROZEN_BATCH samples run through `_present_frozen`, a failing one again
     as chunks of one; sums run in one-sample order and energy is added per neuron in sample,
-    then step order, so counts and net end bit for bit as with chunks of one."""
+    then step order, so counts and net end bit for bit as with chunks of one. A chunk's step
+    holds BLOCK of its engaged synapses at a time, however many samples share it, and
+    builds no programming pulses: plasticity is off, so none would be applied."""
     counts = np.zeros((len(dataset), net.spec.layers[net.label_layer].neurons), dtype=int)
     steps = num_steps(sim.T_sample, sim.dt)
 
@@ -718,12 +733,12 @@ def save_network(net: Network, path) -> None:
     synapse (matrix q from 1, pre i, post j, in `matrix.pairs` order, g as
     repr(float)), then `label,n,c|none` per label-layer neuron n. load_network
     takes the lines in any order, and of two lines with one key the last.
-    The lines are made and written one block of NETFILE_BLOCK at a time."""
+    The lines are made and written one block of BLOCK at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(NET_FORMAT + "\n")
         for q, matrix in enumerate(net.matrices, start=1):
-            for lo in range(0, len(matrix.pairs), NETFILE_BLOCK):
-                rows, cols = matrix.pairs[lo:lo + NETFILE_BLOCK].T
+            for lo in range(0, len(matrix.pairs), BLOCK):
+                rows, cols = matrix.pairs[lo:lo + BLOCK].T
                 fh.write("".join([f"{q},{i},{j},{g!r}\n" for i, j, g in zip(
                     rows.tolist(), cols.tolist(), matrix.g[rows, cols].tolist())]))
         fh.writelines(f"label,{n},{'none' if label is None else label}\n"
@@ -766,8 +781,8 @@ def _load_conductances(net: Network, path) -> None:
     n, m = len(codes) - 1, len(net.labels)
     g, seen, extra, by_neuron = np.empty(n), np.zeros(n, bool), set(), {}
     # blocks of synapse lines end where save_network's synapse lines end
-    starts = [*range(1, min(n + 1, len(ends)), NETFILE_BLOCK),
-              *range(n + 1, len(ends), NETFILE_BLOCK)]
+    starts = [*range(1, min(n + 1, len(ends)), BLOCK),
+              *range(n + 1, len(ends), BLOCK)]
     for line, end in zip(starts, starts[1:] + [len(ends)]):
         start, stop = ends[line - 1] + 1, ends[end - 1]
         block, seps = raw[start:stop].decode(), raw[start:stop + 1].translate(None, _NOT_SEPS)

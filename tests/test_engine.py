@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import logging
 import math
 import tracemalloc
 
@@ -198,6 +199,23 @@ class TestBuildNetwork:
         b = build_network(spec, 1e-3)
         assert np.array_equal(a.matrices[0].mask, b.matrices[0].mask)
         assert a.matrices[0].mask.any(axis=0).all()  # every post neuron reachable
+
+    def test_a_redrawn_sparse_column_is_logged(self, caplog):
+        # two inputs at p = 0.1: most columns draw no connection at first
+        with caplog.at_level(logging.INFO, logger="spikeforge.engine"):
+            net = build_network(two_layer_spec(2, 6, conn_type="sparse", sparse_p=0.1,
+                                               seed=3), 1e-3)
+        rng = np.random.default_rng(3)
+        mask, expected = rng.random((2, 6)) < 0.1, []
+        for j in range(6):
+            redraws = 0
+            while not mask[:, j].any():
+                mask[:, j], redraws = rng.random(2) < 0.1, redraws + 1
+            if redraws:
+                expected.append(f"redrew sparse column {j} of layer 1 {redraws} time(s) "
+                                "to guarantee an incoming connection")
+        assert [r.getMessage() for r in caplog.records] == expected and len(expected) > 1
+        assert np.array_equal(net.matrices[0].mask, mask)
 
     def test_initial_conductances_within_device_range(self):
         spec = two_layer_spec(6, 3)
@@ -577,7 +595,8 @@ class TestBatchedFrozenPass:
     and predictions, in one run_timestep per chunk and step, and leave every
     neuron's spike times, energy, membrane and refractory window and every
     pending line as the driver leaves them, bit for bit; that state then
-    seeds a training stream without resets the same way."""
+    seeds a training stream without resets the same way. Chunks of 3 and 7 also
+    run with engine.BLOCK at 1 and 3, so a step's engaged synapses come in slices."""
 
     SIM = SimConfig(T=0.06, dt=1e-3, T_sample=0.02, seed=4)
     ENC = PoissonEncoder(0.0, 90.0)
@@ -634,6 +653,16 @@ class TestBatchedFrozenPass:
     @pytest.mark.parametrize("make", ["two_layer", "three_layer", "hidden_label",
                                       "lone_inhibitor"])
     def test_matches_the_per_sample_driver(self, make, batch, monkeypatch):
+        self.check_against_the_driver(make, batch, engine.BLOCK, monkeypatch)
+
+    @pytest.mark.parametrize("batch, block", [(3, 1), (7, 3)])
+    @pytest.mark.parametrize("make", ["two_layer", "three_layer", "hidden_label",
+                                      "lone_inhibitor"])
+    def test_matches_the_per_sample_driver_in_small_blocks(self, make, batch, block,
+                                                            monkeypatch):
+        self.check_against_the_driver(make, batch, block, monkeypatch)
+
+    def check_against_the_driver(self, make, batch, block, monkeypatch):
         spec = getattr(self, make)()
         rng = np.random.default_rng(batch)
         width = spec.layers[0].neurons
@@ -642,6 +671,7 @@ class TestBatchedFrozenPass:
         sim, enc = self.SIM, self.ENC
         ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
         monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+        monkeypatch.setattr(engine, "BLOCK", block)
         steps = []
         step_once = engine.run_timestep
 
@@ -690,17 +720,48 @@ class TestBatchedFrozenPass:
             (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.0),
             (0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0))]
         sim, enc = self.SIM, FixedRateEncoder(0.0, 100.0)
-        ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
-        with pytest.raises(SimulationError) as expected:
-            reference_assign_labels(ref, dataset, sim, enc)
         monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
-        with pytest.raises(SimulationError) as got:
-            assign_labels(net, dataset, sim, enc)
-        assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith("neuron (layer 1, index 0) at t=0.0: sqrt")
-        assert snapshot(net) == snapshot(ref)
-        # samples 0 and 1 fired at steps 0, 1, 10 and 11; sample 2 failed at step 0
-        assert [s.spike_times for s in net.layers[1].states] == [[0.0, 0.001, 0.01, 0.011] * 2] * 2
+        for block in (1, 3, engine.BLOCK):  # steps in slices of 1 and 3, then whole
+            ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+            with pytest.raises(SimulationError) as expected:
+                reference_assign_labels(ref, dataset, sim, enc)
+            monkeypatch.setattr(engine, "BLOCK", block)
+            with pytest.raises(SimulationError) as got:
+                assign_labels(net, dataset, sim, enc)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith("neuron (layer 1, index 0) at t=0.0: sqrt")
+            assert snapshot(net) == snapshot(ref)
+            # samples 0 and 1 fired at steps 0, 1, 10 and 11; sample 2 failed at step 0
+            assert [s.spike_times for s in net.layers[1].states] == [
+                [0.0, 0.001, 0.01, 0.011] * 2] * 2
+
+    def test_an_ungated_chunk_stays_bounded_at_784x100(self):
+        """Eight samples of two steps in one chunk of the 784 x 100 net, on a
+        circuit that engages every synapse whatever its spikes: each step
+        engages 8 x 78400 synapses, and the pass holds BLOCK of them at a time.
+        When a step held all of them, the traced peak read about 117 MB with
+        FROZEN_BATCH 8 and 14 MB with 1; walked a block at a time, about 3 MB."""
+        circuit = CircuitModel(
+            v_app=parse("V_pre - V_post1"), v_th_pos=10.0, v_th_neg=10.0,
+            transmit_policy=frozenset(SpikePresence), plasticity_policy=frozenset())
+        spec = NetworkSpec(layers=(input_layer(784), LayerSpec(
+            neurons=100, neuron_model=out_model(), label=True, circuit_model=circuit,
+            device_model=small_device())), seed=1)
+        net = build_network(spec, 1e-3)
+        rng = np.random.default_rng(8)
+        dataset = [Sample(tuple(rng.random(784).round(2).tolist()), label=b % 3)
+                   for b in range(8)]
+        sim = SimConfig(T=2e-3, dt=1e-3, T_sample=2e-3, seed=8)
+        engine._frozen_counts(net, dataset[:1], sim, self.ENC, phase=1)  # fills caches
+        tracemalloc.start()
+        try:
+            counts = engine._frozen_counts(net, dataset, sim, self.ENC, phase=1)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert not net.matrices[0].pre_gated and engine.FROZEN_BATCH == 8
+        assert peak_mb <= 10.0, peak_mb
+        assert counts.any()
 
 
 def random_frozen_spec(seed: int) -> NetworkSpec:
@@ -736,10 +797,11 @@ def random_frozen_spec(seed: int) -> NetworkSpec:
 
 
 class TestFrozenDriverDifferential:
-    """Seeded random small nets: with FROZEN_BATCH 1, 2, 3 and 8, the frozen
-    passes give the per-sample reference driver's phase-1 counts, labels and
-    predictions, or its error when a state_eqs sample fails, and after each
-    pass leave the net's state as the reference leaves it, bit for bit."""
+    """Seeded random small nets: with FROZEN_BATCH 1, 2, 3 and 8, and with chunks
+    of 8 and 3 walked in slices of engine.BLOCK 1 and 3, the frozen passes give
+    the per-sample reference driver's phase-1 counts, labels and predictions,
+    or its error when a state_eqs sample fails, and after each pass leave the
+    net's state as the reference leaves it, bit for bit."""
 
     SIM = SimConfig(T=0.03, dt=1e-3, T_sample=0.015, seed=6)
     ENC = PoissonEncoder(0.0, 100.0)
@@ -769,13 +831,15 @@ class TestFrozenDriverDifferential:
                          for i, s in enumerate(dataset)],
             lambda net: reference_assign_labels(net, dataset, sim, enc),
             lambda net: reference_infer(net, dataset[::-1], sim, enc)[1]])
-        for batch in (1, 2, 3, 8):
+        for batch, block in ((1, engine.BLOCK), (2, engine.BLOCK), (3, engine.BLOCK),
+                             (8, engine.BLOCK), (8, 1), (3, 3)):
             monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+            monkeypatch.setattr(engine, "BLOCK", block)
             got = self.run(build_network(spec, sim.dt), [
                 lambda net: engine._frozen_counts(net, dataset, sim, enc, phase=1).tolist(),
                 lambda net: assign_labels(net, dataset, sim, enc),
                 lambda net: infer(net, dataset[::-1], sim, enc).predictions])
-            assert got == expected, f"FROZEN_BATCH={batch}"
+            assert got == expected, f"FROZEN_BATCH={batch}, BLOCK={block}"
 
 
 class TestSaveLoad:

@@ -16,14 +16,19 @@ neuron the row-order sum of its engaged currents.
 The same holds for a batch: B samples share the matrix, on lines B times as
 wide (sample b's neuron i at b * n + i). The kernel must then match the full
 scan run on each sample's own narrow lines, in sample order.
+
+The kernel walks the engaged synapses engine.BLOCK at a time; each oracle also
+runs with the block at 1 and 3, so slices split rows, samples and the
+neuron sums, and a failing synapse can lie in a later slice than the first.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from spikeforge import expr
+from spikeforge import engine, expr
 from spikeforge.engine import (
     LayerSpec, NetworkSpec, SimulationError, WeightInit, _Line, _Matrix, _samples,
     _synapse_pass, build_network, run_timestep,
@@ -44,6 +49,7 @@ V_APPS = ("V_pre - V_post1", "V_pre - V_post1 + 0.5 * V_post2", "V_pre / V_post1
           "2 * tanh(V_pre) - sqrt(V_post1 + 1)")
 EX_EQS = (None, "G * V_TB + 1e-7 * V_post1")
 DEVICE = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
+BLOCKS = (1, 3, engine.BLOCK)
 
 
 def classify_presence(pre_active: bool, post_active: bool) -> SpikePresence:
@@ -91,6 +97,19 @@ def full_scan_synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt):
             ) from err
         modes[i, j] = mode.code
     return currents, modes, events, visited
+
+
+def engine_pass(matrix, q, pre_out, post1_in, post2_out, step, dt, program=True,
+                record=True):
+    """The engine's kernel with its slices joined: (rows, cols, modes, currents,
+    events), each over all the engaged synapses in yield order."""
+    joined = [], [], [], [], []
+    for part in _synapse_pass(matrix, q, pre_out, post1_in, post2_out, step, dt, program,
+                              record):
+        for whole, piece in zip(joined, part):
+            whole += list(piece)
+    rows, cols, *rest = joined
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), *rest)
 
 
 def densified(matrix, rows, cols, codes, currents):
@@ -159,8 +178,10 @@ def outcome(kernel, matrix, lines):
         return call
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("mode_from_voltage", "transmit_current"):
-            patch.setitem(kernel.__globals__, name, logged(name, kernel.__globals__[name]))
+        # the full scan looks them up here, the engine's kernel in its module
+        for scope in (globals(), _synapse_pass.__globals__):
+            for name in ("mode_from_voltage", "transmit_current"):
+                patch.setitem(scope, name, logged(name, scope[name]))
         patch.setattr(expr, "evaluate", logged("evaluate", expr.evaluate))
         try:
             result = kernel(matrix, 1, *lines, STEP, DT)
@@ -169,34 +190,60 @@ def outcome(kernel, matrix, lines):
     return result, calls
 
 
+def engaged_before_the_error(calls):
+    """How many synapses a failing pass took before its failing one: one
+    transmit_current call each (ex_eqs here cannot fail)."""
+    return sum(name == "transmit_current" for name, _ in calls)
+
+
 @pytest.mark.parametrize("plasticity", POLICIES, ids=lambda p: "+".join(
     sorted(s.value for s in p)) or "no_plasticity")
-def test_engaged_only_kernel_matches_the_full_scan(plasticity):
+def test_engaged_only_kernel_matches_the_full_scan(plasticity, monkeypatch):
     rng = np.random.default_rng(POLICIES.index(plasticity))
-    seen_modes, errors, scanned_fewer = set(), 0, 0
+    seen_modes, errors, late_errors, scanned_fewer = set(), 0, 0, 0
     for transmit in POLICIES:
         for _ in range(4):
             matrix, lines = random_case(rng, transmit, plasticity)
             expected, expected_calls = outcome(full_scan_synapse_pass, matrix, lines)
-            got, got_calls = outcome(_synapse_pass, matrix, lines)
-            assert got_calls == expected_calls
+            for block in BLOCKS:
+                monkeypatch.setattr(engine, "BLOCK", block)
+                got, got_calls = outcome(engine_pass, matrix, lines)
+                assert got_calls == expected_calls
+                if isinstance(expected, str):
+                    assert got == expected
+                    late_errors += engaged_before_the_error(got_calls) >= block
+                    continue
+                rows, cols, codes, currents, events = got
+                assert list(zip(rows.tolist(), cols.tolist())) == expected[3]
+                assert len(codes) == len(currents) == len(rows)
+                dense_currents, dense_modes = densified(matrix, rows, cols, codes, currents)
+                assert dense_currents.dtype == expected[0].dtype
+                assert dense_currents.tobytes() == expected[0].tobytes()
+                assert np.array_equal(dense_modes, expected[1])
+                assert events == expected[2]
+            # a frozen step, in slices of 3, makes the same calls, modes and currents, and
+            # no events; unrecorded, as run_timestep makes it unless asked, it has no modes
+            monkeypatch.setattr(engine, "BLOCK", 3)
+            frozen, frozen_calls = outcome(functools.partial(engine_pass, program=False),
+                                           matrix, lines)
+            plain, plain_calls = outcome(functools.partial(
+                engine_pass, program=False, record=False), matrix, lines)
+            assert frozen_calls == plain_calls == expected_calls
             if isinstance(expected, str):
-                assert got == expected
+                assert frozen == plain == expected
                 errors += 1
                 continue
-            rows, cols, codes, currents, events = got
-            assert list(zip(rows.tolist(), cols.tolist())) == expected[3]
-            assert len(codes) == len(currents) == len(rows)
-            dense_currents, dense_modes = densified(matrix, rows, cols, codes, currents)
-            assert dense_currents.dtype == expected[0].dtype
-            assert dense_currents.tobytes() == expected[0].tobytes()
-            assert np.array_equal(dense_modes, expected[1])
-            assert events == expected[2]
+            assert frozen[4] == plain[4] == plain[2] == []
+            assert [np.asarray(part).tobytes() for part in frozen[:4]] == [
+                np.asarray(part).tobytes() for part in got[:4]]
+            assert [np.asarray(plain[k]).tobytes() for k in (0, 1, 3)] == [
+                np.asarray(got[k]).tobytes() for k in (0, 1, 3)]
             seen_modes.update(np.unique(dense_modes[matrix.mask]).tolist())
             scanned_fewer += matrix.pre_gated and not lines[0].state(STEP, 0.0)[0].all()
-    # the random cases reach every mode the policies allow, and the error path
+    # the random cases reach every mode the policies allow, the error path, and
+    # with small blocks a failing synapse past the first slice
     assert seen_modes == {0, 1} | ({2, 3} if plasticity else set())
-    assert errors
+    assert errors and late_errors
     if SpikePresence.NONE not in plasticity and SpikePresence.POST_ONLY not in plasticity:
         # some transmit policies leave the matrix gated by its pre lines
         assert scanned_fewer
@@ -237,7 +284,7 @@ def batched_full_scan(matrix, samples):
 @pytest.mark.parametrize("batch", [2, 3])
 @pytest.mark.parametrize("plasticity", POLICIES[::3], ids=lambda p: "+".join(
     sorted(s.value for s in p)) or "no_plasticity")
-def test_batched_kernel_matches_the_full_scan_per_sample(plasticity, batch):
+def test_batched_kernel_matches_the_full_scan_per_sample(plasticity, batch, monkeypatch):
     rng = np.random.default_rng([batch, POLICIES.index(plasticity)])
     seen_modes, failed_in, scanned_fewer = set(), set(), 0
     for transmit in POLICIES:
@@ -251,20 +298,24 @@ def test_batched_kernel_matches_the_full_scan_per_sample(plasticity, batch):
                 outcome(full_scan_synapse_pass, matrix, sample)[0], str))
             expected, expected_calls = batched_full_scan(matrix, samples)
             wide = tuple(map(widened, zip(*samples)))
-            got, got_calls = outcome(_synapse_pass, matrix, wide)
-            assert got_calls == expected_calls
+            for block in BLOCKS:
+                monkeypatch.setattr(engine, "BLOCK", block)
+                got, got_calls = outcome(engine_pass, matrix, wide)
+                assert got_calls == expected_calls
+                if isinstance(expected[0], str):
+                    assert got == expected[0]
+                    continue
+                rows, cols, codes, currents, events = got
+                assert list(zip(rows.tolist(), cols.tolist())) == expected[3]
+                dense_currents = np.zeros(expected[0].shape)
+                dense_modes = np.zeros(expected[1].shape, dtype=np.int8)
+                dense_currents[rows, cols], dense_modes[rows, cols] = currents, codes
+                assert dense_currents.tobytes() == expected[0].tobytes()
+                assert np.array_equal(dense_modes, expected[1])
+                assert events == expected[2]
             if isinstance(expected[0], str):
-                assert got == expected[0]
                 failed_in.add(expected[1])
                 continue
-            rows, cols, codes, currents, events = got
-            assert list(zip(rows.tolist(), cols.tolist())) == expected[3]
-            dense_currents = np.zeros(expected[0].shape)
-            dense_modes = np.zeros(expected[1].shape, dtype=np.int8)
-            dense_currents[rows, cols], dense_modes[rows, cols] = currents, codes
-            assert dense_currents.tobytes() == expected[0].tobytes()
-            assert np.array_equal(dense_modes, expected[1])
-            assert events == expected[2]
             seen_modes.update(codes)
             scanned_fewer += matrix.pre_gated and not wide[0].state(STEP, 0.0)[0].all()
     # every mode the policies allow, a failure past the first sample, and gated scans
@@ -285,10 +336,17 @@ def test_pre_gated_is_read_from_both_policies():
 
 @pytest.mark.parametrize("n_pre, n_post, seed", [(12, 1, 6), (40, 1, 1), (9, 3, 2),
                                                  (30, 12, 3)])
-def test_run_timestep_sums_each_neuron_input_in_row_order(n_pre, n_post, seed):
+def test_run_timestep_sums_each_neuron_input_in_row_order(n_pre, n_post, seed, monkeypatch):
     """With no inhibition, a neuron's input is 0.0 plus its engaged currents,
     added one at a time in row order, also for a one-column layer with many
-    engaged inputs, where a pairwise sum would round differently."""
+    engaged inputs, where a pairwise sum would round differently, and across
+    the slices of a small block."""
+    for block in BLOCKS:
+        monkeypatch.setattr(engine, "BLOCK", block)
+        assert_row_order_sums(n_pre, n_post, seed)
+
+
+def assert_row_order_sums(n_pre, n_post, seed):
     rng = np.random.default_rng(seed)
     pre = Waveform(((0.0, 0.7), (2 * DT, 0.7)))
     circuit = CircuitModel(v_app=parse("V_pre - V_post1"), v_th_pos=1.0, v_th_neg=1.0,

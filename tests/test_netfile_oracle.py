@@ -248,7 +248,7 @@ def net_dir(tmp_path_factory):
 
 # blocks of 1 and 3 lines put block boundaries beside the mutations and cut
 # both the synapse lines and the label lines into several blocks
-BLOCKS = (1, 3, engine.NETFILE_BLOCK)
+BLOCKS = (1, 3, engine.BLOCK)
 
 
 @settings(derandomize=True, database=None, max_examples=375, deadline=None)
@@ -258,7 +258,7 @@ BLOCKS = (1, 3, engine.NETFILE_BLOCK)
 def test_loader_matches_the_line_by_line_loader(net_dir, spec, seed, kinds, ending, block):
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "NETFILE_BLOCK", block)
+        mp.setattr(engine, "BLOCK", block)
         lines = saved_lines(spec, rng)
         for kind in kinds:
             lines = mutate(lines, kind, rng)
@@ -272,7 +272,7 @@ def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array
     corrupting kinds do fail and the harmless ones do load; and no file as
     save_network writes it reaches the per-line read, `_read_lines`: each of
     its blocks is taken whole."""
-    monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
+    monkeypatch.setattr(engine, "BLOCK", block)
     read_by_line = []
     read_lines = engine._read_lines
 
@@ -301,13 +301,13 @@ def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array
         assert "loaded" in seen[kind], kind
 
 
-@pytest.mark.parametrize("block", [3, engine.NETFILE_BLOCK])
+@pytest.mark.parametrize("block", [3, engine.BLOCK])
 def test_corrupt_conductance_in_the_last_block_reports_its_own_line(tmp_path, monkeypatch,
                                                                      block):
-    monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
+    monkeypatch.setattr(engine, "BLOCK", block)
     spec = NetworkSpec(layers=(layer(40), layer(30, label=True)), seed=5)
     lines = render(save_network, build_network(spec, DT)).splitlines()
-    assert len(lines) == 1 + 1200 + 30 and 1200 > engine.NETFILE_BLOCK
+    assert len(lines) == 1 + 1200 + 30 and 1200 > engine.BLOCK
     lines[1200] = lines[1200].rpartition(",")[0] + ",1.0.0"  # the last synapse line
     assert compare(tmp_path, spec, lines) == "error"
     with pytest.raises(NetworkFileError) as err:
@@ -322,7 +322,7 @@ def test_a_label_line_among_the_synapse_lines_names_its_own_neuron(tmp_path, mon
     """At block 1, line 11 of the one-to-one net comes two lines before its
     label lines, where a label taken by position would be neuron -2: the
     line `label,10,...` moved there must still set neuron 10's label."""
-    monkeypatch.setattr(engine, "NETFILE_BLOCK", block)
+    monkeypatch.setattr(engine, "BLOCK", block)
     spec = SPECS[2]  # 12 synapse lines, then 12 label lines
     lines = saved_lines(spec, np.random.default_rng(0))
     assert lines[23].startswith("label,10,")

@@ -23,16 +23,26 @@ def test_every_console_script_imports_and_is_callable():
         assert callable(obj), f"script {name!r}: {target} is not callable"
 
 
-def test_loading_a_config_does_not_import_scipy():
-    # SciPy is only for neuron calibration; importing it costs most of a run's set-up
+def imported_by_loading_a_config(names) -> str:
+    """Which of names a fresh interpreter holds after `import spikeforge.config`."""
     src = str(PYPROJECT.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, spikeforge.config; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, spikeforge.config; "
+         f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_loading_a_config_does_not_import_scipy():
+    # SciPy is only for neuron calibration; importing it costs most of a run's set-up
+    assert imported_by_loading_a_config({"scipy"}) == "[]"
+
+
+def test_loading_a_config_does_not_import_logging():
+    # only a redrawn sparse column logs; logging, traceback and string cost a few ms
+    assert imported_by_loading_a_config({"logging", "traceback", "string"}) == "[]"
 
 
 class TestFileIO:
