@@ -354,10 +354,11 @@ def _build_device(section: _Section):
         got = section.read({
             "table_ltp_path": _file(section.base_dir, lambda p: load_family_table(p, True)),
             "table_ltd_path": _file(section.base_dir, lambda p: load_family_table(p, False)),
-            "family_axis": _one_of("amplitude", "width")},
+            # checked, not kept: a row is picked by |V_TB| against the row amplitudes
+            "family_axis": _expect(("amplitude",).index,
+                                   "amplitude (family rows are picked by pulse amplitude)")},
             required=("table_ltp_path", "table_ltd_path"))
         tables = got.pop("table_ltp_path", None), got.pop("table_ltd_path", None)
-        args |= got
     if None in tables or not {"g_min", "g_max"} <= args.keys():
         return None
     return section.build(make, *tables, **args)

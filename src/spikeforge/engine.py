@@ -32,8 +32,9 @@ only for a step that applies them and mode codes only for a recorded one. Set-up
 arrays, and the network file is written and read one block of BLOCK lines at a time in any
 layout, holding the file's bytes, one offset per line and one block. The frozen passes of
 `assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one driver,
-`_present_frozen`: one sample on the network, more on a Network built for that many `samples`
-(sample b's neuron j at b * n + j) with its matrices; a failing chunk reruns as chunks of one."""
+`_present_frozen`, on a Network built for that many `samples` (sample b's neuron j at
+b * n + j) with the network's matrices; only spike times and energy reach the network, whose
+transient state stays reset, and a failing chunk reruns as chunks of one."""
 
 from __future__ import annotations
 
@@ -251,11 +252,11 @@ class _LayerRuntime:
     __slots__ = ("spec", "states", "pre_out", "post1_in", "inhib_in",
                  "pre", "post1", "post2", "inhib")
 
-    def __init__(self, spec: LayerSpec, is_input: bool, dt: float, samples: int = 1):
+    def __init__(self, spec: LayerSpec, is_input: bool, dt: float, samples: int | None):
         self.spec = spec
-        n = spec.neurons * samples
+        n = spec.neurons * (samples or 1)
         self.states = [] if is_input else [NeuronState(
-            v=spec.neuron_model.v_reset, energy=_EnergyLog() if samples > 1 else 0.0)
+            v=spec.neuron_model.v_reset, energy=0.0 if samples is None else _EnergyLog())
             for _ in range(n)]
         self.pre_out, self.post1_in, self.inhib_in = _Line(n), _Line(n), _Line(n)
         wf = spec.neuron_model.waveforms
@@ -303,9 +304,10 @@ class StepTrace:
 
 
 class Network:
-    """Built network: synapse matrices, neuron states, pending spike lines."""
+    """Built network: synapse matrices, neuron states, pending spike lines; with
+    `samples`, a frozen chunk's runtime, whose neurons log their energy terms."""
 
-    def __init__(self, spec: NetworkSpec, dt: float, samples: int = 1):
+    def __init__(self, spec: NetworkSpec, dt: float, samples: int | None = None):
         self.spec = spec
         self.dt = dt
         self.layers = [_LayerRuntime(ls, k == 0, dt, samples) for k, ls in enumerate(spec.layers)]
@@ -325,7 +327,7 @@ class Network:
         """Clear membranes, refractory windows and all pending spikes.
 
         Spike time logs and conductances survive; this is the between-sample
-        reset, not a teardown.
+        reset, not a teardown, and the state every frozen pass leaves.
         """
         for layer in self.layers:
             for state in layer.states:
@@ -608,30 +610,19 @@ def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> Non
 
 def _present_frozen(net: Network, trains: list, steps: int) -> list[int]:
     """Present samples (input trains each) frozen, each as if alone from reset_transient,
-    and return their label-layer counts, leaving net as the last sample left it. One
-    sample runs on net itself; more step together on a runtime built from net.spec, with
-    net's matrices once per sample, and fold their spike times and energy into net's."""
+    and return their label-layer counts. They step together on a runtime built from
+    net.spec, with net's matrices once per sample, and only their spike times and energy
+    terms reach net's neurons, in sample, then step order; net's state stays reset."""
     net.reset_transient()
-    if len(trains) == 1:
-        label = net.layers[net.label_layer].states
-        before = [len(s.spike_times) for s in label]
-        _present(net, trains[0], steps, 0, learn=False)
-        return [len(s.spike_times) - b for s, b in zip(label, before)]
     batch = Network(net.spec, net.dt, len(trains))
     batch.matrices = net.matrices * len(trains)
     _present(batch, [train for sample in trains for train in sample], steps, 0, learn=False)
     for layer, wide in zip(net.layers, batch.layers):
-        n = layer.spec.neurons
-        for k, done in enumerate(wide.states):  # sample-major: the last sample's v stays
-            state = layer.states[k % n]
+        for k, done in enumerate(wide.states):
+            state = layer.states[k % layer.spec.neurons]
             state.spike_times += done.spike_times
             for term in done.energy:
                 state.energy += term
-            state.v, state.refractory_until = done.v, done.refractory_until
-        for line, wide_line in zip(layer.lines, wide.lines):
-            line.pending.update((step, (active[-n:].copy(), volts[-n:].copy()))
-                                for step, (active, volts) in wide_line.pending.items()
-                                if active[-n:].any())
     return [len(s.spike_times) for s in batch.layers[net.label_layer].states]
 
 
@@ -641,8 +632,9 @@ def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -
     default_rng([sim.seed, phase, i]).
 
     Chunks of up to FROZEN_BATCH samples run through `_present_frozen`, a failing one again
-    as chunks of one; sums run in one-sample order and energy is added per neuron in sample,
-    then step order, so counts and net end bit for bit as with chunks of one. A chunk's step
+    as chunks of one: the first failing sample raises, and only those before it are logged.
+    Sums run in one-sample order and energy adds per neuron in sample, then step order, so
+    counts and logs end bit for bit as with chunks of one. A chunk's step
     holds BLOCK of its engaged synapses at a time, however many samples share it, and
     builds no programming pulses: plasticity is off, so none would be applied."""
     counts = np.zeros((len(dataset), net.spec.layers[net.label_layer].neurons), dtype=int)
@@ -657,7 +649,7 @@ def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -
         try:
             counts[start:chunk.stop].flat = _present_frozen(net, list(map(encode, chunk)), steps)
         except Exception:
-            if len(chunk) == 1:  # it failed on net itself
+            if len(chunk) == 1:  # the failing sample's own error
                 raise
             for idx in chunk:
                 counts[idx] = _present_frozen(net, [encode(idx)], steps)

@@ -100,7 +100,7 @@ def integrate(model: NeuronModel, state: NeuronState, current: float,
         dv = expr.evaluate(model.state_eqs, env)
     v = state.v + dt * dv
     if not math.isfinite(v):
-        raise ValueError(f"membrane potential diverged to {v} at t={step * dt}")
+        raise ValueError(f"membrane potential diverged to {v}")
     state.v = v
 
 

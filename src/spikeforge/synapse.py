@@ -113,7 +113,6 @@ class PulseFamilyDevice:
     ltd: PulseFamilyTable
     g_min: float
     g_max: float
-    family_axis: str = "amplitude"  # or "width"; informational row-selection axis
 
     def __post_init__(self):
         _check_range(self.g_min, self.g_max)
@@ -121,9 +120,6 @@ class PulseFamilyDevice:
             raise SpecError("ltp", "ltp table rows must be ascending")
         if self.ltd.ascending:
             raise SpecError("ltd", "ltd table rows must be descending")
-        if self.family_axis not in ("amplitude", "width"):
-            raise SpecError("family_axis",
-                            f"family_axis must be amplitude or width, got {self.family_axis!r}")
         for key, table in (("ltp", self.ltp), ("ltd", self.ltd)):
             for row in table.response:
                 _check_bounds(row, self.g_min, self.g_max, key, "family row")

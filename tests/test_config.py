@@ -234,13 +234,18 @@ def with_family_device(tmp_path, ltp=GOOD_LTP, ltd=GOOD_LTD, extra="", g_max="3e
     return MINIMAL[:start] + family + "\n" + MINIMAL[end:]
 
 
-def test_family_device_accepts_family_axis(tmp_path):
-    text = with_family_device(tmp_path, extra="family_axis = width\n")
-    cfg = load_config(write(tmp_path, text))
-    device = cfg.network.layers[1].device_model
-    assert device.family_axis == "width"
+def test_family_device_reads_an_amplitude_axis_and_rejects_a_width_axis(tmp_path):
+    # a row is picked by |V_TB| against the header amplitudes, whatever the axis said
+    text = with_family_device(tmp_path, extra="family_axis = amplitude\n")
+    device = load_config(write(tmp_path, text)).network.layers[1].device_model
     assert device.ltp.amplitudes == (0.8, 1.0)
     assert device.ltd.response[1] == (3e-6, 1.5e-6, 1e-6)
+    text = with_family_device(tmp_path, extra="family_axis = width\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] family_axis (line {line_of(text, 'family_axis')}): expected "
+        "amplitude (family rows are picked by pulse amplitude), got 'width'"]
 
 
 @pytest.mark.parametrize("ltp, ltd, key, message", [
@@ -482,8 +487,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     ("kind = identical", "kind = memristor", "kind",
      "[device.ladder] kind (line {line}): expected one of identical/family, got 'memristor'"),
     (DEVICE, FAMILY.format("ltp.csv") + "family_axis = depth\n", "family_axis",
-     "[device.ladder] family_axis (line {line}): expected one of amplitude/width, "
-     "got 'depth'"),
+     "[device.ladder] family_axis (line {line}): expected amplitude (family rows are "
+     "picked by pulse amplitude), got 'depth'"),
     ("circuit = gate\n", "circuit = gate\nconn_type = ring\n", "conn_type",
      "[layers.1] conn_type (line {line}): expected one of all_to_all/one_to_one/sparse, "
      "got 'ring'"),

@@ -446,7 +446,9 @@ class TestTrainInferLabels:
 
 
 # The readout loops as they were before the frozen passes shared one
-# samples x neurons count matrix, kept word for word as the reference.
+# samples x neurons count matrix, kept as the reference; only the state a
+# sample leaves follows the frozen-pass contract: the net is reset after it,
+# and a sample that raises first takes back its spike times and energy.
 def _label_counts(net: Network) -> list[int]:
     return [len(s.spike_times) for s in net.layers[net.label_layer].states]
 
@@ -459,12 +461,23 @@ def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> Non
 
 def _frozen_pass_counts(net: Network, sample, sim: SimConfig, encoder,
                         phase: int, index: int) -> list[int]:
-    """Present one sample with plasticity off; return label-layer spike counts."""
+    """Present one sample with plasticity off on the net itself, from and back to
+    reset_transient; return label-layer spike counts."""
     rng = np.random.default_rng([sim.seed, phase, index])
     trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
     net.reset_transient()
     before = _label_counts(net)
-    _present(net, trains, num_steps(sim.T_sample, sim.dt), 0, learn=False)
+    states = [s for layer in net.layers for s in layer.states]
+    logs = [(len(s.spike_times), s.energy) for s in states]
+    try:
+        _present(net, trains, num_steps(sim.T_sample, sim.dt), 0, learn=False)
+    except Exception:
+        for s, (spikes, energy) in zip(states, logs):
+            del s.spike_times[spikes:]
+            s.energy = energy
+        raise
+    finally:
+        net.reset_transient()
     after = _label_counts(net)
     return [b - a for b, a in zip(after, before)]
 
@@ -588,15 +601,29 @@ def snapshot(net: Network):
             for layer in net.layers]
 
 
+def spike_counts(net: Network) -> list[list[int]]:
+    return [[len(s.spike_times) for s in layer.states] for layer in net.layers]
+
+
+def assert_at_rest(net: Network) -> None:
+    """Every line and the input queue empty, every membrane at v_reset and
+    every refractory window over: the state a frozen pass leaves."""
+    assert not net.inputs
+    for layer in net.layers:
+        assert not any(line.pending for line in layer.lines)
+        assert all((s.v, s.refractory_until) == (layer.spec.neuron_model.v_reset, 0)
+                   for s in layer.states)
+
+
 class TestBatchedFrozenPass:
     """The frozen passes step up to engine.FROZEN_BATCH samples at once. With
     a batch of 1, of 3 (chunks of 3, 3 and 1 over 7 samples) and of the whole
     dataset they must give the per-sample reference driver's counts, labels
     and predictions, in one run_timestep per chunk and step, and leave every
-    neuron's spike times, energy, membrane and refractory window and every
-    pending line as the driver leaves them, bit for bit; that state then
-    seeds a training stream without resets the same way. Chunks of 3 and 7 also
-    run with engine.BLOCK at 1 and 3, so a step's engaged synapses come in slices."""
+    neuron's spike times and energy as the driver leaves them, bit for bit, and
+    every membrane, refractory window and line reset, so a training stream
+    without resets then runs as from rest. Chunks of 3 and 7 also run with
+    engine.BLOCK at 1 and 3, so a step's engaged synapses come in slices."""
 
     SIM = SimConfig(T=0.06, dt=1e-3, T_sample=0.02, seed=4)
     ENC = PoissonEncoder(0.0, 90.0)
@@ -692,10 +719,10 @@ class TestBatchedFrozenPass:
         assert (got.accuracy, got.predictions, got.confusion) == reference_infer(
             ref, dataset[::-1], sim, enc)
         assert snapshot(net) == snapshot(ref)
-        # the run spiked, drew energy and left pending spikes behind
+        # the run spiked and drew energy, and left the net at rest
         states = [s for layer in net.layers for s in layer.states]
         assert counts.any() and all(s.energy for s in states[:3])
-        assert any(line.pending for layer in net.layers for line in layer.lines)
+        assert_at_rest(net)
         g0 = net.conductances()
         stream = dataclasses.replace(sim, reset_between_samples=False)
         for n in (net, ref):
@@ -704,13 +731,36 @@ class TestBatchedFrozenPass:
             g.tobytes() for g in ref.conductances()]
         assert any((a != b).any() for a, b in zip(g0, net.conductances()))
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_a_stream_after_a_frozen_pass_runs_as_from_rest(self, batch, monkeypatch):
+        spec = self.two_layer()
+        rng = np.random.default_rng(batch)
+        dataset = [Sample(tuple(rng.random(6).round(2).tolist()), label=int(rng.integers(3)))
+                   for _ in range(7)]
+        sim, enc = self.SIM, self.ENC
+        stream = dataclasses.replace(sim, reset_between_samples=False)
+        monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+        for frozen_pass in (assign_labels, infer):
+            net, rest = build_network(spec, sim.dt), build_network(spec, sim.dt)
+            for n in (net, rest):
+                frozen_pass(n, dataset, sim, enc)
+            assert_at_rest(net)
+            rest.reset_transient()
+            for n in (net, rest):
+                train(n, dataset, stream, enc)
+            assert [g.tobytes() for g in net.conductances()] == [
+                g.tobytes() for g in rest.conductances()]
+            assert spike_counts(net) == spike_counts(rest)
+
     @pytest.mark.parametrize("batch", [1, 3, 5])
-    def test_a_failing_sample_raises_the_driver_error_and_leaves_its_state(
+    def test_a_failing_sample_raises_the_driver_error_and_adds_nothing_to_the_logs(
             self, batch, monkeypatch):
         # state_eqs takes sqrt(5e-6 - I): one input at 2 uA makes a neuron
-        # fire, and it fails once three inputs drive it, in samples 2 and 4
+        # fire, and it fails once three inputs drive it, in samples 2 and 4;
+        # power_expr draws energy from the first step on
         model = NeuronModel(tau=10e-3, thres=0.2, r_mem=1e6, waveforms=SpikeWaveforms(),
-                            state_eqs=parse("(r_mem * I - V) / tau + 0 * sqrt(5e-6 - I)"))
+                            state_eqs=parse("(r_mem * I - V) / tau + 0 * sqrt(5e-6 - I)"),
+                            power_expr=parse("1 + V * V"))
         spec = NetworkSpec(
             layers=(input_layer(4), LayerSpec(neurons=2, neuron_model=model, label=True,
                                               circuit_model=transmit_circuit(),
@@ -731,10 +781,16 @@ class TestBatchedFrozenPass:
             assert str(got.value) == str(expected.value)
             assert str(got.value).startswith("neuron (layer 1, index 0) at t=0.0: sqrt")
             assert snapshot(net) == snapshot(ref)
-            # samples 0 and 1 fired at steps 0, 1, 10 and 11; sample 2 failed at step 0
+            # samples 0 and 1 fired at steps 0, 1, 10 and 11; sample 2 failed at
+            # step 0 and logged neither spikes nor energy
             assert [s.spike_times for s in net.layers[1].states] == [
                 [0.0, 0.001, 0.01, 0.011] * 2] * 2
+            first_two = build_network(spec, sim.dt)
+            assign_labels(first_two, dataset[:2], sim, enc)
+            assert snapshot(net) == snapshot(first_two)
+            assert all(s.energy for s in net.layers[1].states)
 
+    @pytest.mark.slow
     def test_an_ungated_chunk_stays_bounded_at_784x100(self):
         """Eight samples of two steps in one chunk of the 784 x 100 net, on a
         circuit that engages every synapse whatever its spikes: each step

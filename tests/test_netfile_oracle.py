@@ -347,6 +347,7 @@ def net_784x100():
     return spec, net
 
 
+@pytest.mark.slow
 def test_save_and_load_stay_bounded_at_784x100(tmp_path):
     """A 2 MB file is written and read back in bounded traced memory, bit for bit."""
     spec, net = net_784x100()
@@ -359,6 +360,7 @@ def test_save_and_load_stay_bounded_at_784x100(tmp_path):
     assert loaded.labels == net.labels
 
 
+@pytest.mark.slow
 def test_any_layout_loads_in_bounded_memory_at_784x100(tmp_path):
     """The same file with its label lines first, then a blank line, then its
     synapse lines reversed: every block is read line by line, and the read

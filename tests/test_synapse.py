@@ -400,12 +400,10 @@ class TestDeviceValidation:
          "family table must have at least one row"),
         (lambda: PulseFamilyTable((0.8, 1.0), ((1 * US, 2 * US), ()), True), "response",
          "row 1 is empty"),
-        (lambda: dataclasses.replace(TestStepFamily.DEVICE, family_axis="depth"),
-         "family_axis", "family_axis must be amplitude or width, got 'depth'"),
         # nan compares false with everything, so it must not pass as in order
         (lambda: PulseFamilyTable((1.0, math.nan, 0.5), ((1 * US,),) * 3, True), "amplitudes",
          "row amplitudes must be strictly ascending"),
-    ], ids=["no-rows", "empty-row", "family_axis", "nan-amplitude"])
+    ], ids=["no-rows", "empty-row", "nan-amplitude"])
     def test_rejected_table_texts(self, make, key, message):
         with pytest.raises(SpecError) as err:
             make()
