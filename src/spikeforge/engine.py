@@ -433,12 +433,13 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     circuit, plastic = matrix.circuit, matrix.plastic_lut
     pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
     post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
+    v_post2 = post2_out.state(step, circuit.rest_v_post2)[1] if matrix.needs_post2 else None
     for rows, cols, i, post in _engaged(matrix, pre_active, post_active):
         code = 2 * pre_active[rows] + post_active[cols]
         g = matrix.g[i, post]
         columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
         if matrix.needs_post2:
-            columns["V_post2"] = post2_out.state(step, circuit.rest_v_post2)[1][cols]
+            columns["V_post2"] = v_post2[cols]
         env = dict(matrix.base_env)
         v_tb, failed = expr.evaluate_array(circuit.v_app, {**env, **columns})
         n = int(failed.argmax()) if np.count_nonzero(failed) else len(rows)
@@ -626,6 +627,15 @@ def _present_frozen(net: Network, trains: list, steps: int) -> list[int]:
     return [len(s.spike_times) for s in batch.layers[net.label_layer].states]
 
 
+def _check_widths(net: Network, dataset) -> None:
+    """Raise before any sample runs unless each has one feature per input neuron."""
+    width = net.layers[0].spec.neurons
+    for idx, sample in enumerate(dataset):
+        if len(sample.features) != width:
+            raise ValueError(
+                f"sample {idx} has {len(sample.features)} features, input layer has {width}")
+
+
 def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -> np.ndarray:
     """The frozen pass: row i holds the label-layer spike counts of sample i,
     presented alone with plasticity off, from reset_transient, on its own
@@ -637,6 +647,7 @@ def _frozen_counts(net: Network, dataset, sim: SimConfig, encoder, phase: int) -
     counts and logs end bit for bit as with chunks of one. A chunk's step
     holds BLOCK of its engaged synapses at a time, however many samples share it, and
     builds no programming pulses: plasticity is off, so none would be applied."""
+    _check_widths(net, dataset)
     counts = np.zeros((len(dataset), net.spec.layers[net.label_layer].neurons), dtype=int)
     steps = num_steps(sim.T_sample, sim.dt)
 
@@ -661,11 +672,7 @@ def train(net: Network, dataset, sim: SimConfig, encoder) -> TrainResult:
     then label assignment and a frozen accuracy pass over the training set."""
     if not dataset:
         raise ValueError("dataset is empty")
-    width = net.layers[0].spec.neurons
-    for s in dataset:
-        if len(s.features) != width:
-            raise ValueError(
-                f"sample has {len(s.features)} features, input layer has {width}")
+    _check_widths(net, dataset)
     n_total = num_steps(sim.T, sim.dt)
     per_sample = num_steps(sim.T_sample, sim.dt)
     rng = np.random.default_rng([sim.seed, 0])

@@ -38,6 +38,9 @@ class ParamRange:
             raise SpecError("kind", f"{self.name}: unknown kind {self.kind!r}")
         if self.scale == "log" and self.lo <= 0:
             raise SpecError("lo", f"{self.name}: log scale requires lo > 0, got {self.lo}")
+        if self.kind == "integer" and math.ceil(self.lo) > math.floor(self.hi):
+            raise SpecError(
+                "lo", f"{self.name}: integer range [{self.lo}, {self.hi}] holds no integer")
 
     def bounds(self) -> tuple[float, float]:
         """Search bounds in gene (scale) space."""
@@ -84,15 +87,8 @@ class GAConfig:
                             f"got {self.mutation_sigma}")
 
 
-@dataclass
-class Individual:
-    genome: np.ndarray
-    fitness: float | None = None
-
-
-def decode(individual: Individual | np.ndarray, space: list[ParamRange]) -> dict:
+def decode(genome: np.ndarray, space: list[ParamRange]) -> dict:
     """Genome (scale-space vector) to named parameter assignment."""
-    genome = individual.genome if isinstance(individual, Individual) else individual
     if len(genome) != len(space):
         raise ValueError(f"genome length {len(genome)} != space size {len(space)}")
     return {p.name: p.decode_gene(float(g)) for p, g in zip(space, genome)}
@@ -125,78 +121,47 @@ def evaluation_seed(ga_seed: int, generation: int, index: int) -> int:
 def ga_optimize(space: list[ParamRange], fitness, cfg: GAConfig = GAConfig()) -> GAResult:
     """Maximize fitness(params, seed) over the box defined by space.
 
-    Returns the best individual ever evaluated and per-generation stats.
+    The population is a list of genomes and a parallel list of scores, None until
+    scored. Each generation keeps the elites with their scores, breeds the rest,
+    scores the unscored genomes in index order and records the best ever evaluated.
     With elitism >= 1 the best fitness per generation never decreases.
     """
     if not space:
         raise ValueError("parameter space is empty")
     rng = np.random.default_rng(cfg.seed)
-    lows = np.array([p.bounds()[0] for p in space])
-    highs = np.array([p.bounds()[1] for p in space])
+    lows, highs = np.array([p.bounds() for p in space]).T
     sigmas = cfg.mutation_sigma * (highs - lows)
-
-    population = [Individual(rng.uniform(lows, highs)) for _ in range(cfg.population)]
-
-    def evaluate(generation: int):
-        for idx, ind in enumerate(population):
-            if ind.fitness is not None:
-                continue
-            params = decode(ind, space)
-            seed = evaluation_seed(cfg.seed, generation, idx)
-            try:
-                ind.fitness = float(fitness(params, seed))
-            except Exception as err:
-                raise RuntimeError(
-                    f"fitness evaluation failed for {params}: {err}") from err
-
-    def ranked() -> list[int]:
-        scores = np.array([ind.fitness for ind in population])
-        return list(np.argsort(-scores, kind="stable"))
-
-    def tournament() -> Individual:
-        best = None
-        for _ in range(cfg.tournament_size):
-            ind = population[int(rng.integers(cfg.population))]
-            if best is None or ind.fitness > best.fitness:
-                best = ind
-        return best
-
+    genomes = [rng.uniform(lows, highs) for _ in range(cfg.population)]
+    scores: list[float | None] = [None] * cfg.population
     history: list[GenerationStats] = []
-    best_ever: Individual | None = None
-
-    def record(generation: int):
-        nonlocal best_ever
-        order = ranked()
-        top = population[order[0]]
-        if best_ever is None or top.fitness > best_ever.fitness:
-            best_ever = Individual(top.genome.copy(), top.fitness)
+    for generation in range(cfg.generations + 1):
+        if generation:
+            pool, pool_scores, elites = genomes, scores, order[:cfg.elitism]
+            genomes = [pool[k] for k in elites]
+            scores = [pool_scores[k] for k in elites] + [None] * (cfg.population - cfg.elitism)
+            while len(genomes) < cfg.population:
+                # two tournaments; of equal scores the first drawn wins
+                a, b = (pool[max([int(rng.integers(cfg.population))
+                                  for _ in range(cfg.tournament_size)],
+                                 key=pool_scores.__getitem__)] for _ in range(2))
+                if rng.random() < cfg.crossover_rate:
+                    pick = rng.random(len(space)) < 0.5
+                    a, b = np.where(pick, a, b), np.where(pick, b, a)
+                for child in (a, b)[:cfg.population - len(genomes)]:
+                    mutate = rng.random(len(space)) < cfg.mutation_rate
+                    noise = rng.normal(0.0, 1.0, len(space)) * sigmas
+                    genomes.append(np.clip(np.where(mutate, child + noise, child), lows, highs))
+        for idx, genome in enumerate(genomes):
+            if scores[idx] is None:
+                params = decode(genome, space)
+                try:
+                    scores[idx] = float(fitness(params, evaluation_seed(cfg.seed, generation, idx)))
+                except Exception as err:
+                    raise RuntimeError(
+                        f"fitness evaluation failed for {params}: {err}") from err
+        order = np.argsort(-np.array(scores), kind="stable")
+        if not history or scores[order[0]] > best_score:
+            best, best_score = genomes[order[0]], scores[order[0]]
         history.append(GenerationStats(
-            generation, best_ever.fitness,
-            float(np.mean([ind.fitness for ind in population])),
-            decode(best_ever, space)))
-        return order
-
-    evaluate(0)
-    order = record(0)
-    for generation in range(1, cfg.generations + 1):
-        next_pop = [Individual(population[k].genome.copy(), population[k].fitness)
-                    for k in order[:cfg.elitism]]
-        while len(next_pop) < cfg.population:
-            a, b = tournament(), tournament()
-            if rng.random() < cfg.crossover_rate:
-                pick = rng.random(len(space)) < 0.5
-                child_a = np.where(pick, a.genome, b.genome)
-                child_b = np.where(pick, b.genome, a.genome)
-            else:
-                child_a, child_b = a.genome.copy(), b.genome.copy()
-            for child in (child_a, child_b):
-                if len(next_pop) >= cfg.population:
-                    break
-                mutate = rng.random(len(space)) < cfg.mutation_rate
-                noise = rng.normal(0.0, 1.0, len(space)) * sigmas
-                genome = np.clip(np.where(mutate, child + noise, child), lows, highs)
-                next_pop.append(Individual(genome))
-        population = next_pop
-        evaluate(generation)
-        order = record(generation)
-    return GAResult(decode(best_ever, space), best_ever.fitness, history)
+            generation, best_score, float(np.mean(scores)), decode(best, space)))
+    return GAResult(decode(best, space), best_score, history)

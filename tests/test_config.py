@@ -581,6 +581,15 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
      "line {line}: expected `key = value` or `[section]`, got 'just words'"),
     ("seed = 11\n", "seed = 11\n\n[tune]\npopulation = 4\n", None,
      "[tune] param: at least one param range is required"),
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace("0.005, 0.05, log, real",
+                                                 "0.5, 0.7, linear, integer"), "param",
+     "[tune] param (line {line}): neuron.out.tau: integer range [0.5, 0.7] holds no integer"),
+    ("seed = 11\n", "seed = 11\n" + TUNE + "val_fraction = 0\n", "val_fraction",
+     "[tune] val_fraction (line {line}): must be in (0, 1), got 0.0"),
+    ("seed = 11\n", "seed = 11\n" + TUNE + "val_fraction = 1\n", "val_fraction",
+     "[tune] val_fraction (line {line}): must be in (0, 1), got 1.0"),
+    ("seed = 11\n", "seed = 11\n" + TUNE + "val_fraction = nan\n", "val_fraction",
+     "[tune] val_fraction (line {line}): must be in (0, 1), got nan"),
     ("circuit = gate\n", "circuit = gate\nconn_type = sparse\n", None,
      "[layers.1] sparse_p: sparse connectivity needs sparse_p"),
     (LAYERS, "", None, "[layers.*]: no layer sections found"),
@@ -601,6 +610,7 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
         "init-constant-nan", "init-uniform-inf", "r_mem-nan", "inh_g-nan",
         "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan",
         "rest_V_pre-nan", "r_max-inf", "v_reset-inf", "not-a-key-line", "tune-no-param",
+        "param-no-integer", "val_fraction-0", "val_fraction-1", "val_fraction-nan",
         "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1

@@ -423,10 +423,19 @@ class TestTrainInferLabels:
             assert np.array_equal(a, b)
         assert results[0][2] == results[1][2]
 
-    def test_dataset_width_mismatch(self):
+    @pytest.mark.parametrize("run", [train, assign_labels, infer])
+    def test_a_sample_of_the_wrong_width_is_rejected_before_any_runs(self, run, monkeypatch):
+        # 2 + 1 + 3 features fill three samples' 6 input channels, so only a per-sample
+        # check sees that samples 1 and 2 would feed shifted channels
         net = self.make_net()
-        with pytest.raises(ValueError, match="features"):
-            train(net, [Sample((1.0,), label=0)], self.SIM, self.ENC)
+        steps = []
+        monkeypatch.setattr(engine, "run_timestep", lambda net, step, **kw: steps.append(step))
+        dataset = [Sample((1.0, 0.0), label=0), Sample((1.0,), label=1),
+                   Sample((0.0, 1.0, 0.0), label=0)]
+        with pytest.raises(ValueError) as err:
+            run(net, dataset, self.SIM, self.ENC)
+        assert str(err.value) == "sample 1 has 1 features, input layer has 2"
+        assert steps == []
 
     def test_empty_dataset(self):
         net = self.make_net()

@@ -5,8 +5,7 @@ import pytest
 
 from spikeforge.errors import SpecError
 from spikeforge.tuner import (
-    GAConfig, GAResult, Individual, ParamRange, decode, evaluation_seed,
-    ga_optimize,
+    GAConfig, GAResult, ParamRange, decode, evaluation_seed, ga_optimize,
 )
 
 BOX = [
@@ -52,10 +51,6 @@ class TestDecode:
         with pytest.raises(ValueError, match="length"):
             decode(np.array([1.0, 2.0]), [ParamRange("x", 0.0, 1.0)])
 
-    def test_individual_accepted(self):
-        got = decode(Individual(np.array([0.25])), [ParamRange("x", 0.0, 1.0)])
-        assert got == {"x": 0.25}
-
 
 class TestParamRange:
     def test_log_requires_positive_lo(self):
@@ -76,6 +71,20 @@ class TestParamRange:
     def test_bounds_must_be_finite(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             ParamRange("x", lo, hi, scale="log" if lo > 0 else "linear")
+
+
+    @pytest.mark.parametrize("lo, hi, scale", [(0.5, 0.7, "linear"), (1.2, 1.8, "log"),
+                                                (-0.9, -0.1, "linear")])
+    def test_integer_range_must_hold_an_integer(self, lo, hi, scale):
+        with pytest.raises(SpecError) as err:
+            ParamRange("n", lo, hi, scale=scale, kind="integer")
+        assert (err.value.key, str(err.value)) == (
+            "lo", f"n: integer range [{lo}, {hi}] holds no integer")
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (1.0, 1.5), (0.9, 1.1)])
+    def test_integer_range_holding_one_integer_decodes_to_it(self, lo, hi):
+        space = [ParamRange("n", lo, hi, kind="integer")]
+        assert [decode(np.array([g]), space) for g in (lo, hi)] == [{"n": 1}] * 2
 
 
 class TestGAConfig:
@@ -176,6 +185,62 @@ class TestGAOptimize:
         assert evaluation_seed(1, 2, 3) == evaluation_seed(1, 2, 3)
         assert evaluation_seed(1, 2, 3) != evaluation_seed(1, 2, 4)
         assert evaluation_seed(1, 2, 3) != evaluation_seed(1, 3, 3)
+
+    def test_seeded_run_keeps_its_draws(self):
+        """Pins every rng draw of a run through its generation loop: the (params, seed)
+        each evaluation receives, the best params, and each generation's best and mean
+        fitness to the bit. The tied fitness pins which of equal scores wins a tournament
+        (the first drawn) and takes the elite place (the lowest index)."""
+        space = [ParamRange("x", 0.0, 1.0), ParamRange("g", 1e-6, 1e-2, scale="log"),
+                 ParamRange("n", 1.0, 7.0, kind="integer")]
+        seen = []
+
+        def tied(params, seed):
+            seen.append(((params["x"], params["g"], params["n"]), seed))
+            return (-abs(params["n"] - 4) - round(abs(params["x"] - 0.3), 1)
+                    - round(abs(math.log10(params["g"]) + 4)))
+
+        cfg = GAConfig(population=6, generations=4, crossover_rate=0.9, mutation_rate=0.5,
+                       elitism=1, tournament_size=3, seed=11)
+        result = ga_optimize(space, tied, cfg)
+        assert seen == [
+            ((0.12857020276919962, 9.933709371044248e-05, 5), 1926383459),
+            ((0.028689008371944547, 3.90574907254943e-06, 7), 3350277387),
+            ((0.07042057615419683, 3.304424226882077e-06, 7), 4151502722),
+            ((0.6218835927963828, 2.9920751341439112e-05, 4), 368040416),
+            ((0.6628429525167993, 1.262511268373164e-05, 2), 2867950245),
+            ((0.7880395945039919, 0.00048022231433367013, 4), 3512858852),
+            ((0.6218835927963828, 0.0004967037824308262, 4), 1988853803),
+            ((0.8597631752234303, 2.269698943633859e-05, 4), 3492109179),
+            ((0.12857020276919962, 9.933709371044248e-05, 4), 3235571828),
+            ((0.8282103036480889, 0.00048022231433367013, 3), 1664308282),
+            ((0.04094403389477884, 9.933709371044248e-05, 5), 3539852736),
+            ((0.17507705362053774, 9.933709371044248e-05, 4), 2549836301),
+            ((0.12857020276919962, 2.2763746182136467e-05, 4), 2855785539),
+            ((0.04094403389477884, 9.933709371044248e-05, 5), 2823611804),
+            ((0.11927179001156459, 9.933709371044248e-05, 4), 4063126396),
+            ((0.12857020276919962, 0.0010590490011697146, 4), 642059549),
+            ((0.16135005634153993, 1.3861850604788158e-05, 3), 1408236669),
+            ((0.12857020276919962, 9.933709371044248e-05, 4), 1197043922),
+            ((0.12857020276919962, 9.293905835555066e-05, 4), 3265523952),
+            ((0.046894133999092785, 0.0006329223890424563, 4), 3327671760),
+            ((0.17507705362053774, 4.9895751644559774e-05, 4), 3482652393),
+            ((0.046894133999092785, 0.0009047848340690374, 4), 2615007163),
+            ((0.17507705362053774, 9.933709371044248e-05, 4), 1832049241),
+            ((0.35403370941776857, 9.933709371044248e-05, 4), 352553586),
+            ((0.27479425763711374, 4.9895751644559774e-05, 4), 4021737138),
+            ((0.06601171631445313, 9.933709371044248e-05, 5), 1363136116),
+        ]
+        assert result.best_params == {"x": 0.27479425763711374, "g": 4.9895751644559774e-05,
+                                      "n": 4}
+        assert [(s.generation, s.best_fitness.hex(), s.mean_fitness.hex())
+                for s in result.history] == [
+            (0, "-0x1.3333333333333p+0", "-0x1.5333333333333p+1"),
+            (1, "-0x1.999999999999ap-3", "-0x1.5999999999999p+0"),
+            (2, "-0x1.999999999999ap-4", "-0x1.6666666666667p-1"),
+            (3, "-0x1.999999999999ap-4", "-0x1.5555555555555p-1"),
+            (4, "0x0.0p+0", "-0x1.ddddddddddddfp-2"),
+        ]
 
     def test_history_exposes_mean_and_params(self):
         result = ga_optimize(BOX, quadratic, GAConfig(generations=3, seed=0))
