@@ -167,12 +167,22 @@ def _weight_init(base_dir: Path):
     return read
 
 
-def _param_range(text: str) -> ParamRange:
-    """One `param` line of [tune]."""
-    bits = [b.strip() for b in text.split(",")]
-    if len(bits) != 5:
-        raise ValueError("expected `key.path, lo, hi, linear|log, real|integer`")
-    return ParamRange(bits[0], float(bits[1]), float(bits[2]), scale=bits[3], kind=bits[4])
+def _entries(raw: dict, dotted: str) -> list | None:
+    """The [(value, line number)] list of the key that `section.key` names in raw, or None."""
+    section, _, key = dotted.rpartition(".")
+    return raw.get(section, {}).get(key)
+
+
+def _param_range(raw: dict):
+    """The reader of one `param` line of [tune], whose key path must name a key of raw."""
+    def read(text):
+        bits = [b.strip() for b in text.split(",")]
+        if len(bits) != 5:
+            raise ValueError("expected `key.path, lo, hi, linear|log, real|integer`")
+        if _entries(raw, bits[0]) is None:
+            raise ValueError(f"no such config key {bits[0]!r}")
+        return ParamRange(bits[0], float(bits[1]), float(bits[2]), scale=bits[3], kind=bits[4])
+    return read
 
 
 class ConfigError(ValueError):
@@ -458,8 +468,8 @@ def _build_layer(section: _Section, idx: int, defined: dict[str, dict]):
     return section.build(LayerSpec, **args, **models)
 
 
-def _build_tune(section: _Section):
-    space = section.read({"param": [_param_range]}).get("param")
+def _build_tune(section: _Section, raw: dict):
+    space = section.read({"param": [_param_range(raw)]}).get("param")
     ga_args = section.read({
         "population": int, "generations": int, "crossover_rate": float,
         "mutation_rate": float, "mutation_sigma": float, "elitism": int,
@@ -544,7 +554,7 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
     tune = None
     if "tune" in raw:
         tune_s = section("tune")
-        tune = _build_tune(tune_s)
+        tune = _build_tune(tune_s, raw)
         tune_s.reject_unknown()
 
     network = None
@@ -560,17 +570,15 @@ def load_config(path, overrides: dict[str, float] | None = None) -> LoadedConfig
 def _apply_overrides(raw: dict, overrides: dict[str, float]) -> None:
     problems = []
     for dotted, value in overrides.items():
-        section, _, key = dotted.rpartition(".")
-        entries = raw.get(section)
-        if entries is None or key not in entries:
+        entries = _entries(raw, dotted)
+        if entries is None:
             problems.append(f"override {dotted!r}: no such config key")
             continue
-        lineno = entries[key][0][1]
         value = value.item() if hasattr(value, "item") else value  # a numpy scalar's own value
         if isinstance(value, float) and math.isfinite(value) and value == int(value) \
-                and entries[key][0][0].lstrip("+-").isdigit():
+                and entries[0][0].lstrip("+-").isdigit():
             value = int(value)
-        entries[key] = [(repr(value), lineno)]
+        entries[:] = [(repr(value), entries[0][1])]
     if problems:
         raise ConfigError(problems)
 

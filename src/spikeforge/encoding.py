@@ -78,7 +78,6 @@ class _RateMap:
         return n, [self.r_min + x * (self.r_max - self.r_min) for x in features]
 
 
-@dataclass(frozen=True)
 class PoissonEncoder(_RateMap):
     """Per-feature Bernoulli-timestep encoding."""
 
@@ -104,7 +103,6 @@ class PoissonEncoder(_RateMap):
                 for c, b in zip(counts.tolist(), np.cumsum(counts).tolist())]
 
 
-@dataclass(frozen=True)
 class FixedRateEncoder(_RateMap):
     """Deterministic periodic encoding; the rng argument is accepted and unused."""
 

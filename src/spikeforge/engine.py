@@ -1,12 +1,11 @@
 """Network construction and the clock-driven train/infer loops.
 
-Every timestep walks the layers in order: the synapse kernel
-(`_synapse_pass`) picks out the engaged synapses and resolves their mode and
-current, each neuron takes the row-order sum of its engaged currents less
-lateral inhibition, the membranes advance, and `_program` programs the
-devices of plastic layers; the pairing sweep runs on the same two functions.
-Spikes emitted at step k become visible at step k+1: one timestep is the
-network's only feedback latency.
+Every timestep walks the layers in order: the synapse kernel (`_synapse_pass`) resolves the
+engaged synapses' modes and currents a slice at a time, a learning step programs (`_program`)
+each slice's pulses before the next slice is made, as the pairing sweep does, and one walk over
+the neurons adds each one's currents in row order less lateral inhibition, then advances, fires
+and emits it. A failing step leaves the slices, neurons and layers before the failure stepped.
+Spikes emitted at step k become visible at step k+1, the network's only feedback latency.
 
 Spike delivery is integer-step throughout: each layer samples its waveforms
 once on the dt grid (`_samples`), and a waveform triggered at step m is
@@ -24,15 +23,15 @@ sample's two column patterns (pre line silent or active) masked by its connectio
 line's state is a cached read-only array. However many synapses a step engages, it holds BLOCK
 of them at a time (`_engaged`): a slice's presence codes, conductances and V_TB (one
 `expr.evaluate_array`) come from the slice alone, and its currents go into the neuron totals,
-one add at a time in engaged order, before the next slice is made. The loop over a slice, on
-Python floats, makes the per-element calls the benchmark's trace hooks count: mode_from_voltage,
-transmit_current, step_device and the neuron calls, looked up as module globals
-(`TestTracedNames`), until the engine keeps its own run statistics; it keeps programming pulses
-only for a step that applies them and mode codes only for a recorded one. Set-up runs on whole
-arrays, and the network file is written and read one block of BLOCK lines at a time in any
-layout, holding the file's bytes, one offset per line and one block. The frozen passes of
-`assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one driver,
-`_present_frozen`, on a Network built for that many `samples` (sample b's neuron j at
+one add at a time in engaged order, and its pulses into the devices before the next slice is
+made. The loop over a slice, on Python floats, makes the per-element calls the benchmark's trace
+hooks count: mode_from_voltage, transmit_current, step_device and the neuron calls, looked up as
+module globals (`TestTracedNames`), until the engine keeps its own run statistics; it makes
+programming pulses only for a step that applies them and mode codes only for a recorded one.
+Set-up runs on whole arrays, and the network file is written and read one block of BLOCK lines
+at a time in any layout, holding the file's bytes, one offset per line and one block. The frozen
+passes of `assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one
+driver, `_present_frozen`, on a Network built for that many `samples` (sample b's neuron j at
 b * n + j) with the network's matrices; only spike times and energy reach the network, whose
 transient state stays reset, and a failing chunk reruns as chunks of one."""
 
@@ -425,11 +424,12 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     """The synapse kernel: one matrix (layer q) for one timestep, on lines one or more
     samples wide. Each slice of engaged synapses (`_engaged`) gets its presence codes
     2 * pre_active + post_active (PRESENCE_BY_CODE), conductances and V_TB (one array
-    evaluation) from the slice alone, and its loop runs on Python floats. Yields, per
-    slice, (rows, cols, modes, currents, events): each engaged synapse's pre and post
-    line index, its mode code when `record` (else modes is empty) and its current, and,
-    when `program`, the programming pulses as (i, j, direction, |V_TB|). The caller takes
-    each slice before the next is made; a V_TB failure raises once those before it are."""
+    evaluation) from the slice alone, and its loop runs on Python floats. Yields, per slice,
+    (rows, cols, modes, currents, pulses): each engaged synapse's pre and post line index, its
+    mode code when `record` (else modes is empty) and its current, and, when `program`, the
+    programming pulses as (i, j, direction, |V_TB|). The caller takes each slice and applies
+    its pulses before the next is made, so BLOCK bounds a step's pulses too; a V_TB failure
+    raises once the slices before it are taken and their pulses applied."""
     circuit, plastic = matrix.circuit, matrix.plastic_lut
     pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
     post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
@@ -445,7 +445,7 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
         n = int(failed.argmax()) if np.count_nonzero(failed) else len(rows)
         ex_volts = (zip(*(columns[name].tolist() for name in matrix.ex_lines))
                     if matrix.ex_lines else itertools.repeat(()))
-        out, mode_codes, events = [], [], []
+        out, mode_codes, pulses = [], [], []
         try:
             # zip stops at the first synapse whose V_TB failed; synapse len(out) is the current one
             for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_volts):
@@ -457,7 +457,7 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
                 if plastic[c]:
                     mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
                     if program and mode in PROGRAMMING:
-                        events.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
+                        pulses.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
                 else:
                     # engaged but not plastic: the presence is in transmit_policy
                     mode = TRANSMIT
@@ -470,14 +470,14 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
         except expr.ExprError as err:
             raise SimulationError(f"synapse (layer {q}, pre {i[len(out)]}, post "
                                   f"{post[len(out)]}) at t={step * dt}: {err}") from err
-        yield rows, cols, mode_codes, out, events
+        yield rows, cols, mode_codes, out, pulses
 
 
-def _program(matrix: _Matrix, events) -> int:
+def _program(matrix: _Matrix, pulses) -> int:
     """Apply each programming pulse to its device; return how many pulses
     found the device already saturated in that direction."""
     saturated = 0
-    for i, j, mode, amplitude in events:
+    for i, j, mode, amplitude in pulses:
         g = float(matrix.g[i, j])
         if saturates(matrix.device, mode, g, amplitude):
             saturated += 1
@@ -487,7 +487,10 @@ def _program(matrix: _Matrix, events) -> int:
 
 def run_timestep(net: Network, step: int, learn: bool = True,
                  record: bool = False) -> StepTrace | None:
-    """Advance the whole network by one timestep (integer step index)."""
+    """Advance the whole network by one timestep (integer step index). Per layer, a slice's
+    pulses are applied once its currents are added, so BLOCK bounds a step's pulses, then one
+    walk integrates, fire-checks and emits each neuron: exact, as a runtime that programs is one
+    sample wide and no neuron reads g. A failure leaves the slices and neurons before it stepped."""
     dt = net.dt
     trace = StepTrace([], [], [], []) if record else None
     if step in net.inputs:
@@ -495,33 +498,28 @@ def run_timestep(net: Network, step: int, learn: bool = True,
     for q in range(1, len(net.layers)):
         matrix = net.matrices[q - 1]
         post_layer = net.layers[q]
-        program = learn and matrix.plastic
         _, inhib = post_layer.inhib_in.state(step, 0.0)
-        total, events = np.zeros(len(inhib)), []
+        total = np.zeros(len(inhib))
         dense = np.zeros(matrix.g.shape, dtype=np.int8) if record else None
-        for rows, cols, modes, currents, found in _synapse_pass(
+        for rows, cols, modes, currents, pulses in _synapse_pass(
                 matrix, q, net.layers[q - 1].pre_out, post_layer.post1_in,
-                post_layer.pre_out, step, dt, program, record):
+                post_layer.pre_out, step, dt, learn and matrix.plastic, record):
             np.add.at(total, cols, np.fromiter(currents, float, len(currents)))  # in engaged order
-            events += found
+            if pulses:
+                net.saturation_events += _program(matrix, pulses)
             if record:
                 dense[rows, cols] = modes
         total -= inhib
+        fired = []
         for j, (state, current) in enumerate(zip(post_layer.states, total.tolist())):
             try:
                 integrate(post_layer.spec.neuron_model, state, current, step, dt)
             except (expr.ExprError, ValueError) as err:
                 raise SimulationError(
                     f"neuron (layer {q}, index {j}) at t={step * dt}: {err}") from err
-        fired = []
-        for j, state in enumerate(post_layer.states):
             if fire_check(post_layer.spec.neuron_model, state, step, dt):
                 fired.append(j)
                 _emit(net, q, j, step)
-
-        if program:
-            net.saturation_events += _program(matrix, events)
-
         if record:
             trace.modes.append(dense)
             trace.currents.append(total)
@@ -581,18 +579,17 @@ def stdp_pairing_sweep(circuit: CircuitModel, device: PulseFamilyDevice,
     pre_out, post1_in, no_post2 = _Line(len(deltas)), _Line(len(deltas)), _Line(len(deltas))
     ends = []
     for m, d in enumerate(deltas):
-        pre_o = max(0, -d)
-        post_o = pre_o + d
+        pre_o, post_o = max(0, -d), max(0, d)
         pre_out.trigger(m, pre_o, pre)
         post1_in.trigger(m, post_o, post)
         ends.append(max(pre_o + len(pre), post_o + len(post)))
     n_pot, n_dep = [0] * len(deltas), [0] * len(deltas)
     for k in range(max(ends, default=0)):
-        slices = _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt, True, False)
-        events = [e for *_, found in slices for e in found if k < ends[e[0]]]
-        _program(matrix, events)
-        for m, _, mode, _ in events:
-            (n_pot if mode is SynapseMode.POTENTIATE else n_dep)[m] += 1
+        for *_, found in _synapse_pass(matrix, 1, pre_out, post1_in, no_post2, k, dt, True, False):
+            pulses = [p for p in found if k < ends[p[0]]]
+            _program(matrix, pulses)
+            for m, _, mode, _ in pulses:
+                (n_pot if mode is SynapseMode.POTENTIATE else n_dep)[m] += 1
     g = matrix.g.diagonal()
     return [PairingPoint(d, d * dt, float(g[m]) - g0, float(g[m]), n_pot[m], n_dep[m])
             for m, d in enumerate(deltas)]

@@ -46,10 +46,11 @@ FUNCTIONS = {
 # evaluate_array's arithmetic: these round as Python's float operators do
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
+# whitespace is a match with no group; any other character that starts no token is `bad`
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|\s+|(?P<bad>\S)"
 )
 
 
@@ -92,18 +93,11 @@ class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, position)
-        pos = 0
-        while pos < len(source):
-            m = _TOKEN_RE.match(source, pos)
-            if m is None or m.end() == pos:
-                stripped = source[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(source) - len(stripped)
-                raise ExprError(f"unexpected character {stripped[0]!r} at position {at}")
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(source):
+            if m.lastgroup == "bad":
+                raise ExprError(f"unexpected character {m.group()!r} at position {m.start()}")
+            if m.lastgroup:
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
         self.i = 0
 
     def peek(self) -> tuple[str, str, int] | None:

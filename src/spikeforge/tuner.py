@@ -156,6 +156,8 @@ def ga_optimize(space: list[ParamRange], fitness, cfg: GAConfig = GAConfig()) ->
                 params = decode(genome, space)
                 try:
                     scores[idx] = float(fitness(params, evaluation_seed(cfg.seed, generation, idx)))
+                    if math.isnan(scores[idx]):  # a tournament drawing it first would keep it
+                        raise ValueError("fitness is nan")
                 except Exception as err:
                     raise RuntimeError(
                         f"fitness evaluation failed for {params}: {err}") from err

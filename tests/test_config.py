@@ -595,6 +595,9 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     (LAYERS, "", None, "[layers.*]: no layer sections found"),
     ("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp_path = .", "levels_ltp_path",
      "[device.ladder] levels_ltp_path (line {line}): [Errno 21] Is a directory: '{dir}'"),
+    # a GA override of a key the file does not give would fail only at the first fitness call
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace("neuron.out.tau", "neuron.out.thress"),
+     "param", "[tune] param (line {line}): no such config key 'neuron.out.thress'"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "inh_conn-input", "inh_conn-twice",
         "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
@@ -611,7 +614,7 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
         "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan",
         "rest_V_pre-nan", "r_max-inf", "v_reset-inf", "not-a-key-line", "tune-no-param",
         "param-no-integer", "val_fraction-0", "val_fraction-1", "val_fraction-nan",
-        "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory"])
+        "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory", "param-unknown-key"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)

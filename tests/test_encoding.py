@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -178,6 +179,18 @@ def test_rate_map_is_checked_when_the_encoder_is_built():
         with pytest.raises(SpecError, match=r"need 0 <= r_min <= r_max, got 10.0, 5.0") as err:
             encoder(10.0, 5.0)
         assert err.value.key == "r_min"
+
+
+def test_encoders_are_frozen_values_of_their_rate_map():
+    for encoder in (PoissonEncoder, FixedRateEncoder):
+        enc = encoder(1.0, 50.0)
+        assert enc == encoder(1.0, 50.0) and hash(enc) == hash(encoder(1.0, 50.0))
+        assert enc != encoder(1.0, 60.0)
+        assert repr(enc) == f"{encoder.__name__}(r_min=1.0, r_max=50.0)"
+        assert dataclasses.replace(enc, r_max=60.0) == encoder(1.0, 60.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            enc.r_max = 60.0
+    assert PoissonEncoder(1.0, 50.0) != FixedRateEncoder(1.0, 50.0)
 
 
 class TestFixedRate:

@@ -1248,10 +1248,79 @@ class TestBoundedState:
         assert not net.inputs and not line.pending
 
 
+class TestSlicedProgramming:
+    """A learning step applies each slice's pulses before the next slice is made, so it
+    holds BLOCK of them at a time, and gives what programming after the neurons gave."""
+
+    @staticmethod
+    def post_only_circuit():
+        # a post spike alone depresses: V_TB = 0 - 1.7 V, past v_th_neg
+        return CircuitModel(
+            v_app=parse("V_pre - V_post1"), v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset({SpikePresence.PRE_ONLY, SpikePresence.BOTH}),
+            plasticity_policy=frozenset({SpikePresence.POST_ONLY}))
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        # 40 x 30 = 1200 synapses, and every output fires on the first input spike, so a
+        # step in which all their post1 waveforms are active programs more than 1024
+        spec = NetworkSpec(layers=(input_layer(40), LayerSpec(
+            neurons=30, neuron_model=out_model(inhib=rect(1.0, 5e-3)), plastic=True,
+            label=True, circuit_model=self.post_only_circuit(), device_model=small_device())),
+            inh_conn=((1, 1),), inh_g=1 * US, seed=4)
+        rng = np.random.default_rng(4)
+        samples = [tuple(rng.random(40).round(2).tolist()) for _ in range(2)]
+        program_once = engine._program
+        runs, calls = {}, {}
+        for block in (10**6, 1, 3, 1024):  # first one slice a step, as before slices
+            monkeypatch.setattr(engine, "BLOCK", block)
+            calls[block] = []
+            monkeypatch.setattr(engine, "_program", lambda matrix, pulses, log=calls[block]: (
+                log.append(len(pulses)) or program_once(matrix, pulses)))
+            net = build_network(spec, 1e-3)
+            for k, features in enumerate(samples):
+                net.reset_transient()
+                trains = PoissonEncoder(0.0, 90.0).encode(
+                    features, 0.02, 1e-3, np.random.default_rng(k))
+                engine._present(net, trains, 20, 20 * k, learn=True)
+            runs[block] = ([g.tobytes() for g in net.conductances()], net.saturation_events,
+                           [[list(map(float.hex, s.spike_times)) for s in layer.states]
+                            for layer in net.layers])
+        assert runs[1] == runs[3] == runs[1024] == runs[10**6]
+        assert runs[10**6][1] > 0
+        pulses = sum(calls[10**6])
+        assert all(sum(calls[block]) == pulses for block in calls)
+        assert calls[1] == [1] * pulses and max(calls[3]) == 3 and 0 not in calls[3]
+        # a step of more than 1024 pulses applied them in two slices
+        assert max(calls[10**6]) > 1024 and max(calls[1024]) == 1024
+
+    @pytest.mark.slow
+    def test_a_step_that_programs_every_synapse_stays_bounded_at_784x100(self):
+        """Every synapse of the 784 x 100 net depresses in one step (post1 alone). When
+        the step kept all 78400 pulses until its neurons had run, the traced peak read
+        about 9.8 MB; applied a slice at a time, about 1.1 MB."""
+        spec = NetworkSpec(layers=(input_layer(784), LayerSpec(
+            neurons=100, neuron_model=out_model(), plastic=True, label=True,
+            circuit_model=self.post_only_circuit(), device_model=small_device())), seed=1)
+        net = build_network(spec, 1e-3)
+        out = net.layers[1]
+        out.post1_in.trigger(np.arange(100), 1, out.post1)
+        run_timestep(net, 0)  # fills caches; no line is active, so nothing engages
+        g0 = net.conductances()[0]
+        tracemalloc.start()
+        try:
+            run_timestep(net, 1)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert (net.matrices[0].g < g0).all()
+        assert peak_mb <= 4.0, peak_mb
+
+
 class TestSimulationErrors:
     @staticmethod
-    def driven_net(v_app, ex_eqs, plastic, pre_volts, post_volts):
-        """Every presence engaged; each line holds the given volts at step 0."""
+    def driven_net(v_app, ex_eqs, plastic, pre_volts, post_volts, learns=False):
+        """Every presence engaged; each line holds the given volts at step 0; with
+        learns, the layer is plastic."""
         circuit = CircuitModel(
             v_app=parse(v_app), v_th_pos=1.5, v_th_neg=1.5,
             transmit_policy=frozenset(SpikePresence), plasticity_policy=plastic,
@@ -1259,7 +1328,7 @@ class TestSimulationErrors:
         spec = NetworkSpec(layers=(
             input_layer(len(pre_volts)),
             LayerSpec(neurons=len(post_volts), neuron_model=out_model(), label=True,
-                      circuit_model=circuit, device_model=small_device())))
+                      plastic=learns, circuit_model=circuit, device_model=small_device())))
         net = build_network(spec, 1e-3)
         for line, volts in ((net.layers[0].pre_out, pre_volts),
                             (net.layers[1].post1_in, post_volts)):
@@ -1333,6 +1402,34 @@ class TestSimulationErrors:
         with pytest.raises(SimulationError,
                            match=r"neuron \(layer 1, index 1\) at t=0.0: division by zero"):
             run_timestep(net, 0)
+
+    def test_a_failing_training_step_leaves_what_ran_before_the_failure_stepped(
+            self, monkeypatch):
+        # synapse (0, 0) potentiates (V_TB = 2 V); log fails at (1, 0), where V_pre is
+        # 0.05 V: in slices of one, the first slice's pulse is applied before the second
+        # fails, and in one slice of both, none is
+        for block, moved in ((1, True), (engine.BLOCK, False)):
+            monkeypatch.setattr(engine, "BLOCK", block)
+            net = self.driven_net("V_pre + 0 * log(V_pre - 0.1)", None, frozenset(SpikePresence),
+                                  (2.0, 0.05), (0.3,), learns=True)
+            g0 = net.conductances()[0]
+            with pytest.raises(SimulationError, match=r"synapse \(layer 1, pre 1, post 0\)"):
+                run_timestep(net, 0)
+            assert (net.matrices[0].g[0, 0] > g0[0, 0]) == moved
+            assert net.matrices[0].g[1, 0] == g0[1, 0]
+        # neuron 0 fires before neuron 1's state_eqs divides by zero
+        model = NeuronModel(tau=10e-3, thres=0.2, state_eqs=parse("1 / V"),
+                            waveforms=SpikeWaveforms(pre=rect(0.5, 2e-3), post1=rect(1.0, 2e-3)))
+        spec = NetworkSpec(layers=(
+            input_layer(2),
+            LayerSpec(neurons=2, neuron_model=model, label=True,
+                      circuit_model=transmit_circuit(), device_model=small_device())))
+        net = build_network(spec, 1e-3)
+        net.layers[1].states[0].v = 0.5
+        with pytest.raises(SimulationError, match=r"neuron \(layer 1, index 1\) at t=0.0"):
+            run_timestep(net, 0)
+        assert [s.spike_times for s in net.layers[1].states] == [[0.0], []]
+        assert list(net.layers[1].post1_in.pending) == [1, 2]
 
 
 class TestDeterminismGuard:

@@ -58,6 +58,22 @@ class TestParse:
         with pytest.raises(ExprError):
             parse("1 $ 2")
 
+    @pytest.mark.parametrize("source, message", [
+        ("1 $ 2", "unexpected character '$' at position 2"),
+        ("  x @", "unexpected character '@' at position 4"),
+        ("x\n+\n?", "unexpected character '?' at position 4"),
+        ("\t\xa0\u00e9", "unexpected character '\u00e9' at position 2"),
+        ("(1 2)", "expected ')' at position 3, got '2'"),
+        ("exp(1 2)", "expected ')' at position 6, got '2'"),
+        ("x y", "trailing input 'y' at position 2"),
+        ("(1 + 2", "unexpected end of expression at position 6"),
+    ], ids=["char", "char-after-spaces", "char-after-newlines", "unicode-space-then-char",
+            "expect", "expect-in-call", "trailing", "end"])
+    def test_syntax_error_texts(self, source, message):
+        with pytest.raises(ExprError) as err:
+            parse(source)
+        assert str(err.value) == message
+
     def test_numbers(self):
         assert ev("1.5e-3") == 1.5e-3
         assert ev(".5") == 0.5

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,17 @@ class TestGAOptimize:
 
         with pytest.raises(RuntimeError, match="a"):
             ga_optimize(BOX, broken, GAConfig(generations=1))
+
+    def test_a_nan_fitness_is_a_failed_evaluation(self):
+        # a tournament whose first draw scored nan would keep it, and the
+        # generation's mean would read nan
+        def fitness(params, seed):
+            return math.nan if params["x"] > 0.9 else params["x"]
+
+        with pytest.raises(RuntimeError) as err:
+            ga_optimize([ParamRange("x", 0.0, 1.0)], fitness, GAConfig(population=20, seed=0))
+        assert re.fullmatch(r"fitness evaluation failed for \{'x': 0\.9\d*\}: fitness is nan",
+                            str(err.value))
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError, match="empty"):
