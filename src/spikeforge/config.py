@@ -174,13 +174,14 @@ def _entries(raw: dict, dotted: str) -> list | None:
 
 
 def _param_range(raw: dict):
-    """The reader of one `param` line of [tune], whose key path must name a key of raw."""
+    """The reader of one `param` line of [tune], whose key path names a numeric key of raw."""
     def read(text):
         bits = [b.strip() for b in text.split(",")]
         if len(bits) != 5:
             raise ValueError("expected `key.path, lo, hi, linear|log, real|integer`")
-        if _entries(raw, bits[0]) is None:
+        if (entries := _entries(raw, bits[0])) is None:
             raise ValueError(f"no such config key {bits[0]!r}")
+        _as(float, entries[0][0], f"expected a number at {bits[0]!r}, got")
         return ParamRange(bits[0], float(bits[1]), float(bits[2]), scale=bits[3], kind=bits[4])
     return read
 
@@ -198,27 +199,30 @@ def parse_raw(path) -> dict[str, dict[str, list[tuple[str, int]]]]:
     sections: dict[str, dict[str, list[tuple[str, int]]]] = {}
     current: dict[str, list[tuple[str, int]]] | None = None
     problems: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            m = _SECTION_RE.match(stripped)
-            if m:
-                name = m.group(1)
-                if name in sections:
-                    problems.append(f"line {lineno}: duplicate section [{name}]")
-                current = sections.setdefault(name, {})
-                continue
-            m = _KEY_RE.match(stripped)
-            if m is None:
-                problems.append(f"line {lineno}: expected `key = value` or `[section]`, "
-                                f"got {stripped!r}")
-                continue
-            if current is None:
-                problems.append(f"line {lineno}: key outside any section")
-                continue
-            current.setdefault(m.group(1), []).append((m.group(2).strip(), lineno))
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            stripped = line.decode().split("#", 1)[0].strip()
+        except UnicodeDecodeError as err:
+            problems.append(f"line {lineno}: not UTF-8 text (byte {line[err.start]:#x})")
+            continue
+        if not stripped:
+            continue
+        m = _SECTION_RE.match(stripped)
+        if m:
+            name = m.group(1)
+            if name in sections:
+                problems.append(f"line {lineno}: duplicate section [{name}]")
+            current = sections.setdefault(name, {})
+            continue
+        m = _KEY_RE.match(stripped)
+        if m is None:
+            problems.append(f"line {lineno}: expected `key = value` or `[section]`, "
+                            f"got {stripped!r}")
+            continue
+        if current is None:
+            problems.append(f"line {lineno}: key outside any section")
+            continue
+        current.setdefault(m.group(1), []).append((m.group(2).strip(), lineno))
     if problems:
         raise ConfigError(problems)
     return sections

@@ -29,11 +29,11 @@ hooks count: mode_from_voltage, transmit_current, step_device and the neuron cal
 module globals (`TestTracedNames`), until the engine keeps its own run statistics; it makes
 programming pulses only for a step that applies them and mode codes only for a recorded one.
 Set-up runs on whole arrays, and the network file is written and read one block of BLOCK lines
-at a time in any layout, holding the file's bytes, one offset per line and one block. The frozen
-passes of `assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one
-driver, `_present_frozen`, on a Network built for that many `samples` (sample b's neuron j at
-b * n + j) with the network's matrices; only spike times and energy reach the network, whose
-transient state stays reset, and a failing chunk reruns as chunks of one."""
+at a time in any layout, holding one block. The frozen passes of `assign_labels` and `infer` run
+chunks of up to FROZEN_BATCH samples through one driver, `_present_frozen`, on a Network built
+for that many `samples` (sample b's neuron j at b * n + j) with the network's matrices; only
+spike times and energy reach the network, whose transient state stays reset, and a failing chunk
+reruns as chunks of one."""
 
 from __future__ import annotations
 
@@ -744,30 +744,34 @@ def save_network(net: Network, path) -> None:
 def load_network(path, spec: NetworkSpec, dt: float) -> Network:
     """Rebuild a network from its spec and restore the weights and labels of a
     save_network file: `spikeforge-net v1`, then `q,i,j,g` and `label,n,c|none`
-    lines in any order, read a block at a time, blank lines skipped, the last of
-    two lines with one key winning. The synapse set must exactly match the spec's
-    (deterministic) topology, the labels cover the label layer and each g lie in
-    its device's range; anything else reads as corruption."""
+    lines in any order, read BLOCK lines at a time as written, blank lines skipped,
+    the last of two lines with one key winning. The file must be UTF-8, the synapse
+    set exactly match the spec's (deterministic) topology, the labels cover the label
+    layer and each g lie in its device's range; anything else reads as corruption."""
     net = build_network(spec, dt)
     _load_conductances(net, path)
     return net
 
 
 def _load_conductances(net: Network, path) -> None:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            _read_conductances(net, path, fh)
+    except UnicodeDecodeError as err:
+        raise NetworkFileError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
+def _read_conductances(net: Network, path, fh) -> None:
+    header = fh.readline()
+    if not header:
         raise NetworkFileError(f"{path}: empty file")
-    header = text.partition("\n")[0]
+    header = header.removesuffix("\n")
     if header != NET_FORMAT:
         if header.startswith("spikeforge-net "):
             raise NetworkFileError(
                 f"{path}: file format {header!r} not supported; this build reads "
                 f"{NET_FORMAT!r}")
         raise NetworkFileError(f"{path}: not a spikeforge network file")
-    raw = (text if text.endswith("\n") else text + "\n").encode()  # cut on byte offsets
-    del text
-    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))  # ends[k] closes line k
     # each index must read str(k), the one text of k that save_network writes
     N = max(len(net.layers), *(layer.spec.neurons for layer in net.layers))
     names = np.array(list(map(str, range(N))), dtype=object)
@@ -776,12 +780,10 @@ def _load_conductances(net: Network, path) -> None:
                             for q, matrix in enumerate(net.matrices, start=1)] + [[N ** 3]])
     n, m = len(codes) - 1, len(net.labels)
     g, seen, extra, by_neuron = np.empty(n), np.zeros(n, bool), set(), {}
-    # blocks of synapse lines end where save_network's synapse lines end
-    starts = [*range(1, min(n + 1, len(ends)), BLOCK),
-              *range(n + 1, len(ends), BLOCK)]
-    for line, end in zip(starts, starts[1:] + [len(ends)]):
-        start, stop = ends[line - 1] + 1, ends[end - 1]
-        block, seps = raw[start:stop].decode(), raw[start:stop + 1].translate(None, _NOT_SEPS)
+    end = 1  # lines read; blocks of synapse lines end where save_network's synapse lines end
+    while lines := list(itertools.islice(fh, min(BLOCK, n + 1 - end) if end <= n else BLOCK)):
+        line, end, block = end, end + len(lines), "".join(lines).removesuffix("\n")
+        seps = block.encode().translate(None, _NOT_SEPS) + b"\n"  # a file's last line may lack it
         fields, count, lo = block.replace("\n", ",").split(","), end - line, line - 1 - n
         # a block that reads exactly as save_network writes it is taken whole
         with contextlib.suppress(ValueError):  # a conductance or label that does not convert

@@ -134,7 +134,7 @@ def firing_frequency(width: float, tau: float, thres: float,
     x = tau * drive
     if x <= thres:
         return 0.0
-    return 1.0 / (tau * math.log(x / (x - thres)))
+    return -1.0 / (tau * math.log1p(-thres / x))  # log(x / (x - thres)) is 0 at x >> thres
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,7 @@ def calibrate_from_frequency(data, pulse_amplitude: float,
     pts = sorted((float(w), float(f)) for w, f in data)
     if len(pts) < 2:
         raise ValueError(f"need at least 2 calibration points, got {len(pts)}")
-    widths = np.array([w for w, _ in pts])
-    freqs = np.array([f for _, f in pts])
+    widths, freqs = np.array(list(zip(*pts)))
     if np.any(widths <= 0):
         raise ValueError("pulse widths must be positive")
     if widths[0] == widths[-1]:
@@ -173,32 +172,27 @@ def calibrate_from_frequency(data, pulse_amplitude: float,
     slope = float(np.dot(widths, freqs) / np.dot(widths, widths))
     thres0 = scale / slope
 
-    def rms(tau, thres):
-        pred = np.array([firing_frequency(w, tau, thres, pulse_amplitude, pulse_rate)
-                         for w in widths])
-        return float(np.sqrt(np.mean((pred - freqs) ** 2)))
+    def errors(tau, thres):  # the forward model's frequencies less the measured ones
+        return np.array([firing_frequency(w, tau, thres, pulse_amplitude, pulse_rate)
+                         for w in widths]) - freqs
 
+    def result(tau, thres):
+        return CalibrationResult(tau, thres, float(np.sqrt(np.mean(errors(tau, thres) ** 2))))
+
+    linear = result(math.inf, thres0)
     if len(pts) < 4:
-        return CalibrationResult(math.inf, thres0, rms(math.inf, thres0))
+        return linear
 
     # affine regression: f ~ (scale/thres) * w - 1/(2 tau) in the rolled-off regime
     a, b = np.polyfit(widths, freqs, 1)
     thres_init = scale / a if a > 0 else thres0
     tau_init = -1.0 / (2.0 * b) if b < 0 else 10.0 / max(freqs)
 
-    def residuals(params):
-        tau, thres = np.exp(params)
-        return np.array([
-            firing_frequency(w, tau, thres, pulse_amplitude, pulse_rate) - f
-            for (w, f) in pts])
-
     # imported here: SciPy is most of the package's import time, and only
     # calibration needs it
     from scipy.optimize import least_squares
 
     x0 = np.log([max(tau_init, 1e-12), max(thres_init, 1e-12)])
-    fit = least_squares(residuals, x0)
-    tau, thres = (float(v) for v in np.exp(fit.x))
-    if rms(tau, thres) <= rms(math.inf, thres0):
-        return CalibrationResult(tau, thres, rms(tau, thres))
-    return CalibrationResult(math.inf, thres0, rms(math.inf, thres0))
+    fit = least_squares(lambda params: errors(*np.exp(params)), x0)
+    leaky = result(*np.exp(fit.x).tolist())
+    return leaky if leaky.residual <= linear.residual else linear

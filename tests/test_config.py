@@ -598,6 +598,9 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     # a GA override of a key the file does not give would fail only at the first fitness call
     ("seed = 11\n", "seed = 11\n" + TUNE.replace("neuron.out.tau", "neuron.out.thress"),
      "param", "[tune] param (line {line}): no such config key 'neuron.out.thress'"),
+    # nor one of a key that holds no number
+    ("seed = 11\n", "seed = 11\n" + TUNE.replace("neuron.out.tau", "layers.1.neuron"),
+     "param", "[tune] param (line {line}): expected a number at 'layers.1.neuron', got 'out'"),
 ], ids=["t_refrac", "v_th_neg", "T-grid", "T_sample-grid", "no-neurons", "sparse_p",
         "inh_g", "inh_conn-input", "inh_conn-twice",
         "no-inhib_volt", "no-post1_volt", "no-pre_volt", "one_to_one-sizes",
@@ -614,7 +617,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
         "const-nan", "g_max-inf", "g_min-inf", "param-inf", "mutation_sigma-nan",
         "rest_V_pre-nan", "r_max-inf", "v_reset-inf", "not-a-key-line", "tune-no-param",
         "param-no-integer", "val_fraction-0", "val_fraction-1", "val_fraction-nan",
-        "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory", "param-unknown-key"])
+        "sparse-no-sparse_p", "no-layers", "ladder-file-is-a-directory", "param-unknown-key",
+        "param-not-a-number"])
 def test_config_error_table(tmp_path, old, new, at, problem):
     assert MINIMAL.count(old) == 1
     text = MINIMAL.replace(old, new)
@@ -623,6 +627,15 @@ def test_config_error_table(tmp_path, old, new, at, problem):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, text))
     assert err.value.problems == [problem.format(line=at and line_of(text, at), dir=tmp_path)]
+
+
+def test_a_config_that_is_not_utf8_names_the_line(tmp_path):
+    text = MINIMAL.replace("[device.ladder]", "[device.ladder]  # échelle")
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [f"line {line_of(text, 'échelle')}: not UTF-8 text (byte 0xe9)"]
 
 
 # one bad line (or file) per kind of side-file fault, with its exact text

@@ -163,11 +163,14 @@ class TestCalibration:
         assert result.thres == pytest.approx(2.0, rel=1e-12)
         assert result.residual == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_fit_no_better_than_integrate_and_fire_falls_back_to_it(self):
         # f = 1000 w exactly: the integrate-and-fire law fits with no residual,
-        # so the leaky fit of five points cannot beat it
-        data = [(k * 1e-3, k * 1.0) for k in range(1, 6)]
-        assert calibrate_from_frequency(data, 1.0) == CalibrationResult(math.inf, 0.001, 0.0)
+        # so the leaky fit of five points cannot beat it; at widths of seconds
+        # the leaky model's x = tau * drive dwarfs thres on the way to that fit
+        for unit in (1e-3, 1.0):
+            data = [(k * unit, k * (1000.0 * unit)) for k in range(1, 6)]
+            assert calibrate_from_frequency(data, 1.0) == CalibrationResult(math.inf, 0.001, 0.0)
 
     @pytest.mark.parametrize("data, message", [
         ([(0.0, 1.0), (1e-3, 2.0)], "pulse widths must be positive"),
