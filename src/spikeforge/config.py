@@ -194,6 +194,13 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(problems))
 
 
+def _text(line: bytes) -> str:
+    try:  # the decode rule of every file read here; a fault names the first bad byte
+        return line.decode()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"not UTF-8 text (byte {line[err.start]:#x})") from None
+
+
 def parse_raw(path) -> dict[str, dict[str, list[tuple[str, int]]]]:
     """The parsed but untyped file: section -> key -> [(value, line number)]."""
     sections: dict[str, dict[str, list[tuple[str, int]]]] = {}
@@ -201,9 +208,9 @@ def parse_raw(path) -> dict[str, dict[str, list[tuple[str, int]]]]:
     problems: list[str] = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            stripped = line.decode().split("#", 1)[0].strip()
-        except UnicodeDecodeError as err:
-            problems.append(f"line {lineno}: not UTF-8 text (byte {line[err.start]:#x})")
+            stripped = _text(line).split("#", 1)[0].strip()
+        except ValueError as err:
+            problems.append(f"line {lineno}: {err}")
             continue
         if not stripped:
             continue
@@ -589,17 +596,17 @@ def _apply_overrides(raw: dict, overrides: dict[str, float]) -> None:
 
 def _rows(path, parse) -> list:
     """parse(row) for each row of the file at path: each line, stripped,
-    that is neither blank nor a `#` comment. A ValueError that parse raises
-    becomes ValueError(`path:lineno: message`)."""
+    that is neither blank nor a `#` comment. A line that is not UTF-8 or a
+    ValueError that parse raises becomes ValueError(`path:lineno: message`)."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                try:
+    with open(path, "rb") as fh:  # read as it streams, split at \n, \r\n or \r as parse_raw splits
+        for lineno, raw in enumerate((part for block in fh for part in block.splitlines()), 1):
+            try:
+                line = _text(raw).strip()
+                if line and not line.startswith("#"):
                     rows.append(parse(line))
-                except ValueError as err:
-                    raise ValueError(f"{path}:{lineno}: {err}") from None
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     return rows
 
 

@@ -28,12 +28,13 @@ made. The loop over a slice, on Python floats, makes the per-element calls the b
 hooks count: mode_from_voltage, transmit_current, step_device and the neuron calls, looked up as
 module globals (`TestTracedNames`), until the engine keeps its own run statistics; it makes
 programming pulses only for a step that applies them and mode codes only for a recorded one.
-Set-up runs on whole arrays, and the network file is written and read one block of BLOCK lines
-at a time in any layout, holding one block. The frozen passes of `assign_labels` and `infer` run
-chunks of up to FROZEN_BATCH samples through one driver, `_present_frozen`, on a Network built
-for that many `samples` (sample b's neuron j at b * n + j) with the network's matrices; only
-spike times and energy reach the network, whose transient state stays reset, and a failing chunk
-reruns as chunks of one."""
+Set-up runs on whole arrays. The masks come from the layers and the seed alone, then one source
+fills the conductances: `load_network` is a build from one network file, written and read one
+block of BLOCK lines at a time in any layout, holding one block. The frozen passes of
+`assign_labels` and `infer` run chunks of up to FROZEN_BATCH samples through one driver,
+`_present_frozen`, on a Network built for that many `samples` (sample b's neuron j at b * n + j)
+with the network's matrices; only spike times and energy reach the network, whose transient
+state stays reset, and a failing chunk reruns as chunks of one."""
 
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,12 +115,8 @@ class WeightInit:
                 raise SpecError(key, f"{self.kind} init needs a finite {key}, got {value}")
         if self.kind == "uniform" and not self.lo < self.hi:
             raise SpecError("lo", f"uniform init needs lo < hi, got {self.lo}, {self.hi}")
-
-
-def middle_band_init(g_min: float, g_max: float) -> WeightInit:
-    """Default: uniform over the middle 50% of the device range."""
-    span = g_max - g_min
-    return WeightInit("uniform", lo=g_min + 0.25 * span, hi=g_max - 0.25 * span)
+        if self.kind == "from_file" and not self.path:
+            raise SpecError("path", "from_file init needs the path of a network file")
 
 
 @dataclass(frozen=True)
@@ -338,20 +335,26 @@ class Network:
 
 
 def build_network(spec: NetworkSpec, dt: float) -> Network:
-    """Create matrices, masks and initial conductances from the topology spec."""
+    """Create the matrices, masks and initial conductances from the spec. The masks come
+    from the layers and the seed alone, drawn in layer order from default_rng(spec.seed);
+    then one source fills the conductances: that rng after the masks (uniform, by default
+    over the middle half of each device's range), the constant, or the one from_file
+    network file, labels included, which net.spec.init_weights names (see load_network)."""
     rng = np.random.default_rng(spec.seed)
     net = Network(spec, dt)
-    for q in range(1, len(spec.layers)):
-        post = spec.layers[q]
-        mask = _make_mask(post, spec.layers[q - 1].neurons, post.neurons, rng, q)
-        matrix = _Matrix(post.circuit_model, post.device_model, post.plastic, mask, dt)
-        init = spec.init_weights or middle_band_init(
-            post.device_model.g_min, post.device_model.g_max)
-        matrix.g[mask] = np.clip(_initial_conductances(init, len(matrix.pairs), rng),
-                                 post.device_model.g_min, post.device_model.g_max)
-        net.matrices.append(matrix)
+    for q, (pre, post) in enumerate(zip(spec.layers, spec.layers[1:]), start=1):
+        net.matrices.append(_Matrix(post.circuit_model, post.device_model, post.plastic,
+                                    _make_mask(post, pre.neurons, post.neurons, rng, q), dt))
     if spec.init_weights is not None and spec.init_weights.kind == "from_file":
         _load_conductances(net, spec.init_weights.path)
+        return net
+    for matrix in net.matrices:
+        lo, hi = matrix.device.g_min, matrix.device.g_max
+        quarter = 0.25 * (hi - lo)
+        init = spec.init_weights or WeightInit("uniform", lo=lo + quarter, hi=hi - quarter)
+        g = rng.uniform(init.lo, init.hi, len(matrix.pairs)) if init.kind == "uniform" \
+            else init.value
+        matrix.g[matrix.mask] = np.clip(g, lo, hi)
     return net
 
 
@@ -371,15 +374,6 @@ def _make_mask(post: LayerSpec, n_pre: int, n_post: int, rng, q: int) -> np.ndar
             logging.getLogger(__name__).info("redrew sparse column %d of layer %d %d time(s) "
                                              "to guarantee an incoming connection", j, q, redraws)
     return mask
-
-
-def _initial_conductances(init: WeightInit, count: int, rng) -> np.ndarray:
-    if init.kind == "uniform":
-        return rng.uniform(init.lo, init.hi, size=count)
-    if init.kind == "constant":
-        return np.full(count, init.value)
-    # from_file fills later, after the topology exists
-    return np.zeros(count)
 
 
 def schedule_input(net: Network, trains: list[SpikeTrain], at_step: int = 0) -> None:
@@ -742,15 +736,13 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path, spec: NetworkSpec, dt: float) -> Network:
-    """Rebuild a network from its spec and restore the weights and labels of a
-    save_network file: `spikeforge-net v1`, then `q,i,j,g` and `label,n,c|none`
-    lines in any order, read BLOCK lines at a time as written, blank lines skipped,
-    the last of two lines with one key winning. The file must be UTF-8, the synapse
-    set exactly match the spec's (deterministic) topology, the labels cover the label
-    layer and each g lie in its device's range; anything else reads as corruption."""
-    net = build_network(spec, dt)
-    _load_conductances(net, path)
-    return net
+    """build_network of spec with from_file(path) as its init, so net.spec.init_weights names
+    the one file read: the topology comes from the spec's layers and seed, the weights and
+    labels from a save_network file (`spikeforge-net v1`, then `q,i,j,g` and `label,n,c|none`
+    lines in any order, read BLOCK lines at a time, blank lines skipped, the last of two lines
+    with one key winning). NetworkFileError unless the file is UTF-8, its synapses match the
+    topology, its labels cover the label layer and each g lies in its device's range."""
+    return build_network(replace(spec, init_weights=WeightInit("from_file", path=str(path))), dt)
 
 
 def _load_conductances(net: Network, path) -> None:

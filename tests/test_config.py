@@ -638,6 +638,24 @@ def test_a_config_that_is_not_utf8_names_the_line(tmp_path):
     assert err.value.problems == [f"line {line_of(text, 'échelle')}: not UTF-8 text (byte 0xe9)"]
 
 
+def test_a_dataset_that_is_not_utf8_names_its_path_and_line(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_bytes("0.5,1\n# café\n0.2,0\n".encode("latin-1"))
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:2: not UTF-8 text (byte 0xe9)"
+
+
+def test_a_ladder_file_that_is_not_utf8_is_filed_under_its_key(tmp_path):
+    (tmp_path / "ltp.csv").write_bytes("1e-6\n# échelon\n2e-6\n3e-6\n".encode("latin-1"))
+    text = MINIMAL.replace("levels_ltp = 1e-6, 2e-6, 3e-6", "levels_ltp_path = ltp.csv")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, text))
+    assert err.value.problems == [
+        f"[device.ladder] levels_ltp_path (line {line_of(text, 'levels_ltp_path')}): "
+        f"{tmp_path / 'ltp.csv'}:2: not UTF-8 text (byte 0xe9)"]
+
+
 # one bad line (or file) per kind of side-file fault, with its exact text
 @pytest.mark.parametrize("read, text, message", [
     (load_identical_levels, "1e-6\n\n# LTP\n2e-6, 3e-6\n",

@@ -243,6 +243,8 @@ class TestBuildNetwork:
         (lambda: LayerSpec(neurons=2, neuron_model=input_model(), conn_type="ring"),
          "conn_type", "unknown conn_type 'ring'"),
         (lambda: WeightInit("normal"), "kind", "unknown init kind 'normal'"),
+        (lambda: WeightInit("from_file"), "path",
+         "from_file init needs the path of a network file"),
         (lambda: NetworkSpec(layers=(input_layer(2),)), None,
          "a network needs an input layer and at least one more"),
         (lambda: NetworkSpec(layers=(input_layer(2), LayerSpec(
@@ -253,8 +255,8 @@ class TestBuildNetwork:
         # given twice, the pair would trigger its inhibition twice per spike
         (lambda: two_layer_spec(2, 2, inh_conn=((1, 1), (1, 1)), inh_g=1 * US), "inh_conn",
          "inh_conn pair (1, 1) given twice"),
-    ], ids=["conn_type", "init-kind", "one-layer", "no-circuit", "inh_conn-range",
-            "inh_conn-twice"])
+    ], ids=["conn_type", "init-kind", "init-no-path", "one-layer", "no-circuit",
+            "inh_conn-range", "inh_conn-twice"])
     def test_rejected_spec_texts(self, make, key, message):
         with pytest.raises(SpecError) as err:
             make()
@@ -1039,8 +1041,8 @@ class TestSaveLoad:
                                                    rf"topology \({n + 1} entries, expected {n}\)"):
             load_network(path, spec, 1e-3)
 
-    def test_from_file_init_weights_reach_the_same_loader(self, tmp_path):
-        sim, layers = "[sim]\nT = 0.01\ndt = 0.001\nT_sample = 0.01\n", """
+    SIM = "[sim]\nT = 0.01\ndt = 0.001\nT_sample = 0.01\n"
+    MODELS = """
 [device.ladder]
 kind = identical
 g_min = 1e-6
@@ -1061,7 +1063,8 @@ pre_volt = 0, 0.5, 0.002, 0.5
 [neuron.out]
 tau = 0.01
 thres = 0.2
-
+"""
+    LAYERS = MODELS + """
 [layers.0]
 neurons = 5
 neuron = input
@@ -1073,6 +1076,33 @@ label = true
 device = ladder
 circuit = pass
 """
+    # 3 -> 4 -> 5 whose second matrix is sparse, as in test_netfile_oracle's SPECS
+    SPARSE_LAYERS = MODELS + """
+[layers.0]
+neurons = 3
+neuron = input
+
+[layers.1]
+neurons = 4
+neuron = out
+device = ladder
+circuit = pass
+
+[layers.2]
+neurons = 5
+neuron = out
+label = true
+device = ladder
+circuit = pass
+conn_type = sparse
+sparse_p = 0.5
+
+[network]
+seed = 2
+"""
+
+    def test_from_file_init_weights_reach_the_same_loader(self, tmp_path):
+        sim, layers = self.SIM, self.LAYERS
         (tmp_path / "plain.cfg").write_text(sim + layers)
         cfg = load_config(tmp_path / "plain.cfg")
         net = build_network(cfg.network, cfg.sim.dt)
@@ -1090,6 +1120,45 @@ circuit = pass
         with pytest.raises(NetworkFileError, match="label lines do not cover the label "
                                                    r"layer \(2 entries, expected 3\)"):
             build_network(cfg.network, cfg.sim.dt)
+
+    def test_a_sparse_net_loads_whatever_init_its_spec_names(self, tmp_path):
+        """The masks come from the layers and the seed alone, so a saved net whose
+        sparse matrix follows another comes back through a config's from_file init
+        and through load_network with a constant or the default init."""
+        (tmp_path / "plain.cfg").write_text(self.SIM + self.SPARSE_LAYERS)
+        cfg = load_config(tmp_path / "plain.cfg")
+        net = build_network(cfg.network, cfg.sim.dt)
+        assert not net.matrices[1].mask.all()
+        net.labels = [3, None, 0, 1, None]
+        path = tmp_path / "net.weights"
+        save_network(net, path)
+        (tmp_path / "saved.cfg").write_text(
+            self.SIM + self.SPARSE_LAYERS + "init_weights = from_file(net.weights)\n")
+        constant = dataclasses.replace(cfg.network, init_weights=WeightInit("constant",
+                                                                            value=2 * US))
+        for loaded in (build_network(load_config(tmp_path / "saved.cfg").network, cfg.sim.dt),
+                       load_network(path, constant, cfg.sim.dt),
+                       load_network(path, cfg.network, cfg.sim.dt)):
+            assert [m.g.tobytes() for m in loaded.matrices] == [
+                m.g.tobytes() for m in net.matrices]
+            assert loaded.labels == net.labels
+
+    def test_load_network_reads_only_its_own_file(self, tmp_path, monkeypatch):
+        spec = two_layer_spec(3, 2)
+        a, b = tmp_path / "a.weights", tmp_path / "b.weights"
+        for path, g in ((a, 2 * US), (b, 4 * US)):
+            net = build_network(spec, 1e-3)
+            net.matrices[0].g[:] = g
+            save_network(net, path)
+        reads = []
+        load = engine._load_conductances
+        monkeypatch.setattr(engine, "_load_conductances",
+                            lambda net, path: (reads.append(path), load(net, path)))
+        from_a = dataclasses.replace(spec, init_weights=WeightInit("from_file", path=str(a)))
+        loaded = load_network(b, from_a, 1e-3)
+        assert reads == [str(b)]
+        assert loaded.spec.init_weights == WeightInit("from_file", path=str(b))
+        assert (loaded.matrices[0].g == 4 * US).all()
 
 
 class TestLateralInhibition:
