@@ -24,10 +24,11 @@ line's state is a cached read-only array. However many synapses a step engages, 
 of them at a time (`_engaged`): a slice's presence codes, conductances and V_TB (one
 `expr.evaluate_array`) come from the slice alone, and its currents go into the neuron totals,
 one add at a time in engaged order, and its pulses into the devices before the next slice is
-made. The loop over a slice, on Python floats, makes the per-element calls the benchmark's trace
-hooks count: mode_from_voltage, transmit_current, step_device and the neuron calls, looked up as
-module globals (`TestTracedNames`), until the engine keeps its own run statistics; it makes
-programming pulses only for a step that applies them and mode codes only for a recorded one.
+made. A slice's loop, on Python floats, binds V_TB alone for an ohmic circuit (no ex_eqs), G and
+the lines ex_eqs reads too for another, and makes the per-element calls the bench's trace hooks
+count, read at the module (`TestTracedNames`) until the engine keeps its own run statistics:
+mode_from_voltage and transmit_current once per pass, the neuron calls once per layer-step; it
+makes pulses only for a step that applies them and mode codes only for a recorded one.
 Set-up runs on whole arrays. The masks come from the layers and the seed alone, then one source
 fills the conductances: `load_network` is a build from one network file, written and read one
 block of BLOCK lines at a time in any layout, holding one block. The frozen passes of
@@ -418,13 +419,14 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     """The synapse kernel: one matrix (layer q) for one timestep, on lines one or more
     samples wide. Each slice of engaged synapses (`_engaged`) gets its presence codes
     2 * pre_active + post_active (PRESENCE_BY_CODE), conductances and V_TB (one array
-    evaluation) from the slice alone, and its loop runs on Python floats. Yields, per slice,
-    (rows, cols, modes, currents, pulses): each engaged synapse's pre and post line index, its
-    mode code when `record` (else modes is empty) and its current, and, when `program`, the
-    programming pulses as (i, j, direction, |V_TB|). The caller takes each slice and applies
-    its pulses before the next is made, so BLOCK bounds a step's pulses too; a V_TB failure
-    raises once the slices before it are taken and their pulses applied."""
+    evaluation) from the slice alone; its loop runs on Python floats, one per circuit kind,
+    with mode_from_voltage and transmit_current read once per pass. Yields, per slice,
+    (rows, cols, modes, currents, pulses): each engaged synapse's pre and post line index,
+    mode code if `record` and current, and, if `program`, the pulses as (i, j, direction,
+    |V_TB|). The caller applies a slice's pulses before the next is made, so BLOCK bounds a
+    step's pulses; a V_TB failure raises once the slices before it are taken and applied."""
     circuit, plastic = matrix.circuit, matrix.plastic_lut
+    mode_of, current_of = mode_from_voltage, transmit_current
     pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
     post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
     v_post2 = post2_out.state(step, circuit.rest_v_post2)[1] if matrix.needs_post2 else None
@@ -437,27 +439,37 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
         env = dict(matrix.base_env)
         v_tb, failed = expr.evaluate_array(circuit.v_app, {**env, **columns})
         n = int(failed.argmax()) if np.count_nonzero(failed) else len(rows)
-        ex_volts = (zip(*(columns[name].tolist() for name in matrix.ex_lines))
-                    if matrix.ex_lines else itertools.repeat(()))
         out, mode_codes, pulses = [], [], []
         try:
             # zip stops at the first synapse whose V_TB failed; synapse len(out) is the current one
-            for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_volts):
-                env["V_TB"] = v
-                # for ex_eqs, as the very float transmit_current gets, so it need not copy env
-                env["G"] = gk
-                if volts:
-                    env.update(zip(matrix.ex_lines, volts))
-                if plastic[c]:
-                    mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
-                    if program and mode in PROGRAMMING:
-                        pulses.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
-                else:
-                    # engaged but not plastic: the presence is in transmit_policy
-                    mode = TRANSMIT
-                out.append(transmit_current(circuit, gk, env, mode))
-                if record:
-                    mode_codes.append(mode.code)
+            if circuit.ex_eqs is None:  # ohmic: transmit_current reads V_TB alone
+                for c, v, gk in zip(code.tolist(), v_tb[:n].tolist(), g.tolist()):
+                    env["V_TB"] = v
+                    if plastic[c]:
+                        mode = mode_of(circuit, PRESENCE_BY_CODE[c], v)
+                        if program and mode in PROGRAMMING:
+                            pulses.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
+                    else:  # engaged but not plastic: the presence is in transmit_policy
+                        mode = TRANSMIT
+                    out.append(current_of(circuit, gk, env, mode))
+                    if record:
+                        mode_codes.append(mode.code)
+            else:  # ex_eqs reads G, bound to the very float transmit_current gets, and lines too
+                ex_v = (zip(*(columns[name].tolist() for name in matrix.ex_lines))
+                        if matrix.ex_lines else itertools.repeat(()))
+                for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_v):
+                    env["V_TB"], env["G"] = v, gk
+                    if volts:
+                        env.update(zip(matrix.ex_lines, volts))
+                    if plastic[c]:
+                        mode = mode_of(circuit, PRESENCE_BY_CODE[c], v)
+                        if program and mode in PROGRAMMING:
+                            pulses.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
+                    else:
+                        mode = TRANSMIT
+                    out.append(current_of(circuit, gk, env, mode))
+                    if record:
+                        mode_codes.append(mode.code)
             if n < len(rows):  # the scalar evaluation raises that synapse's own text
                 expr.evaluate(circuit.v_app, {**matrix.base_env, **{
                     name: column[n].item() for name, column in columns.items()}})
@@ -505,13 +517,14 @@ def run_timestep(net: Network, step: int, learn: bool = True,
                 dense[rows, cols] = modes
         total -= inhib
         fired = []
+        model, step_neuron, fires = post_layer.spec.neuron_model, integrate, fire_check
         for j, (state, current) in enumerate(zip(post_layer.states, total.tolist())):
             try:
-                integrate(post_layer.spec.neuron_model, state, current, step, dt)
+                step_neuron(model, state, current, step, dt)
             except (expr.ExprError, ValueError) as err:
                 raise SimulationError(
                     f"neuron (layer {q}, index {j}) at t={step * dt}: {err}") from err
-            if fire_check(post_layer.spec.neuron_model, state, step, dt):
+            if fires(model, state, step, dt):
                 fired.append(j)
                 _emit(net, q, j, step)
         if record:

@@ -1569,3 +1569,30 @@ class TestTracedNames:
         assert [args[3] for args in seen["transmit_current"]] == [
             SynapseMode.TRANSMIT, SynapseMode.TRANSMIT, SynapseMode.POTENTIATE]
         assert [args[3] for args in seen["step_device"]] == [2 * US]
+
+    def test_a_step_calls_the_names_the_module_holds_as_it_starts(self, monkeypatch):
+        """The kernel reads its calls from the module once per pass or layer-step, not at
+        import or build time: names wrapped after build_network, and again after a step,
+        are the ones the next step calls."""
+        names = ("mode_from_voltage", "transmit_current", "integrate", "fire_check")
+        originals = {name: getattr(engine, name) for name in names}
+
+        def wrap(log):
+            for name in names:
+                def logged(*args, _name=name, **kwargs):
+                    log.append(_name)
+                    return originals[_name](*args, **kwargs)
+                monkeypatch.setattr(engine, name, logged)
+
+        net = build_network(micro_spec(), dt=1e-3)
+        schedule_input(net, [SpikeTrain((0,), 1e-3), SpikeTrain((), 1e-3)])
+        first, second = [], []
+        wrap(first)
+        run_timestep(net, 0)
+        assert first == ["transmit_current", "integrate", "fire_check"]
+        wrap(second)
+        run_timestep(net, 1)
+        run_timestep(net, 2)  # the potentiating step reads the mode too
+        assert len(first) == 3
+        assert second == ["transmit_current", "integrate", "fire_check"] + [
+            "mode_from_voltage", "transmit_current", "integrate", "fire_check"]

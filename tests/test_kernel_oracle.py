@@ -47,7 +47,7 @@ US = 1e-6
 POLICIES = [frozenset(c) for r in range(5) for c in itertools.combinations(SpikePresence, r)]
 V_APPS = ("V_pre - V_post1", "V_pre - V_post1 + 0.5 * V_post2", "V_pre / V_post1",
           "2 * tanh(V_pre) - sqrt(V_post1 + 1)")
-EX_EQS = (None, "G * V_TB + 1e-7 * V_post1")
+EX_EQS = (None, "G * V_TB + 1e-7 * V_post1", "G * V_TB * (1 + 0.5 * tanh(V_TB))")
 DEVICE = PulseFamilyDevice.identical((1 * US, 9 * US), (9 * US, 1 * US), 1 * US, 9 * US)
 BLOCKS = (1, 3, engine.BLOCK)
 
