@@ -17,8 +17,8 @@ Input spikes wait in `Network.inputs` until their step; each spike line
 presence windows exact, state bounded by the longest waveform, and runs
 reproducible bit for bit.
 
-A step's array work follows spike activity, not matrix size: a matrix whose circuit engages no
-synapse without a pre spike scans only the rows of active pre lines, a row is one of its
+A step's array work follows spike activity, not matrix size: it scans the rows of active pre
+lines, and all rows of a sample whose post lines let a silent-pre row engage; a row is one of its
 sample's two column patterns (pre line silent or active) masked by its connections, and an idle
 line's state is a cached read-only array. However many synapses a step engages, it holds BLOCK
 of them at a time (`_engaged`): a slice's presence codes, conductances and V_TB (one
@@ -268,7 +268,7 @@ class _LayerRuntime:
 
 class _Matrix:
     __slots__ = ("circuit", "device", "plastic", "mask", "g", "pairs", "engaged_lut",
-                 "plastic_lut", "pre_gated", "needs_post2", "ex_lines", "base_env")
+                 "plastic_lut", "needs_post2", "ex_lines", "base_env")
 
     def __init__(self, circuit: CircuitModel, device: PulseFamilyDevice, plastic: bool,
                  mask: np.ndarray, dt: float):
@@ -281,8 +281,6 @@ class _Matrix:
         self.plastic_lut = [p in circuit.plasticity_policy for p in PRESENCE_BY_CODE]
         self.engaged_lut = np.logical_or(self.plastic_lut, [  # [a, b]: code 2 * a + b engages
             p in circuit.transmit_policy for p in PRESENCE_BY_CODE]).reshape(2, 2)
-        # no synapse engages without a pre spike: row 0 (none, post_only) is off
-        self.pre_gated = not self.engaged_lut[0].any()
         ex_reads = set() if circuit.ex_eqs is None else expr.free_vars(circuit.ex_eqs)
         self.needs_post2 = "V_post2" in expr.free_vars(circuit.v_app) | ex_reads
         # the line voltages the engaged loop binds for ex_eqs
@@ -396,16 +394,16 @@ def _engaged(matrix: _Matrix, pre_active: np.ndarray, post_active: np.ndarray):
     wide as its layers (sample b's i at b * n + i), BLOCK at a time in sample-major,
     row-major order; yields each slice's pre and post line indices and matrix indices.
 
-    The candidate (sample, pre) rows are those with an active pre line when no circuit
-    policy engages without a pre spike (`_Matrix.pre_gated`), else all. Each sample has two
-    column patterns, the columns a row engages with its pre line silent and active; a row
-    takes the one its pre line picks, ANDed with its connections; these flags, a byte per
-    candidate synapse, are searched 64 blocks at a time, so no index array outgrows that."""
+    Each sample has two column patterns, the columns a row engages with its pre line silent
+    and active. The candidate (sample, pre) rows are those whose pre line is active, and
+    every row of a sample whose silent pattern engages a column; a row takes the pattern its
+    pre line picks, ANDed with its connections; these flags, a byte per candidate synapse,
+    are searched 64 blocks at a time, so no index array outgrows that."""
     n_pre, n_post = matrix.mask.shape
     batch = len(post_active) // n_post
-    candidates = pre_active.nonzero()[0] if matrix.pre_gated else np.arange(len(pre_active))
-    sample, pre = np.divmod(candidates, n_pre) if batch > 1 else (0, candidates)
     patterns = matrix.engaged_lut[:, post_active.view(np.uint8).reshape(batch, n_post)]
+    candidates = (pre_active | patterns[0].any(axis=1).repeat(n_pre)).nonzero()[0]
+    sample, pre = np.divmod(candidates, n_pre) if batch > 1 else (0, candidates)
     hit = (patterns[pre_active[candidates].view(np.uint8), sample] & matrix.mask[pre]).ravel()
     for top in range(0, len(hit), 64 * BLOCK):
         flat = hit[top:top + 64 * BLOCK].nonzero()[0] + top
@@ -789,18 +787,13 @@ def _read_conductances(net: Network, path, fh) -> None:
     while lines := list(itertools.islice(fh, min(BLOCK, n + 1 - end) if end <= n else BLOCK)):
         line, end, block = end, end + len(lines), "".join(lines).removesuffix("\n")
         seps = block.encode().translate(None, _NOT_SEPS) + b"\n"  # a file's last line may lack it
-        fields, count, lo = block.replace("\n", ",").split(","), end - line, line - 1 - n
-        # a block that reads exactly as save_network writes it is taken whole
-        with contextlib.suppress(ValueError):  # a conductance or label that does not convert
-            if end <= n + 1 and seps == b",,,\n" * count and all(
+        fields = block.replace("\n", ",").split(",")
+        # a block of synapse lines that reads exactly as save_network writes it is taken whole
+        with contextlib.suppress(ValueError):  # a conductance that does not convert
+            if end <= n + 1 and seps == b",,,\n" * (end - line) and all(
                     fields[c::4] == names[key].tolist()
                     for c, key in enumerate(np.unravel_index(codes[line - 1:end - 1], (N,) * 3))):
                 g[line - 1:end - 1], seen[line - 1:end - 1] = list(map(float, fields[3::4])), True
-                continue
-            if lo >= 0 and seps == b",,\n" * count and fields[0::3] == ["label"] * count \
-                    and fields[1::3] == names[lo:lo + count].tolist():
-                by_neuron.update(zip(range(lo, lo + count), [
-                    None if c == "none" else int(c) for c in fields[2::3]]))
                 continue
         rows = []
         _read_lines(path, block.split("\n"), line + 1, rows, by_neuron)

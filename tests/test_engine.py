@@ -826,7 +826,7 @@ class TestBatchedFrozenPass:
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert not net.matrices[0].pre_gated and engine.FROZEN_BATCH == 8
+        assert net.matrices[0].engaged_lut[0].all() and engine.FROZEN_BATCH == 8
         assert peak_mb <= 10.0, peak_mb
         assert counts.any()
 

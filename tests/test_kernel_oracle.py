@@ -30,7 +30,7 @@ import pytest
 
 from spikeforge import engine, expr
 from spikeforge.engine import (
-    LayerSpec, NetworkSpec, SimulationError, WeightInit, _Line, _Matrix, _samples,
+    LayerSpec, NetworkSpec, SimulationError, WeightInit, _engaged, _Line, _Matrix, _samples,
     _synapse_pass, build_network, run_timestep,
 )
 from spikeforge.expr import parse
@@ -121,6 +121,23 @@ def densified(matrix, rows, cols, codes, currents):
     return dense_currents, dense_modes
 
 
+class ScannedRows(np.ndarray):
+    """A connection mask that records the rows each integer index takes from it, one
+    list per call: `_engaged` takes its candidate rows as matrix.mask[pre]."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            self.scans.append(key.tolist())
+        return np.asarray(super().__getitem__(key))
+
+
+def scanned_rows(matrix):
+    """Put matrix.mask in a ScannedRows view; returns the list its scans go on."""
+    matrix.mask = matrix.mask.view(ScannedRows)
+    matrix.mask.scans = []
+    return matrix.mask.scans
+
+
 def random_line(rng, n):
     """A spike line with random triggers per neuron, from origins before, at
     and after STEP: some live at STEP, some expired or not yet due."""
@@ -204,6 +221,7 @@ def test_engaged_only_kernel_matches_the_full_scan(plasticity, monkeypatch):
     for transmit in POLICIES:
         for _ in range(4):
             matrix, lines = random_case(rng, transmit, plasticity)
+            scanned = scanned_rows(matrix)
             expected, expected_calls = outcome(full_scan_synapse_pass, matrix, lines)
             for block in BLOCKS:
                 monkeypatch.setattr(engine, "BLOCK", block)
@@ -239,13 +257,13 @@ def test_engaged_only_kernel_matches_the_full_scan(plasticity, monkeypatch):
             assert [np.asarray(plain[k]).tobytes() for k in (0, 1, 3)] == [
                 np.asarray(got[k]).tobytes() for k in (0, 1, 3)]
             seen_modes.update(np.unique(dense_modes[matrix.mask]).tolist())
-            scanned_fewer += matrix.pre_gated and not lines[0].state(STEP, 0.0)[0].all()
+            scanned_fewer += len(scanned[-1]) < matrix.mask.shape[0]
     # the random cases reach every mode the policies allow, the error path, and
     # with small blocks a failing synapse past the first slice
     assert seen_modes == {0, 1} | ({2, 3} if plasticity else set())
     assert errors and late_errors
-    if SpikePresence.NONE not in plasticity and SpikePresence.POST_ONLY not in plasticity:
-        # some transmit policies leave the matrix gated by its pre lines
+    if SpikePresence.NONE not in plasticity:
+        # some transmit policies and post lines leave a silent pre row unscanned
         assert scanned_fewer
 
 
@@ -290,6 +308,7 @@ def test_batched_kernel_matches_the_full_scan_per_sample(plasticity, batch, monk
     for transmit in POLICIES:
         for _ in range(3):
             matrix, lines = random_case(rng, transmit, plasticity)
+            scanned = scanned_rows(matrix)
             n_pre, n_post = matrix.mask.shape
             samples = [lines] + [(random_line(rng, n_pre), random_line(rng, n_post),
                                   random_line(rng, n_post)) for _ in range(batch - 1)]
@@ -317,21 +336,39 @@ def test_batched_kernel_matches_the_full_scan_per_sample(plasticity, batch, monk
                 failed_in.add(expected[1])
                 continue
             seen_modes.update(codes)
-            scanned_fewer += matrix.pre_gated and not wide[0].state(STEP, 0.0)[0].all()
-    # every mode the policies allow, a failure past the first sample, and gated scans
+            scanned_fewer += len(scanned[-1]) < batch * n_pre
+    # every mode the policies allow, a failure past the first sample, and scans that
+    # leave a silent pre row out
     assert seen_modes | {0} == {0, 1} | ({2, 3} if plasticity else set())
     assert failed_in - {0}
-    if SpikePresence.NONE not in plasticity and SpikePresence.POST_ONLY not in plasticity:
+    if SpikePresence.NONE not in plasticity:
         assert scanned_fewer
 
 
-def test_pre_gated_is_read_from_both_policies():
-    none_or_post = {SpikePresence.NONE, SpikePresence.POST_ONLY}
+def test_a_silent_pre_row_is_scanned_only_in_a_sample_whose_post_lines_engage_it():
+    """A 2-sample step, sample 0's post lines silent and sample 1's with one active:
+    under every pair of policies the kernel scans each sample's active-pre rows, and all
+    n_pre rows of a sample where a silent pre line and one of its post lines make a
+    presence that a policy engages."""
+    n_pre, n_post = 5, 3
+    pre_active = np.array([1, 0, 1, 0, 0, 0, 1, 0, 0, 1], dtype=bool)
+    post_active = np.array([0, 0, 0, 0, 1, 0], dtype=bool)
+    reached = set()
     for transmit, plasticity in itertools.product(POLICIES, POLICIES):
         circuit = CircuitModel(v_app=parse("V_pre"), v_th_pos=1.0, v_th_neg=1.0,
                                transmit_policy=transmit, plasticity_policy=plasticity)
-        matrix = _Matrix(circuit, DEVICE, True, np.ones((2, 2), dtype=bool), DT)
-        assert matrix.pre_gated == (not (transmit | plasticity) & none_or_post)
+        matrix = _Matrix(circuit, DEVICE, True, np.ones((n_pre, n_post), dtype=bool), DT)
+        scanned = scanned_rows(matrix)
+        list(_engaged(matrix, pre_active, post_active))
+        expected, full = [], []
+        for b in range(2):
+            posts = post_active[b * n_post:(b + 1) * n_post].tolist()
+            full.append(any(classify_presence(False, p) in transmit | plasticity for p in posts))
+            expected += (list(range(n_pre)) if full[-1]
+                         else np.flatnonzero(pre_active[b * n_pre:(b + 1) * n_pre]).tolist())
+        assert scanned == [expected], (transmit, plasticity)
+        reached.add(tuple(full))
+    assert reached == {(False, False), (False, True), (True, True)}
 
 
 @pytest.mark.parametrize("n_pre, n_post, seed", [(12, 1, 6), (40, 1, 1), (9, 3, 2),

@@ -275,18 +275,18 @@ def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array
         tmp_path, monkeypatch, block):
     """Each mutation kind on its own, over a few seeds and each newline
     convention: the loaders agree, the corrupting kinds do fail and the
-    harmless ones do load; and no file as save_network writes it, nor one with
-    its newlines as CRLF or CR, reaches the per-line read, `_read_lines`: each
-    of its blocks is taken whole."""
+    harmless ones do load; and a file as save_network writes it, also with its
+    newlines as CRLF or CR, sends exactly its label lines to the per-line read,
+    `_read_lines`: each block of its synapse lines is taken whole."""
     monkeypatch.setattr(engine, "BLOCK", block)
     read_by_line = []
     read_lines = engine._read_lines
 
-    def counted(*args):
-        read_by_line.append(1)
-        return read_lines(*args)
+    def recorded(path, lines, *args):
+        read_by_line.extend(lines)
+        return read_lines(path, lines, *args)
 
-    monkeypatch.setattr(engine, "_read_lines", counted)
+    monkeypatch.setattr(engine, "_read_lines", recorded)
     seen = {kind: set() for kind in KINDS}
     for kind in KINDS:
         for seed in range(8):
@@ -298,8 +298,11 @@ def test_every_mutation_kind_loads_or_fails_alike_and_saved_files_take_the_array
                               newline=NEWLINES[seed % len(NEWLINES)])
                 seen[kind].add(got)
                 if kind == "none":
-                    assert got == "loaded" and len(read_by_line) == before
-    assert read_by_line  # the mutated files do reach it
+                    assert got == "loaded"
+                    assert read_by_line[before:] == [
+                        line for line in lines if line.startswith("label,")]
+    # the mutated files send it lines that are not label lines too
+    assert any(not line.startswith("label,") for line in read_by_line)
     for kind in ("drop", "field_count", "shift_field", "bad_int", "bad_float",
                  "out_of_range", "label", "header"):
         assert "error" in seen[kind], kind
