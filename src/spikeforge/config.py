@@ -96,11 +96,19 @@ def _expression(text: str) -> expr.Expression:
 
 
 def _waveform(dt: float | None):
-    """The reader of a waveform, which must last a step of dt (when dt is known)."""
+    """The reader of a waveform, which must last a step of dt, and, unless every breakpoint
+    is 0 V, carry a nonzero sample at some step (when dt is known): the engine delivers a
+    waveform's values at the grid points i * dt alone."""
     def read(text):
         wf = waveform_from_flat(_numbers(text))
-        if dt is not None and not support_steps(wf.duration, dt):
+        if dt is None:
+            return wf
+        steps = support_steps(wf.duration, dt)
+        if not steps:
             raise ValueError(f"waveform lasts 0 steps at dt={dt}, so it would never be delivered")
+        if any(v for _, v in wf.breakpoints) and not any(wf.sample(i * dt) for i in range(steps)):
+            raise ValueError(f"waveform is 0 V at every step of dt={dt}, so its nonzero "
+                             "breakpoints would never be delivered")
         return wf
     return read
 

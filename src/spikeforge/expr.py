@@ -334,17 +334,3 @@ def check_names(key: str, e: Expression | None, allowed) -> None:
     if unknown:
         raise SpecError(key, f"unknown variable(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
-
-def unparse(e: Expression) -> str:
-    """Render back to parseable source (fully parenthesized)."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{unparse(e.operand)})"
-    if isinstance(e, BinOp):
-        return f"({unparse(e.left)} {e.op} {unparse(e.right)})"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(unparse(a) for a in e.args)})"
-    raise TypeError(f"not an expression node: {e!r}")

@@ -125,6 +125,10 @@ def firing_frequency(width: float, tau: float, thres: float,
     Pulses of amplitude A (state-units per second) and width w arriving at
     pulse_rate give an average drive A*w*pulse_rate; a leaky integrator
     under that drive fires periodically once the drive can reach threshold.
+    For the engine's leak neuron, fed V-volt pulses through one synapse of
+    conductance g whose current is g * V (v_app = V_pre, ohmic), A is
+    r_mem * g * V / tau, the pulse's term of dV/dt = (r_mem * I - V) / tau;
+    the model holds best when the pulse period is well below tau.
     """
     drive = pulse_rate * pulse_amplitude * width
     if drive <= 0:

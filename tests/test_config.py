@@ -501,6 +501,9 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
     ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 1.0", "pre_volt",
      "[neuron.input] pre_volt (line {line}): waveform lasts 0 steps at dt=0.001, so it "
      "would never be delivered"),
+    ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 0, 0.0005, 1.5, 0.001, 0", "pre_volt",
+     "[neuron.input] pre_volt (line {line}): waveform is 0 V at every step of dt=0.001, so "
+     "its nonzero breakpoints would never be delivered"),
     ("pre_volt = 0, 0.5, 0.002, 0.5", "pre_volt = 0, 0.5, inf, 0.5", "pre_volt",
      "[neuron.input] pre_volt (line {line}): non-finite breakpoint (inf, 0.5)"),
     ("v_app = V_post1 - V_node1", "v_app = V_post1 -", "v_app",
@@ -607,7 +610,8 @@ LAYERS = MINIMAL[MINIMAL.index("[layers.0]"):MINIMAL.index("[network]")]
         "tournament_size", "param-range", "init_weights", "r_min", "unknown-neuron",
         "unknown-device", "unknown-circuit", "calib-file", "calib-fit", "calib-no-leak",
         "unknown-kind", "unknown-family_axis", "unknown-conn_type", "bad-numbers",
-        "odd-waveform", "zero-step-waveform", "inf-time-waveform", "bad-expression",
+        "odd-waveform", "zero-step-waveform", "zero-sample-waveform",
+        "inf-time-waveform", "bad-expression",
         "unknown-presence", "bad-pair",
         "init-form", "init-args", "init-no-file", "param-fields", "param-number", "no-ladder-file",
         "no-table-file", "no-train-file", "ladder-file-line", "ladder-conflict",
@@ -747,6 +751,27 @@ def non_finite_edits(text):
             continue
         for value in ("nan", "inf", "-inf"):
             yield m[1], value, "".join(lines[:i] + [f"{m[1]} = {value}\n"] + lines[i + 1:])
+
+
+def test_a_spike_the_grid_samples_to_0_v_is_rejected_at_load(tmp_path):
+    """train-196x20's input spike peaking at 1.5 V between two grid points of dt = 1 ms
+    would carry 0 V at every step; a spike whose breakpoints are all 0 V still marks
+    presence, and every config of the bench and of these tests carries what it gives."""
+    text = (BENCH_CONFIGS / "train-196x20.cfg").read_text()
+    found = text.replace("pre_volt = 0, 0.6, 0.005, 0.2", "pre_volt = 0, 0, 0.0005, 1.5, 0.001, 0")
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, found))
+    assert err.value.problems == [
+        f"[neuron.input] pre_volt (line {line_of(found, 'pre_volt =')}): waveform is 0 V at "
+        "every step of dt=0.001, so its nonzero breakpoints would never be delivered"]
+    silent = text.replace("pre_volt = 0, 0.6, 0.005, 0.2", "pre_volt = 0, 0, 0.0005, 0, 0.001, 0")
+    cfg = load_config(write(tmp_path, silent))
+    assert build_network(cfg.network, cfg.sim.dt).layers[0].pre == (0.0,)
+    for side in BENCH_CONFIGS.glob("*.csv"):
+        shutil.copy(side, tmp_path)
+    for path in sorted(BENCH_CONFIGS.glob("*.cfg")):
+        load_config(write(tmp_path, path.read_text()))
+    load_config(write(tmp_path, MINIMAL))
 
 
 def test_non_finite_numbers_are_caught_at_load(tmp_path):

