@@ -36,12 +36,12 @@ from pathlib import Path
 
 from spikeforge import expr
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample
-from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
+from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit, _samples
 from spikeforge.errors import SpecError
 from spikeforge.neuron import NeuronModel, SpikeWaveforms, calibrate_from_frequency
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence
 from spikeforge.tuner import GAConfig, ParamRange
-from spikeforge.waveform import Waveform, support_steps, waveform_from_flat
+from spikeforge.waveform import Waveform, waveform_from_flat
 
 _ENCODERS = {"poisson": PoissonEncoder, "fixed": FixedRateEncoder}
 
@@ -103,10 +103,10 @@ def _waveform(dt: float | None):
         wf = waveform_from_flat(_numbers(text))
         if dt is None:
             return wf
-        steps = support_steps(wf.duration, dt)
-        if not steps:
+        samples = _samples(wf, dt)
+        if not samples:
             raise ValueError(f"waveform lasts 0 steps at dt={dt}, so it would never be delivered")
-        if any(v for _, v in wf.breakpoints) and not any(wf.sample(i * dt) for i in range(steps)):
+        if any(v for _, v in wf.breakpoints) and not any(samples):
             raise ValueError(f"waveform is 0 V at every step of dt={dt}, so its nonzero "
                              "breakpoints would never be delivered")
         return wf

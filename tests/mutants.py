@@ -1,16 +1,16 @@
 """A fixed list of single-site mutants of the engine, and how many of them the tests kill.
 
-    python tests/mutants.py [--only NAME ...] [--timeout SECONDS] [--list]
+    python tests/mutants.py [--only NAME ...] [--list]
 
 The script reads the checkout it sits in. Each mutant is one exact string replacement in one
 source file under src/, and every site must be found exactly once before anything runs, so a
 refactor that moves a site's text fails the list loudly instead of scoring a mutant that was
 never applied. Per mutant, src/, tests/, bench/, pyproject.toml and BENCHMARK.json are copied
 into a temporary directory, the edit is applied there, and `python -m pytest -x -q -m "not
-slow"` runs there with a timeout; the checkout is never written to. The unmutated copy runs
-first and must pass. Each mutant prints as killed, with the first test that failed, or
-survived; the last line is the score. Pytest does not collect this file: its name does not
-start with `test_`.
+slow"` runs there, for at most TIMEOUT_S seconds; the checkout is never written to. The
+unmutated copy runs first and must pass. Each mutant prints as killed, with the first test that
+failed, or survived; the last line is the score. Pytest does not collect this file: its name
+does not start with `test_`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600.0  # per test run; a mutant that runs out is scored as killed
 ENGINE, SYNAPSE, NEURON = "src/spikeforge/engine.py", "src/spikeforge/synapse.py", \
     "src/spikeforge/neuron.py"
 
@@ -149,15 +150,15 @@ def copy_checkout(into: Path) -> None:
         shutil.copy(ROOT / name, into)
 
 
-def run_tests(where: Path, timeout: float) -> tuple[bool, str]:
+def run_tests(where: Path) -> tuple[bool, str]:
     """(passed, the first failing test or why the run stopped) of the suite in where."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-m", "not slow",
                                "-p", "no:cacheprovider"],
-                              cwd=where, env=env, capture_output=True, text=True, timeout=timeout)
+                              cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False, f"timed out after {timeout:.0f} s"
+        return False, f"timed out after {TIMEOUT_S:.0f} s"
     if done.returncode == 0:
         return True, ""
     first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
@@ -167,7 +168,6 @@ def run_tests(where: Path, timeout: float) -> tuple[bool, str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", nargs="+", choices=sorted(MUTANTS), metavar="NAME")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per test run")
     parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
     args = parser.parse_args()
     names = args.only or list(MUTANTS)
@@ -178,7 +178,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "unmutated"
         copy_checkout(base)
-        passed, why = run_tests(base, args.timeout)
+        passed, why = run_tests(base)
         if not passed:
             sys.exit(f"the unmutated tests fail ({why}), so no mutant can be scored")
         killed = 0
@@ -190,7 +190,7 @@ def main() -> None:
             text = source.read_text(encoding="utf-8")
             source.write_text(text.replace(old, new), encoding="utf-8")
             start = time.perf_counter()
-            passed, why = run_tests(where, args.timeout)
+            passed, why = run_tests(where)
             killed += not passed
             took = time.perf_counter() - start
             print(f"{name}: {'survived' if passed else 'killed by ' + why} ({took:.0f} s)",

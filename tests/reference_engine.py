@@ -3,18 +3,23 @@
 This is a copy, word for word where it can be, of the engine's one-sample run: the runtime it
 steps on (`NeuronState`, `_Line` and `_idle_state`, `_LayerRuntime`, `_Matrix`, `Network` and
 `build_network`'s mask draws with the uniform or constant fill), the step (`schedule_input`,
-`_engaged`, `_synapse_pass` with its two loops, `_program`, `run_timestep`, `_emit`, `train`), the
-per-element kernel it calls (`integrate`, `fire_check`, `mode_from_voltage`, `transmit_current`,
-`_nearest`, `_row`, `step_device`, `saturates`) and the one-sample frozen driver
-(`_frozen_pass_counts`, with `reference_assign_labels` and `reference_infer` on it), which presents
-each sample alone on the network itself and resets after it.
+`_engaged`, `_synapse_pass`, `_program`, `run_timestep`, `_emit`, `train`), the per-element
+kernel it calls (`integrate`, `fire_check`, `mode_from_voltage`, `transmit_current`, `_nearest`,
+`_row`, `step_device`, `saturates`) and the one-sample frozen driver (`_frozen_pass_counts`, with
+`reference_assign_labels` and `reference_infer` on it), which presents each sample alone on the
+network itself and resets after it.
 
 Where the engine indexes a chunk of samples (sample b's neuron i at b * n + i), this copy is the
-one-sample case of it, and `_engaged` searches all its candidate flags at once. A network file
-init (`from_file`) is not copied. From `spikeforge` it imports only the spec and model classes,
-waveforms, `expr`, `SimulationError` and the mode and presence constants, so the engine's step,
-runtime and kernel can change without changing what they are checked against
-(`tests/test_engine.py`, `TestReferenceBoundary`).
+one-sample case of it, and `_engaged` searches all its candidate flags at once. Where the engine
+forks for speed alone, this copy keeps the general path: `_synapse_pass` has one loop, binding
+V_TB, G and the line voltages ex_eqs reads, for both circuit kinds (the engine's ohmic loop binds
+V_TB alone, all `transmit_current` then reads), and the kernel is called by name, not through
+names read once per pass. A network file init (`from_file`) is not copied.
+
+From `spikeforge` it imports only `NetworkSpec`, `SimConfig`, `WeightInit` and `SimulationError`,
+`NeuronModel`, the circuit and device classes with the mode and presence constants, `Waveform`
+with its grid rules, and `expr`, so the engine's step, runtime and kernel can change without
+changing what they are checked against (`tests/test_engine.py`, `TestReferenceBoundary`).
 """
 
 from __future__ import annotations
@@ -357,7 +362,7 @@ def schedule_input(net: Network, trains, at_step: int = 0) -> None:
 
 def _engaged(matrix: _Matrix, pre_active: np.ndarray, post_active: np.ndarray):
     """The synapses a matrix engages at one step, BLOCK at a time in row-major order;
-    yields each slice's pre and post line indices and matrix indices.
+    yields each slice's pre and post indices, which index the lines and the matrix alike.
 
     There are two column patterns, the columns a row engages with its pre line silent
     and active. The candidate rows are those whose pre line is active, and every row when
@@ -370,7 +375,7 @@ def _engaged(matrix: _Matrix, pre_active: np.ndarray, post_active: np.ndarray):
     flat = hit.nonzero()[0]
     for lo in range(0, len(flat), BLOCK):
         k, post = np.divmod(flat[lo:lo + BLOCK], n_post)
-        yield candidates[k], post, candidates[k], post
+        yield candidates[k], post
 
 
 def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
@@ -378,19 +383,19 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
     """The synapse kernel: one matrix (layer q) for one timestep. Each slice of engaged
     synapses (`_engaged`) gets its presence codes 2 * pre_active + post_active
     (PRESENCE_BY_CODE), conductances and V_TB (one array evaluation) from the slice alone;
-    its loop runs on Python floats, one per circuit kind. Yields, per slice,
-    (rows, cols, modes, currents, pulses): each engaged synapse's pre and post line index,
-    mode code if `record` and current, and, if `program`, the pulses as (i, j, direction,
-    |V_TB|). The caller applies a slice's pulses before the next is made; a V_TB failure
-    raises once the slices before it are taken and applied."""
+    its loop runs on Python floats and binds V_TB, G and the line voltages ex_eqs reads, for
+    either circuit kind. Yields, per slice, (rows, cols, modes, currents, pulses): each
+    engaged synapse's pre and post line index, mode code if `record` and current, and, if
+    `program`, the pulses as (i, j, direction, |V_TB|). The caller applies a slice's pulses
+    before the next is made; a V_TB failure raises once the slices before it are taken and
+    applied."""
     circuit, plastic = matrix.circuit, matrix.plastic_lut
-    mode_of, current_of = mode_from_voltage, transmit_current
     pre_active, v_pre = pre_out.state(step, circuit.rest_v_pre)
     post_active, v_post1 = post1_in.state(step, circuit.rest_v_post1)
     v_post2 = post2_out.state(step, circuit.rest_v_post2)[1] if matrix.needs_post2 else None
-    for rows, cols, i, post in _engaged(matrix, pre_active, post_active):
+    for rows, cols in _engaged(matrix, pre_active, post_active):
         code = 2 * pre_active[rows] + post_active[cols]
-        g = matrix.g[i, post]
+        g = matrix.g[rows, cols]
         columns = {"G": g, "V_pre": v_pre[rows], "V_post1": v_post1[cols]}
         if matrix.needs_post2:
             columns["V_post2"] = v_post2[cols]
@@ -398,42 +403,28 @@ def _synapse_pass(matrix: _Matrix, q: int, pre_out: _Line, post1_in: _Line,
         v_tb, failed = expr.evaluate_array(circuit.v_app, {**env, **columns})
         n = int(failed.argmax()) if np.count_nonzero(failed) else len(rows)
         out, mode_codes, pulses = [], [], []
+        ex_v = (zip(*(columns[name].tolist() for name in matrix.ex_lines))
+                if matrix.ex_lines else itertools.repeat(()))
         try:
             # zip stops at the first synapse whose V_TB failed; synapse len(out) is the current one
-            if circuit.ex_eqs is None:  # ohmic: transmit_current reads V_TB alone
-                for c, v, gk in zip(code.tolist(), v_tb[:n].tolist(), g.tolist()):
-                    env["V_TB"] = v
-                    if plastic[c]:
-                        mode = mode_of(circuit, PRESENCE_BY_CODE[c], v)
-                        if program and mode in PROGRAMMING:
-                            pulses.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
-                    else:  # engaged but not plastic: the presence is in transmit_policy
-                        mode = TRANSMIT
-                    out.append(current_of(circuit, gk, env, mode))
-                    if record:
-                        mode_codes.append(mode.code)
-            else:  # ex_eqs reads G, bound to the very float transmit_current gets, and lines too
-                ex_v = (zip(*(columns[name].tolist() for name in matrix.ex_lines))
-                        if matrix.ex_lines else itertools.repeat(()))
-                for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_v):
-                    env["V_TB"], env["G"] = v, gk
-                    if volts:
-                        env.update(zip(matrix.ex_lines, volts))
-                    if plastic[c]:
-                        mode = mode_of(circuit, PRESENCE_BY_CODE[c], v)
-                        if program and mode in PROGRAMMING:
-                            pulses.append((int(i[len(out)]), int(post[len(out)]), mode, abs(v)))
-                    else:
-                        mode = TRANSMIT
-                    out.append(current_of(circuit, gk, env, mode))
-                    if record:
-                        mode_codes.append(mode.code)
+            for c, v, gk, volts in zip(code.tolist(), v_tb[:n].tolist(), g.tolist(), ex_v):
+                env["V_TB"], env["G"] = v, gk
+                env.update(zip(matrix.ex_lines, volts))
+                if plastic[c]:
+                    mode = mode_from_voltage(circuit, PRESENCE_BY_CODE[c], v)
+                    if program and mode in PROGRAMMING:
+                        pulses.append((int(rows[len(out)]), int(cols[len(out)]), mode, abs(v)))
+                else:  # engaged but not plastic: the presence is in transmit_policy
+                    mode = TRANSMIT
+                out.append(transmit_current(circuit, gk, env, mode))
+                if record:
+                    mode_codes.append(mode.code)
             if n < len(rows):  # the scalar evaluation raises that synapse's own text
                 expr.evaluate(circuit.v_app, {**matrix.base_env, **{
                     name: column[n].item() for name, column in columns.items()}})
         except expr.ExprError as err:
-            raise SimulationError(f"synapse (layer {q}, pre {i[len(out)]}, post "
-                                  f"{post[len(out)]}) at t={step * dt}: {err}") from err
+            raise SimulationError(f"synapse (layer {q}, pre {rows[len(out)]}, post "
+                                  f"{cols[len(out)]}) at t={step * dt}: {err}") from err
         yield rows, cols, mode_codes, out, pulses
 
 
@@ -474,14 +465,14 @@ def run_timestep(net: Network, step: int, learn: bool = True,
                 dense[rows, cols] = modes
         total -= inhib
         fired = []
-        model, step_neuron, fires = post_layer.spec.neuron_model, integrate, fire_check
+        model = post_layer.spec.neuron_model
         for j, (state, current) in enumerate(zip(post_layer.states, total.tolist())):
             try:
-                step_neuron(model, state, current, step, dt)
+                integrate(model, state, current, step, dt)
             except (expr.ExprError, ValueError) as err:
                 raise SimulationError(
                     f"neuron (layer {q}, index {j}) at t={step * dt}: {err}") from err
-            if fires(model, state, step, dt):
+            if fire_check(model, state, step, dt):
                 fired.append(j)
                 _emit(net, q, j, step)
         if record:

@@ -1045,21 +1045,19 @@ class TestFrozenDriverDifferential:
 
 
 class TestReferenceBoundary:
-    """tests/reference_engine.py takes from spikeforge only spec and model classes,
-    waveforms, encoders, expr, SimulationError and the mode and presence constants:
-    no step, runtime or kernel name of any module, so the engine's can be rewritten
-    under it."""
+    """tests/reference_engine.py takes from spikeforge only the spec classes, the neuron,
+    circuit and device models with the mode and presence constants, the waveform grid rules,
+    expr and SimulationError: no step, runtime or kernel name of any module, so the engine's
+    can be rewritten under it."""
 
-    ALLOWED = {
+    ALLOWED = {  # exactly what the reference imports
         "spikeforge": {"expr"},
-        "spikeforge.engine": {"LayerSpec", "NetworkSpec", "SimConfig", "WeightInit",
-                              "SimulationError"},
-        "spikeforge.neuron": {"NeuronModel", "SpikeWaveforms"},
-        "spikeforge.synapse": {"CircuitModel", "PulseFamilyDevice", "PulseFamilyTable",
-                               "SpikePresence", "SynapseMode", "PRESENCE_BY_CODE", "PROGRAMMING",
-                               "IDLE", "TRANSMIT", "POTENTIATE", "DEPRESS"},
-        "spikeforge.waveform": {"Waveform", "num_steps", "support_steps", "grid_steps"},
-        "spikeforge.encoding": {"PoissonEncoder", "FixedRateEncoder", "SpikeTrain", "Sample"},
+        "spikeforge.engine": {"NetworkSpec", "SimConfig", "WeightInit", "SimulationError"},
+        "spikeforge.neuron": {"NeuronModel"},
+        "spikeforge.synapse": {"CircuitModel", "PulseFamilyDevice", "SpikePresence", "SynapseMode",
+                               "PRESENCE_BY_CODE", "PROGRAMMING", "IDLE", "TRANSMIT", "POTENTIATE",
+                               "DEPRESS"},
+        "spikeforge.waveform": {"Waveform", "num_steps", "support_steps"},
     }
     STEP_NAMES = {
         "run_timestep", "_synapse_pass", "_engaged", "_program", "_emit", "_present",
@@ -1077,7 +1075,8 @@ class TestReferenceBoundary:
             elif isinstance(node, ast.ImportFrom) and node.module.startswith("spikeforge"):
                 imported.setdefault(node.module, set()).update(a.name for a in node.names)
         for module, names in imported.items():
-            assert names <= self.ALLOWED[module], (module, names - self.ALLOWED[module])
+            allowed = self.ALLOWED.get(module, set())
+            assert names <= allowed, (module, names - allowed)
             assert not names & self.STEP_NAMES
         # and each step name it holds is its own copy
         copied = self.STEP_NAMES & set(vars(reference))
