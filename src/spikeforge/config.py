@@ -36,12 +36,12 @@ from pathlib import Path
 
 from spikeforge import expr
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder, Sample
-from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit, _samples
+from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, WeightInit
 from spikeforge.errors import SpecError
 from spikeforge.neuron import NeuronModel, SpikeWaveforms, calibrate_from_frequency
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence
 from spikeforge.tuner import GAConfig, ParamRange
-from spikeforge.waveform import Waveform, waveform_from_flat
+from spikeforge.waveform import grid_samples, waveform_from_flat
 
 _ENCODERS = {"poisson": PoissonEncoder, "fixed": FixedRateEncoder}
 
@@ -96,19 +96,12 @@ def _expression(text: str) -> expr.Expression:
 
 
 def _waveform(dt: float | None):
-    """The reader of a waveform, which must last a step of dt, and, unless every breakpoint
-    is 0 V, carry a nonzero sample at some step (when dt is known): the engine delivers a
-    waveform's values at the grid points i * dt alone."""
+    """The reader of a waveform, which, when dt is known, must pass `grid_samples`: the
+    engine delivers a waveform point-sampled at the grid points i * dt alone."""
     def read(text):
         wf = waveform_from_flat(_numbers(text))
-        if dt is None:
-            return wf
-        samples = _samples(wf, dt)
-        if not samples:
-            raise ValueError(f"waveform lasts 0 steps at dt={dt}, so it would never be delivered")
-        if any(v for _, v in wf.breakpoints) and not any(samples):
-            raise ValueError(f"waveform is 0 V at every step of dt={dt}, so its nonzero "
-                             "breakpoints would never be delivered")
+        if dt is not None:
+            grid_samples(wf, dt)
         return wf
     return read
 

@@ -7,9 +7,9 @@ the neurons adds each one's currents in row order less lateral inhibition, then 
 and emits it. A failing step leaves the slices, neurons and layers before the failure stepped.
 Spikes emitted at step k become visible at step k+1, the network's only feedback latency.
 
-Spike delivery is integer-step throughout: each layer samples its waveforms
-once on the dt grid (`_samples`), and a waveform triggered at step m is
-active for ceil(duration/dt) steps and worth its i-th sample at step m + i.
+Spike delivery is integer-step throughout, point-sampled at the grid points i * dt: each layer
+samples its waveforms once, by `grid_samples`, which rejects one the grid never delivers, and
+a waveform triggered at step m lasts ceil(duration/dt) steps, worth its value at i * dt at m + i.
 Refractory windows and encoders keep the same grid rules (`waveform.py`): a
 neuron fired at step m is pinned at v_reset before step m + ceil(t_refrac/dt).
 Input spikes wait in `Network.inputs` until their step; each spike line
@@ -55,7 +55,7 @@ from spikeforge.synapse import (
     PRESENCE_BY_CODE, PROGRAMMING, TRANSMIT, CircuitModel, PulseFamilyDevice, SynapseMode,
     mode_from_voltage, saturates, step_device, transmit_current,
 )
-from spikeforge.waveform import Waveform, num_steps, support_steps
+from spikeforge.waveform import Waveform, grid_samples, num_steps
 
 NET_FORMAT = "spikeforge-net v1"
 
@@ -188,11 +188,6 @@ class SimConfig:
                                 f"multiple of dt={self.dt}") from None
 
 
-def _samples(wf: Waveform, dt: float) -> tuple[float, ...]:
-    """A waveform's values on the grid, one per step of its support."""
-    return tuple(wf.sample(i * dt) for i in range(support_steps(wf.duration, dt)))
-
-
 class _Line:
     """One spike line of a layer: for each pending step, which neurons carry
     a waveform (`active`) and the sum of what they carry (`volts`).
@@ -249,17 +244,16 @@ class _LayerRuntime:
     __slots__ = ("spec", "states", "pre_out", "post1_in", "inhib_in",
                  "pre", "post1", "post2", "inhib")
 
-    def __init__(self, spec: LayerSpec, is_input: bool, dt: float, samples: int | None):
+    def __init__(self, spec: LayerSpec, q: int, dt: float, samples: int | None):
         self.spec = spec
         n = spec.neurons * (samples or 1)
-        self.states = [] if is_input else [NeuronState(
+        self.states = [] if q == 0 else [NeuronState(
             v=spec.neuron_model.v_reset, energy=0.0 if samples is None else _EnergyLog())
             for _ in range(n)]
         self.pre_out, self.post1_in, self.inhib_in = _Line(n), _Line(n), _Line(n)
-        wf = spec.neuron_model.waveforms
-        self.pre, self.post1, self.post2, self.inhib = (
-            None if w is None else _samples(w, dt)
-            for w in (wf.pre, wf.post1, wf.post2, wf.inhib))
+        self.pre, self.post1, self.post2, self.inhib = (  # SpikeWaveforms' fields, in order
+            None if w is None else grid_samples(w, dt, f"layer {q} {name} waveform")
+            for name, w in vars(spec.neuron_model.waveforms).items())
 
     @property
     def lines(self) -> tuple[_Line, _Line, _Line]:
@@ -305,7 +299,7 @@ class Network:
     def __init__(self, spec: NetworkSpec, dt: float, samples: int | None = None):
         self.spec = spec
         self.dt = dt
-        self.layers = [_LayerRuntime(ls, k == 0, dt, samples) for k, ls in enumerate(spec.layers)]
+        self.layers = [_LayerRuntime(ls, q, dt, samples) for q, ls in enumerate(spec.layers)]
         self.matrices: list[_Matrix] = []
         self.labels: list[int | None] = [None] * spec.layers[spec.label_layer].neurons
         self.inputs: dict[int, list[int]] = {}  # step: the input channels spiking then
@@ -580,7 +574,8 @@ def stdp_pairing_sweep(circuit: CircuitModel, device: PulseFamilyDevice,
     deltas = [int(d) for d in delta_steps]
     matrix = _Matrix(circuit, device, True, np.eye(len(deltas), dtype=bool), dt)
     matrix.g[matrix.mask] = g0
-    pre, post = _samples(pre_waveform, dt), _samples(post_waveform, dt)
+    pre, post = (grid_samples(pre_waveform, dt, "pre_waveform"),
+                 grid_samples(post_waveform, dt, "post_waveform"))
     pre_out, post1_in, no_post2 = _Line(len(deltas)), _Line(len(deltas)), _Line(len(deltas))
     ends = []
     for m, d in enumerate(deltas):
@@ -795,16 +790,7 @@ def _read_conductances(net: Network, path, fh) -> None:
                     for c, key in enumerate(np.unravel_index(codes[line - 1:end - 1], (N,) * 3))):
                 g[line - 1:end - 1], seen[line - 1:end - 1] = list(map(float, fields[3::4])), True
                 continue
-        rows = []
-        _read_lines(path, block.split("\n"), line + 1, rows, by_neuron)
-        k = np.array(rows, dtype=object).reshape(-1, 4)  # Python numbers: an index may pass int64
-        code = np.where(((k[:, :3] >= 0) & (k[:, :3] < N)).all(axis=1),
-                        (k[:, 0] * N + k[:, 1]) * N + k[:, 2], -1).astype(np.int64)
-        pos = np.searchsorted(codes, code)
-        hit = codes[pos] == code  # a key outside the topology is counted in extra
-        extra.update(map(tuple, k[~hit, :3].tolist()))
-        pos, last = np.unique(pos[hit][::-1], return_index=True)  # a key's last line wins
-        g[pos], seen[pos] = k[hit, 3][::-1][last], True
+        _read_lines(path, block.split("\n"), line + 1, codes, N, g, seen, extra, by_neuron)
     if extra or not seen.all():
         raise NetworkFileError(
             f"{path}: synapse set does not match the network topology "
@@ -826,9 +812,10 @@ def _read_conductances(net: Network, path, fh) -> None:
     net.labels = [by_neuron[k] for k in range(m)]
 
 
-def _read_lines(path, lines: list[str], lineno: int, rows: list, labels: dict) -> None:
-    """Read lines numbered from lineno one at a time: each synapse line's q,
-    i, j and g go onto rows, flat and in line order, and label lines into labels."""
+def _read_lines(path, lines: list[str], lineno: int, codes, N: int, g, seen, extra: set,
+                labels: dict) -> None:
+    """Read lines from lineno on, one at a time: a synapse line's g goes to its code's place in
+    codes, where a later line of its key overwrites it, or its key to extra; a label to labels."""
     for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
@@ -838,9 +825,15 @@ def _read_lines(path, lines: list[str], lineno: int, rows: list, labels: dict) -
                 if len(parts) != 3:
                     raise ValueError("label line needs 3 fields")
                 labels[int(parts[1])] = None if parts[2] == "none" else int(parts[2])
-            else:
-                if len(parts) != 4:
-                    raise ValueError("synapse line needs 4 fields")
-                rows += int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+                continue
+            if len(parts) != 4:
+                raise ValueError("synapse line needs 4 fields")
+            q, i, j, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError as err:
             raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None
+        code = (q * N + i) * N + j if 0 <= q < N and 0 <= i < N and 0 <= j < N else -1
+        pos = int(codes.searchsorted(code))  # at most len(g): codes ends with a stop
+        if codes[pos] == code:
+            g[pos], seen[pos] = value, True
+        else:  # a key outside the topology
+            extra.add((q, i, j))

@@ -7,7 +7,8 @@ right-continuous and the second point is the start of the next piece.
 The grid rules are the only conversion of seconds to steps: horizons
 (`num_steps`), waveforms and refractory windows (`support_steps`) and
 encoded spike times (`grid_steps`) all take a ratio within 1e-9 of an
-integer as that integer.
+integer as that integer. However a waveform is given, it is delivered
+point-sampled at the grid points i * dt alone (`grid_samples`).
 """
 
 from __future__ import annotations
@@ -106,3 +107,16 @@ def num_steps(T: float, dt: float) -> int:
 def support_steps(duration: float, dt: float) -> int:
     """Steps a waveform or refractory window lasts: ceil(duration/dt), half-open."""
     return math.ceil(grid_steps(duration, dt))
+
+
+def grid_samples(wf: Waveform, dt: float, what: str = "waveform") -> tuple[float, ...]:
+    """What the engine delivers of wf: its values at the grid points i * dt alone, one per step
+    of its support. SpecError, its text starting with `what`, for a waveform the grid never
+    delivers: one that lasts 0 steps, or is 0 V at every step while a breakpoint is not."""
+    samples = tuple(wf.sample(i * dt) for i in range(support_steps(wf.duration, dt)))
+    if not samples:
+        raise SpecError(None, f"{what} lasts 0 steps at dt={dt}, so it would never be delivered")
+    if not any(samples) and any(wf._volts):
+        raise SpecError(None, f"{what} is 0 V at every step of dt={dt}, so its nonzero "
+                        "breakpoints would never be delivered")
+    return samples

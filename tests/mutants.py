@@ -27,8 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600.0  # per test run; a mutant that runs out is scored as killed
-ENGINE, SYNAPSE, NEURON = "src/spikeforge/engine.py", "src/spikeforge/synapse.py", \
-    "src/spikeforge/neuron.py"
+ENGINE, SYNAPSE, NEURON, WAVEFORM = "src/spikeforge/engine.py", "src/spikeforge/synapse.py", \
+    "src/spikeforge/neuron.py", "src/spikeforge/waveform.py"
 
 # name: (file, site text, replacement), one or more per concept of the run
 MUTANTS = {
@@ -110,12 +110,16 @@ MUTANTS = {
     "chunk-energy-summed-at-once": (
         ENGINE, "for term in done.energy:\n                state.energy += term",
         "state.energy += sum(done.energy)"),
+    # waveforms on the grid
+    "layer-waveforms-unchecked": (
+        ENGINE, 'grid_samples(w, dt, f"layer {q} {name} waveform")',
+        "tuple(w.sample(i * dt) for i in range(math.ceil(w.duration / dt - 1e-9)))"),
+    "a-0-v-step-rejects-the-waveform": (WAVEFORM, "not any(samples)", "not all(samples)"),
+    "0-step-waveforms-pass": (WAVEFORM, "if not samples:", "if False:"),
     # the network file
     "network-file-first-line-wins": (
-        ENGINE, "np.unique(pos[hit][::-1], return_index=True)  # a key's last line wins\n"
-                "        g[pos], seen[pos] = k[hit, 3][::-1][last], True",
-        "np.unique(pos[hit], return_index=True)\n"
-        "        g[pos], seen[pos] = k[hit, 3][last], True"),
+        ENGINE, "g[pos], seen[pos] = value, True",
+        "g[pos], seen[pos] = g[pos] if seen[pos] else value, True"),
     # config line numbers
     "config-lines-counted-from-0": (
         "src/spikeforge/config.py", "enumerate(Path(path).read_bytes().splitlines(), start=1)",

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import shutil
 from pathlib import Path
@@ -11,6 +12,7 @@ from spikeforge.config import (
 )
 from spikeforge.encoding import FixedRateEncoder, PoissonEncoder
 from spikeforge.engine import LayerSpec, NetworkSpec, SimConfig, build_network
+from spikeforge.errors import SpecError
 from spikeforge.expr import parse
 from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
@@ -772,6 +774,97 @@ def test_a_spike_the_grid_samples_to_0_v_is_rejected_at_load(tmp_path):
     for path in sorted(BENCH_CONFIGS.glob("*.cfg")):
         load_config(write(tmp_path, path.read_text()))
     load_config(write(tmp_path, MINIMAL))
+
+
+GRID_KINDS = ("on-grid", "off-grid", "edge", "all-zero", "peak-between")
+
+
+def grid_draw(seed):
+    """Draw seed of the grid rule's property test: a (kind, waveform, dt), the kind cycling
+    through GRID_KINDS. Supports last 0 to 6 steps, and a third of the volts are 0. An edge
+    or all-zero waveform ends on the grid or off it; its vertical edge sits on a grid point or
+    between two. A peak-between is 0 V at and around every grid point up to a 1.5 V peak, then
+    ramps to volts that a grid point may or may not catch."""
+    rng = np.random.default_rng(seed)
+    kind, dt = GRID_KINDS[seed % len(GRID_KINDS)], float(rng.choice([1e-3, 5e-4, 2e-4, 1e-4]))
+    steps = int(rng.integers(0, 4))
+
+    def volt():
+        return 0.0 if kind == "all-zero" or rng.random() < 0.3 else round(rng.uniform(-2, 2), 3)
+
+    if kind == "peak-between":
+        lo, peak, hi = np.sort(rng.uniform(0.05, 0.95, 3)) + steps
+        end = hi + float(rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+        pts = [(0.0, 0.0), (lo, 0.0), (peak, 1.5), (hi, 0.0), (end, volt())]
+    else:
+        off_grid = kind == "off-grid" or kind != "on-grid" and rng.random() < 0.5
+        end = steps + (rng.uniform(0.05, 0.95) if off_grid else 0.0)
+        times = [0.0, *rng.uniform(0.0, end, int(rng.integers(0, 3))), end]
+        if kind == "edge":
+            at = float(rng.integers(0, steps + 1)) if rng.random() < 0.5 else rng.uniform(0, end)
+            times += [at, at]
+        times.sort()
+        # a time may appear twice, no more
+        pts = [(t, volt()) for k, t in enumerate(times) if k < 2 or times[k - 2] != t]
+    return kind, Waveform(tuple((t * dt, v) for t, v in pts)), dt
+
+
+def delivered(wf, dt):
+    """wf's value at each grid point k * dt before its end, scanned one point at a time; a
+    point within 1e-9 steps of the end is the end."""
+    values = []
+    while len(values) < wf.duration / dt - 1e-9:
+        values.append(wf.sample(len(values) * dt))
+    return values
+
+
+def test_both_routes_of_a_waveform_meet_one_grid_rule(tmp_path):
+    """A waveform as a pre_volt line of a config file and the same Waveform in a spec built
+    in code are accepted alike, delivering its values at the grid points, or rejected alike:
+    when no grid point lies before its end, or when it is 0 V at every grid point though a
+    breakpoint is not. Each route prefixes the same text with where the waveform is."""
+    bases, outcomes = {}, {}
+    for seed in range(250):
+        kind, wf, dt = grid_draw(seed)
+        values = delivered(wf, dt)
+        if not values:
+            fault = f"lasts 0 steps at dt={dt}, so it would never be delivered"
+        elif not any(values) and any(v for _, v in wf.breakpoints):
+            fault = (f"is 0 V at every step of dt={dt}, so its nonzero breakpoints would "
+                     "never be delivered")
+        else:
+            fault = None
+        outcome = ("0 steps" if not values else "0 V" if fault else
+                   "a 0 V step" if 0.0 in values else "accepted")
+        outcomes.setdefault(kind, []).append(outcome)
+        flat = ", ".join(repr(x) for point in wf.breakpoints for x in point)
+        text = MINIMAL.replace("dt = 0.001", f"dt = {dt!r}").replace(
+            "pre_volt = 0, 0.5, 0.002, 0.5", f"pre_volt = {flat}")
+        path = write(tmp_path, text)
+        if dt not in bases:
+            bases[dt] = load_config(write(tmp_path, MINIMAL.replace("dt = 0.001", f"dt = {dt!r}"),
+                                          "base.cfg")).network
+        base = bases[dt]
+        first = base.layers[0]
+        spec = dataclasses.replace(base, layers=(dataclasses.replace(
+            first, neuron_model=dataclasses.replace(first.neuron_model, waveforms=(
+                dataclasses.replace(first.neuron_model.waveforms, pre=wf)))), *base.layers[1:]))
+        if fault is None:
+            assert load_config(path).network.layers[0].neuron_model.waveforms.pre == wf
+            assert build_network(spec, dt).layers[0].pre == tuple(values)
+            continue
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.problems == [
+            f"[neuron.input] pre_volt (line {line_of(text, 'pre_volt')}): waveform {fault}"]
+        with pytest.raises(SpecError) as err:
+            build_network(spec, dt)
+        assert str(err.value) == f"layer 0 pre waveform {fault}"
+    every = {"0 steps", "0 V", "a 0 V step", "accepted"}
+    assert {kind: set(seen) for kind, seen in outcomes.items()} == {
+        "on-grid": every, "off-grid": every - {"0 steps"}, "edge": every,
+        "all-zero": {"0 steps", "a 0 V step"}, "peak-between": {"0 V", "a 0 V step"}}
+    assert all(sum(seen.count(outcome) for seen in outcomes.values()) >= 15 for outcome in every)
 
 
 def test_non_finite_numbers_are_caught_at_load(tmp_path):

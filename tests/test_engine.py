@@ -25,7 +25,7 @@ from spikeforge.neuron import NeuronModel, SpikeWaveforms
 from spikeforge.synapse import (
     CircuitModel, PulseFamilyDevice, PulseFamilyTable, SpikePresence, SynapseMode,
 )
-from spikeforge.waveform import Waveform, support_steps
+from spikeforge.waveform import Waveform, grid_samples, support_steps
 
 import reference_engine as reference
 from reference_engine import (
@@ -269,6 +269,40 @@ class TestBuildNetwork:
         with pytest.raises(SpecError) as err:
             make()
         assert (err.value.key, str(err.value)) == (key, message)
+
+    # 1.5 V between the grid points of dt = 1 ms, 0 V on them; and a spike that lasts 0 steps
+    BETWEEN = Waveform(((0.0, 0.0), (0.0005, 1.5), (0.001, 0.0)))
+    INSTANT = Waveform(((0.0, 1.0), (0.0, 1.0)))
+
+    def test_a_waveform_the_grid_never_delivers_names_its_layer_and_waveform(self):
+        """A spec built in code meets the grid rule of a config file's waveforms."""
+        quiet_input = LayerSpec(neurons=2, neuron_model=dataclasses.replace(
+            input_model(), waveforms=SpikeWaveforms(pre=self.BETWEEN)))
+        spec = NetworkSpec(layers=(quiet_input, output_layer(2)))
+        with pytest.raises(SpecError) as err:
+            build_network(spec, 1e-3)
+        assert str(err.value) == ("layer 0 pre waveform is 0 V at every step of dt=0.001, so "
+                                  "its nonzero breakpoints would never be delivered")
+        assert build_network(spec, 5e-4).layers[0].pre == (0.0, 1.5)
+        out = out_model()
+        never_learns = dataclasses.replace(output_layer(2, plastic=True), neuron_model=(
+            dataclasses.replace(out, waveforms=dataclasses.replace(
+                out.waveforms, post1=self.INSTANT))))
+        with pytest.raises(SpecError) as err:
+            build_network(NetworkSpec(layers=(input_layer(2), never_learns)), 1e-3)
+        assert str(err.value) == ("layer 1 post1 waveform lasts 0 steps at dt=0.001, so it "
+                                  "would never be delivered")
+
+    def test_the_pairing_sweep_names_a_waveform_the_grid_never_delivers(self):
+        for pre, post, message in (
+                (self.BETWEEN, rect(1.0, 2e-3), "pre_waveform is 0 V at every step of "
+                 "dt=0.001, so its nonzero breakpoints would never be delivered"),
+                (rect(1.0, 2e-3), self.INSTANT,
+                 "post_waveform lasts 0 steps at dt=0.001, so it would never be delivered")):
+            with pytest.raises(SpecError) as err:
+                engine.stdp_pairing_sweep(transmit_circuit(), small_device(), pre, post,
+                                          range(-2, 3), 1e-3, 5 * US)
+            assert str(err.value) == message
 
     def test_peak_memory_of_the_largest_build_is_bounded(self):
         # 784 x 100 all-to-all, the largest net the benchmarks aim at: its
@@ -1579,7 +1613,7 @@ class TestSimulationErrors:
         for line, volts in ((net.layers[0].pre_out, pre_volts),
                             (net.layers[1].post1_in, post_volts)):
             for idx, v in enumerate(volts):
-                line.trigger(idx, 0, engine._samples(rect(v, 2e-3), 1e-3))
+                line.trigger(idx, 0, grid_samples(rect(v, 2e-3), 1e-3))
         return net
 
     @pytest.mark.parametrize("plastic", [frozenset(), frozenset({SpikePresence.PRE_ONLY})],

@@ -30,7 +30,7 @@ import pytest
 
 from spikeforge import engine, expr
 from spikeforge.engine import (
-    LayerSpec, NetworkSpec, SimulationError, WeightInit, _engaged, _Line, _Matrix, _samples,
+    LayerSpec, NetworkSpec, SimulationError, WeightInit, _engaged, _Line, _Matrix,
     _synapse_pass, build_network, run_timestep,
 )
 from spikeforge.expr import parse
@@ -39,7 +39,7 @@ from spikeforge.synapse import (
     PRESENCE_BY_CODE, CircuitModel, PulseFamilyDevice, SpikePresence, SynapseMode,
     mode_from_voltage, transmit_current,
 )
-from spikeforge.waveform import Waveform
+from spikeforge.waveform import Waveform, grid_samples
 
 DT = 1e-3
 STEP = 10
@@ -148,7 +148,7 @@ def random_line(rng, n):
             wf = Waveform(((0.0, rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0])),
                            (steps * DT, rng.uniform(-2.0, 2.0))))
             origin = STEP - int(rng.integers(-1, steps + 2))
-            line.trigger(idx, origin, _samples(wf, DT), float(rng.choice([1.0, -1.0])))
+            line.trigger(idx, origin, grid_samples(wf, DT), float(rng.choice([1.0, -1.0])))
     return line
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spikeforge.config import load_calibration_csv
+from spikeforge.config import load_calibration_csv, load_config
 from spikeforge.encoding import FixedRateEncoder
 from spikeforge.engine import (
     LayerSpec, NetworkSpec, WeightInit, build_network, num_steps, run_timestep, schedule_input,
@@ -156,11 +156,56 @@ class TestNanodeviceNeuronInTheEngine:
     conductance G, by rectangular V-volt pulses of width w at RATE, a period well below
     tau. Its rates match firing_frequency with A = r_mem * G * V / tau: 4.3% and 2.4%
     off at 0.55 and 0.6 ms, near the threshold, and within 0.3% above. And
-    calibrate_from_frequency on them recovers tau within 2.8% and thres within 1.0%."""
+    calibrate_from_frequency on them recovers tau within 2.8% and thres within 1.0%, as does
+    a config of this network whose output neuron takes them from its calib_path."""
 
     DT, T = 5e-5, 0.2
     G, R_MEM, TAU, THRES, V, RATE = 2e-6, 1e6, 20e-3, 0.5, 0.5, 1000.0
     WIDTHS = (0.55e-3, 0.6e-3, 0.7e-3, 0.8e-3, 0.9e-3)
+    CONFIG = """\
+[sim]
+T = 0.2
+dt = 5e-05
+T_sample = 0.2
+
+[device.pair]
+kind = identical
+g_min = 1e-6
+g_max = 3e-6
+levels_ltp = 1e-6, 3e-6
+levels_ltd = 3e-6, 1e-6
+
+[circuit.transmit]
+v_app = V_pre
+v_th_pos = 10
+v_th_neg = 10
+transmit_policy = pre_only
+
+[neuron.input]
+tau = 1.0
+thres = 1.0
+pre_volt = 0, 0.5, 0.0006, 0.5
+
+[neuron.out]
+r_mem = 1e6
+calib_path = rates.csv
+calib_pulse_amplitude = {amplitude!r}
+calib_pulse_rate = 1000
+
+[layers.0]
+neurons = 1
+neuron = input
+
+[layers.1]
+neurons = 1
+neuron = out
+label = true
+device = pair
+circuit = transmit
+
+[network]
+init_weights = constant(2e-6)
+"""
 
     def engine_rate(self, width):
         """The output's steady rate, from its first to its last spike."""
@@ -184,15 +229,21 @@ class TestNanodeviceNeuronInTheEngine:
         assert len(spikes) >= 4
         return (len(spikes) - 1) / (spikes[-1] - spikes[0])
 
-    def test_rates_match_the_model_and_the_fit_recovers_tau_and_thres(self):
+    def test_rates_match_the_model_and_the_fit_recovers_tau_and_thres(self, tmp_path):
         amplitude = self.R_MEM * self.G * self.V / self.TAU
         rates = [self.engine_rate(w) for w in self.WIDTHS]
         for w, rate in zip(self.WIDTHS, rates):
             model = firing_frequency(w, self.TAU, self.THRES, amplitude, self.RATE)
             assert rate == pytest.approx(model, rel=0.06 if w < 0.65e-3 else 0.01), w
         fit = calibrate_from_frequency(list(zip(self.WIDTHS, rates)), amplitude, self.RATE)
-        assert fit.tau == pytest.approx(self.TAU, rel=0.04)
-        assert fit.thres == pytest.approx(self.THRES, rel=0.015)
+        (tmp_path / "rates.csv").write_text(
+            "".join(f"{w!r},{rate!r}\n" for w, rate in zip(self.WIDTHS, rates)))
+        (tmp_path / "run.cfg").write_text(self.CONFIG.format(amplitude=amplitude))
+        loaded = load_config(tmp_path / "run.cfg").network.layers[1].neuron_model
+        for tau, thres in ((fit.tau, fit.thres), (loaded.tau, loaded.thres)):
+            assert tau == pytest.approx(self.TAU, rel=0.04)
+            assert thres == pytest.approx(self.THRES, rel=0.015)
+        assert (loaded.r_mem, loaded.tau, loaded.thres) == (self.R_MEM, fit.tau, fit.thres)
 
 
 class TestCalibration:

@@ -254,6 +254,18 @@ class TestGAOptimize:
             (4, "0x0.0p+0", "-0x1.ddddddddddddfp-2"),
         ]
 
+    def test_a_later_tie_keeps_the_earlier_best(self):
+        """Of equal best fitnesses across generations the first evaluated stays the best:
+        with no elite carried over, every later generation ties generation 0's best with
+        genomes of its own."""
+        cfg = GAConfig(population=6, generations=4, elitism=0, mutation_rate=1.0, seed=5)
+        result = ga_optimize(BOX, lambda params, seed: 1.0, cfg)
+        first = result.history[0].best_params
+        assert first == decode(np.random.default_rng(5).uniform(*np.array(
+            [p.bounds() for p in BOX]).T), BOX)
+        assert result.best_params == first
+        assert [s.best_params for s in result.history] == [first] * 5
+
     def test_history_exposes_mean_and_params(self):
         result = ga_optimize(BOX, quadratic, GAConfig(generations=3, seed=0))
         assert isinstance(result, GAResult)
