@@ -814,8 +814,9 @@ def _read_conductances(net: Network, path, fh) -> None:
 
 def _read_lines(path, lines: list[str], lineno: int, codes, N: int, g, seen, extra: set,
                 labels: dict) -> None:
-    """Read lines from lineno on, one at a time: a synapse line's g goes to its code's place in
-    codes, where a later line of its key overwrites it, or its key to extra; a label to labels."""
+    """Parse lines from lineno on (a label to labels), then place synapse lines by one search:
+    in file order, g goes to its code's place (a later line of a key wins) or its key to extra."""
+    read = []  # (code, key, g) of each synapse line, in file order
     for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
@@ -832,8 +833,10 @@ def _read_lines(path, lines: list[str], lineno: int, codes, N: int, g, seen, ext
         except ValueError as err:
             raise NetworkFileError(f"{path}:{lineno}: corrupt line: {err}") from None
         code = (q * N + i) * N + j if 0 <= q < N and 0 <= i < N and 0 <= j < N else -1
-        pos = int(codes.searchsorted(code))  # at most len(g): codes ends with a stop
-        if codes[pos] == code:
+        read.append((code, (q, i, j), value))
+    at = codes.searchsorted([code for code, _, _ in read])  # at most len(g): codes ends with a stop
+    for pos, there, (code, key, value) in zip(at.tolist(), codes[at].tolist(), read):
+        if there == code:
             g[pos], seen[pos] = value, True
         else:  # a key outside the topology
-            extra.add((q, i, j))
+            extra.add(key)

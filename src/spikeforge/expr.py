@@ -20,6 +20,9 @@ operators, the `math` functions and `float()` wrapping, so results are
 bit-identical to a tree walk. Each check (division by zero, log <= 0,
 sqrt < 0, failed pow or call, unbound variable, non-finite result) runs
 where its node does, so the first failure in that order is raised.
+`evaluate` is the env-dict case of the one compiler, `_compile`, whose
+closure may take `params` as positional arguments instead, with `bound`
+names fixed at compile time; `neuron.integrate` keeps one per model.
 `evaluate_array` does the same over arrays, masking the elements that fail.
 """
 
@@ -195,6 +198,7 @@ def evaluate(e: Expression, env: dict[str, float]) -> float:
         run = e._run
     except AttributeError:
         run = _compile(e)
+        object.__setattr__(e, "_run", run)
     return run(env)
 
 
@@ -203,14 +207,17 @@ _RUNTIME = {"ExprError": ExprError, "isfinite": math.isfinite,
 _DOMAIN = {"log": ("<=", "log of non-positive value"), "sqrt": ("<", "sqrt of negative value")}
 
 
-def _compile(e: Expression):
-    """Turn the tree into one straight-line function, a statement per node in
-    post-order: literals are closure names, a variable is read at its first
-    use, and each check runs where its node does. Only known operators and
-    function names reach the source; anything else is not a node."""
+def _compile(e: Expression, params: tuple[str, ...] = (), bound=None):
+    """Turn the tree into one straight-line function run(*params, env={}), a
+    statement per node in post-order: literals and bound names are closure
+    names, any other variable is a parameter or is read from env at its first
+    use, and each check runs where its node does (a division by a nonzero
+    constant needs none). Only known operators and function names reach the
+    source; anything else is not a node."""
     lines: list[str] = []
-    consts: list[float] = []
-    loaded: dict[str, str] = {}
+    consts: dict[str, float] = {}  # closure name: value
+    loaded = {name: f"p{k}" for k, name in enumerate(params)}
+    bound = bound or {}
 
     def assign(value: str, failure: str | None = None) -> str:
         t = f"t{len(lines)}"
@@ -222,9 +229,10 @@ def _compile(e: Expression):
         return t
 
     def emit(node) -> str:
-        if isinstance(node, Num):
-            consts.append(node.value)
-            return f"c{len(consts) - 1}"
+        if isinstance(node, Num) or isinstance(node, Var) and node.name in bound:
+            c = f"c{len(consts)}"
+            consts[c] = node.value if isinstance(node, Num) else bound[node.name]
+            return c
         if isinstance(node, Var):
             if node.name not in loaded:
                 v = loaded[node.name] = f"v{len(loaded)}"
@@ -238,7 +246,7 @@ def _compile(e: Expression):
             a, b = emit(node.left), emit(node.right)
             if node.op == "^":
                 return assign(f"f_pow({a}, {b})", f"invalid power {{{a}}} ^ {{{b}}}: {{err}}")
-            if node.op == "/":
+            if node.op == "/" and consts.get(b, 0.0) == 0.0:
                 lines.append(f"if {b} == 0.0: raise ExprError('division by zero')")
             return assign(f"{a} {node.op} {b}")
         if isinstance(node, Call) and node.func in FUNCTIONS:
@@ -255,14 +263,12 @@ def _compile(e: Expression):
     r = emit(e)
     lines += [f"if not isfinite({r}): "
               f"raise ExprError(f'expression produced non-finite value {{{r}}}')", f"return {r}"]
-    params = ", ".join(f"c{k}" for k in range(len(consts)))
-    source = "".join([f"def make({params}):\n    def run(env):\n"]
+    signature = "".join(f"p{k}, " for k in range(len(params))) + "env={}"
+    source = "".join([f"def make({', '.join(consts)}):\n    def run({signature}):\n"]
                      + [f"        {line}\n" for line in lines] + ["    return run\n"])
     namespace = dict(_RUNTIME)
     exec(compile(source, "<expr>", "exec"), namespace)
-    run = namespace.pop("make")(*consts)
-    object.__setattr__(e, "_run", run)
-    return run
+    return namespace.pop("make")(*consts.values())
 
 
 def evaluate_array(e: Expression, env) -> tuple:

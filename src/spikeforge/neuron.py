@@ -1,7 +1,9 @@
 """Neuron dynamics and nanodevice-neuron calibration.
 
 Neurons integrate total synaptic current with explicit Euler at the global
-timestep, fire on a threshold crossing and reset. The engine then schedules
+timestep, fire on a threshold crossing and reset. dV/dt is the model's
+state_eqs, or LEAK by default; neither runs inside the refractory window,
+where only power_expr does. The engine then schedules
 the neuron's configured spike shapes: post1 back to the incoming synapses,
 post2 forward as the next layer's pre-spike (and as V_post2 to its own
 incoming synapses, on every layer), and an optional inhibitory spike toward
@@ -23,6 +25,7 @@ from spikeforge.waveform import Waveform, support_steps
 
 # the names state_eqs and power_expr may read
 NEURON_VOCABULARY = frozenset({"V", "I", "dt", "tau", "thres", "r_mem"})
+LEAK = expr.parse("(r_mem * I - V) / tau")  # dV/dt of a model with no state_eqs
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,10 @@ class SpikeWaveforms:
 class NeuronModel:
     """Leaky integrate-and-fire parameters plus device-specific hooks.
 
-    state_eqs, when given, replaces the default leak equation with a user
-    dV/dt expression over {V, I, dt, tau, thres, r_mem}; power_expr
-    accumulates dynamic energy with the same vocabulary.
+    state_eqs, when given, replaces the default dV/dt, LEAK, with a user
+    expression over {V, I, dt, tau, thres, r_mem}; power_expr accumulates
+    dynamic energy with the same vocabulary. Both compile on first use into
+    functions of (V, I, dt) with tau, thres and r_mem bound, kept on the model.
     """
 
     tau: float
@@ -82,23 +86,25 @@ def integrate(model: NeuronModel, state: NeuronState, current: float,
               step: int, dt: float) -> None:
     """One Euler step of the membrane equation at a step index.
 
-    Inside the refractory window the membrane is pinned at v_reset. Energy
-    accumulates as dt * power_expr evaluated on the start-of-step state.
+    Inside the refractory window the membrane is pinned at v_reset and dV/dt
+    (state_eqs or LEAK) does not run. Energy accumulates as dt * power_expr,
+    in the window too; both read the start-of-step state.
     """
-    if model.power_expr is not None or model.state_eqs is not None:
-        # one env serves both expressions: each reads the start-of-step state
-        env = {"V": state.v, "I": current, "dt": dt,
-               "tau": model.tau, "thres": model.thres, "r_mem": model.r_mem}
-    if model.power_expr is not None:
-        state.energy += dt * expr.evaluate(model.power_expr, env)
+    try:
+        dv_dt, power = model._step
+    except AttributeError:  # first use: one compiled pair per model, as expr keeps _run
+        bound = {"tau": model.tau, "thres": model.thres, "r_mem": model.r_mem}
+        dv_dt, power = step_fns = tuple(
+            None if e is None else expr._compile(e, ("V", "I", "dt"), bound)
+            for e in (model.state_eqs or LEAK, model.power_expr))
+        object.__setattr__(model, "_step", step_fns)
+    v = state.v
+    if power is not None:
+        state.energy += dt * power(v, current, dt)
     if step < state.refractory_until:
         state.v = model.v_reset
         return
-    if model.state_eqs is None:
-        dv = (model.r_mem * current - state.v) / model.tau
-    else:
-        dv = expr.evaluate(model.state_eqs, env)
-    v = state.v + dt * dv
+    v += dt * dv_dt(v, current, dt)
     if not math.isfinite(v):
         raise ValueError(f"membrane potential diverged to {v}")
     state.v = v

@@ -7,10 +7,10 @@ source file under src/, and every site must be found exactly once before anythin
 refactor that moves a site's text fails the list loudly instead of scoring a mutant that was
 never applied. Per mutant, src/, tests/, bench/, pyproject.toml and BENCHMARK.json are copied
 into a temporary directory, the edit is applied there, and `python -m pytest -x -q -m "not
-slow"` runs there, for at most TIMEOUT_S seconds; the checkout is never written to. The
-unmutated copy runs first and must pass. Each mutant prints as killed, with the first test that
-failed, or survived; the last line is the score. Pytest does not collect this file: its name
-does not start with `test_`.
+slow"` runs there, leaving out tests/test_mutants.py (tier-1's check of the sites), for at most
+TIMEOUT_S seconds; the checkout is never written to. The unmutated copy runs first and must
+pass. Each mutant prints as killed, with the first test that failed, or survived; the last line
+is the score. Pytest does not collect this file: its name does not start with `test_`.
 """
 
 from __future__ import annotations
@@ -84,13 +84,21 @@ MUTANTS = {
         NEURON, "state.refractory_until = step + support_steps(model.t_refrac, dt)",
         "state.refractory_until = step + support_steps(model.t_refrac, dt) - 1"),
     "leak-sign-flipped": (
-        NEURON, "dv = (model.r_mem * current - state.v) / model.tau",
-        "dv = (model.r_mem * current + state.v) / model.tau"),
+        NEURON, 'LEAK = expr.parse("(r_mem * I - V) / tau")',
+        'LEAK = expr.parse("(r_mem * I + V) / tau")'),
     "refractory-window-a-step-long": (
         NEURON, "if step < state.refractory_until:", "if step <= state.refractory_until:"),
+    "dv-dt-runs-inside-the-refractory-window": (
+        NEURON, "    if step < state.refractory_until:\n        state.v = model.v_reset\n"
+                "        return\n    v += dt * dv_dt(v, current, dt)\n",
+        "    v += dt * dv_dt(v, current, dt)\n    if step < state.refractory_until:\n"
+        "        state.v = model.v_reset\n        return\n"),
     "energy-without-dt": (
-        NEURON, "state.energy += dt * expr.evaluate(model.power_expr, env)",
-        "state.energy += expr.evaluate(model.power_expr, env)"),
+        NEURON, "state.energy += dt * power(v, current, dt)",
+        "state.energy += power(v, current, dt)"),
+    "compiled-step-shared-by-every-model": (
+        NEURON, 'object.__setattr__(model, "_step", step_fns)',
+        'setattr(NeuronModel, "_step", step_fns)'),
     # inhibition
     "inhibition-keeps-the-firing-neuron": (
         ENGINE, "peers[peers != j] if a == b else peers", "peers"),
@@ -158,8 +166,9 @@ def run_tests(where: Path) -> tuple[bool, str]:
     """(passed, the first failing test or why the run stopped) of the suite in where."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
+        # test_mutants.py checks the unmutated sites, so it would fail on every mutant
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-m", "not slow",
-                               "-p", "no:cacheprovider"],
+                               "-p", "no:cacheprovider", "--ignore", "tests/test_mutants.py"],
                               cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False, f"timed out after {TIMEOUT_S:.0f} s"

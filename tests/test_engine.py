@@ -1683,6 +1683,24 @@ class TestSimulationErrors:
                            match=r"neuron \(layer 1, index 1\) at t=0.0: division by zero"):
             run_timestep(net, 0)
 
+    def test_failing_power_expr_names_the_neuron_inside_its_refractory_window(self):
+        # power_expr runs where dV/dt does not: neuron 1 is pinned at V = 0 from step 2
+        model = NeuronModel(tau=10e-3, thres=0.2, power_expr=parse("1 / V"),
+                            waveforms=SpikeWaveforms(pre=rect(0.5, 2e-3)))
+        spec = NetworkSpec(layers=(
+            input_layer(2),
+            LayerSpec(neurons=2, neuron_model=model, label=True,
+                      circuit_model=transmit_circuit(), device_model=small_device())))
+        net = build_network(spec, 1e-3)
+        for state in net.layers[1].states:
+            state.v = 0.1
+        run_timestep(net, 0)
+        run_timestep(net, 1)
+        net.layers[1].states[1].v, net.layers[1].states[1].refractory_until = 0.0, 5
+        with pytest.raises(SimulationError) as err:
+            run_timestep(net, 2)
+        assert str(err.value) == "neuron (layer 1, index 1) at t=0.002: division by zero"
+
     def test_a_failing_training_step_leaves_what_ran_before_the_failure_stepped(
             self, monkeypatch):
         # synapse (0, 0) potentiates (V_TB = 2 V); log fails at (1, 0), where V_pre is

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from spikeforge.expr import (
-    FUNCTIONS, BinOp, Call, ExprError, Neg, Num, Var, evaluate, evaluate_array, parse,
+    FUNCTIONS, BinOp, Call, ExprError, Neg, Num, Var, _compile, evaluate, evaluate_array, parse,
 )
 
 
@@ -168,6 +168,24 @@ def test_compiled_evaluator_matches_the_tree_walk(flavour):
     assert {node.func for node in nodes if isinstance(node, Call)} == set(FUNCTIONS)
     assert failures == set(FAILURES)
     assert values > 500
+
+
+@pytest.mark.parametrize("flavour", ["float", "int", "np.float64"])
+def test_compiled_function_of_params_and_bound_names_matches_the_tree_walk(flavour):
+    """_compile's positional case, which neuron.integrate uses: each of x, y and z is a
+    parameter or is bound at compile time, and an unbound name still fails at its node."""
+    rng = random.Random(f"expr-params-{flavour}")
+    for tree in oracle_trees(rng):
+        env = random_env(rng, flavour)
+        params = tuple(name for name in BOUND if rng.random() < 0.5)
+        bound = {name: env[name] for name in BOUND if name not in params}
+
+        def positional(tree, env):
+            return _compile(tree, params, bound)(*(env[name] for name in params))
+
+        assert outcome(positional, tree, env) == outcome(reference_evaluate, tree, env), (
+            tree, params, bound)
+        assert not hasattr(tree, "_run")  # the caller keeps a positional closure
 
 
 ELEMENTS = 8

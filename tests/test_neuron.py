@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from spikeforge.engine import (
     LayerSpec, NetworkSpec, WeightInit, build_network, num_steps, run_timestep, schedule_input,
 )
 from spikeforge.errors import SpecError
-from spikeforge.expr import parse
+from spikeforge.expr import ExprError, evaluate, parse
 from spikeforge.neuron import (
-    CalibrationResult, NeuronModel, NeuronState, SpikeWaveforms,
+    LEAK, CalibrationResult, NeuronModel, NeuronState, SpikeWaveforms,
     calibrate_from_frequency, fire_check, firing_frequency, integrate,
 )
 from spikeforge.synapse import CircuitModel, PulseFamilyDevice, SpikePresence
 from spikeforge.waveform import Waveform
+
+TUNE_CONFIG = Path(__file__).resolve().parent.parent / "bench" / "configs" / "tune-36x8-family.cfg"
 
 
 def lif(tau=10e-3, thres=1.0, **kw):
@@ -108,6 +112,82 @@ class TestIntegrate:
             integrate(model, resumed, 1.5, k, dt)
             fire_check(model, resumed, k, dt)
             assert resumed.v == trace[k]
+
+
+class TestCompiledMembraneEquation:
+    """dV/dt is state_eqs or LEAK, compiled once per model with its constants bound."""
+
+    def test_the_leak_gives_the_inline_euler_step_bit_for_bit(self):
+        rng = np.random.default_rng(33)
+        for _ in range(1000):
+            v, current = (rng.uniform(-1, 1, 2) * 10.0 ** rng.integers(-6, 4, 2)).tolist()
+            tau, r_mem, dt = (10.0 ** rng.uniform((-4, -2, -6), (0, 3, -2))).tolist()
+            model = lif(tau=tau, r_mem=r_mem)
+            state = NeuronState(v=v)
+            integrate(model, state, current, 0, dt)
+            assert state.v.hex() == (v + dt * ((r_mem * current - v) / tau)).hex()
+            assert model.state_eqs is None and model == dataclasses.replace(model)
+
+    def test_a_finite_leak_dv_dt_whose_step_overflows_diverges(self):
+        state = NeuronState(v=1e308)  # dV/dt = 7e307, and 10 s of it overflows
+        with pytest.raises(ValueError, match="^membrane potential diverged to inf$"):
+            integrate(lif(tau=1.0), state, 1.7e308, 0, dt=10.0)
+
+    @pytest.mark.parametrize("current, shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (1e308, "inf")])
+    def test_a_non_finite_leak_dv_dt_raises_the_expression_text(self, current, shown):
+        # r_mem * 1e308 overflows, as a state_eqs would
+        with pytest.raises(ExprError, match=f"^expression produced non-finite value {shown}$"):
+            integrate(lif(r_mem=10.0), NeuronState(v=0.0), current, 0, 1e-3)
+
+    def test_a_replaced_model_binds_its_own_constants(self):
+        for model, key, value in ((lif(thres=0.5, state_eqs=parse("(I - V) / thres")),
+                                   "thres", 0.25),
+                                  (lif(tau=1e-2), "tau", 2e-2)):
+            other = dataclasses.replace(model, **{key: value})
+            for m in (model, other):
+                state = NeuronState(v=0.1)
+                integrate(m, state, 1.0, 0, 1e-3)
+                rhs = m.state_eqs or LEAK
+                env = {"V": 0.1, "I": 1.0, "dt": 1e-3, "tau": m.tau, "thres": m.thres,
+                       "r_mem": m.r_mem}
+                assert state.v == 0.1 + 1e-3 * evaluate(rhs, env)
+            assert integrate_once(model) != integrate_once(other)
+
+    def test_two_genomes_that_differ_in_thres_get_different_dv_dt(self):
+        models = [load_config(TUNE_CONFIG, overrides={"neuron.out.thres": thres})
+                  .network.layers[1].neuron_model for thres in (0.4, 1.2)]
+        assert {m.thres for m in models} == {0.4, 1.2}
+        assert models[0].state_eqs == models[1].state_eqs  # the same text reads thres
+        got = [integrate_once(m) for m in models]
+        for m, v in zip(models, got):
+            env = {"V": 0.6, "I": 1.0, "dt": 1e-3, "tau": m.tau, "thres": m.thres,
+                   "r_mem": m.r_mem}
+            assert v == 0.6 + 1e-3 * evaluate(m.state_eqs, env)
+        assert got[0] != got[1]
+
+    def test_state_eqs_does_not_run_inside_the_refractory_window(self):
+        # 1 / V fails at V = 0, where the window pins the membrane; power_expr still runs
+        model = lif(state_eqs=parse("1 / V"), power_expr=parse("V + 2"))
+        state = NeuronState(v=0.0, refractory_until=3)
+        energy = 0.0
+        for k in range(3):
+            integrate(model, state, 1.0, k, 1e-3)
+            energy += 1e-3 * 2.0
+            assert state.v == 0.0 and state.energy == energy
+        with pytest.raises(ExprError, match="^division by zero$"):
+            integrate(model, state, 1.0, 3, 1e-3)
+
+    def test_power_expr_runs_inside_the_refractory_window(self):
+        model = lif(power_expr=parse("1 / V"))
+        with pytest.raises(ExprError, match="^division by zero$"):
+            integrate(model, NeuronState(v=0.0, refractory_until=3), 1.0, 0, 1e-3)
+
+
+def integrate_once(model, v=0.6, current=1.0, dt=1e-3):
+    state = NeuronState(v=v)
+    integrate(model, state, current, 0, dt)
+    return state.v
 
 
 class TestFireCheck:
